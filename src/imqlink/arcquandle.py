@@ -22,15 +22,10 @@ from .abelian import (
     subgroup_contains,
     subgroup_type,
 )
-from .linkmodule import (
-    InternalCheckError,
-    LinkModule,
-    link_determinant,
-    torsion_parity_profile,
-    weight_kernel,
-)
+from .linkmodule import InternalCheckError, LinkModule, torsion_parity_profile
 from .quandle import (
     FiniteQuandle,
+    UnionFind,
     automorphisms,
     characteristic_subquandle,
     displacement_group,
@@ -47,67 +42,47 @@ Bits = tuple[int, ...]
 
 
 def _gf2_reduce(basis: list[Bits], v: Bits) -> Bits:
+    """v with the pivot (first nonzero coordinate) of each row cleared in
+    turn; for the rows of `_gf2_echelon` this clears every pivot."""
     for b in basis:
-        pivot = next(i for i, x in enumerate(b) if x)
-        if v[pivot]:
+        if v[b.index(1)]:
             v = tuple((a + c) % 2 for a, c in zip(v, b))
     return v
 
 
-def _gf2_basis(vectors: list[Bits]) -> list[Bits]:
-    basis: list[Bits] = []
-    for v in vectors:
-        v = _gf2_reduce(basis, v)
-        if any(v):
-            basis.append(v)
-            basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    return basis
+def _gf2_echelon(vectors: list[Bits]) -> tuple[list[Bits], list[list[int]]]:
+    """Forward elimination over GF(2), in input order.
 
-
-def _gf2_same_span(a: list[Bits], b: list[Bits]) -> bool:
-    ba, bb = _gf2_basis(a), _gf2_basis(b)
-    return len(ba) == len(bb) and all(
-        not any(_gf2_reduce(ba, v)) for v in bb
-    )
+    Returns an echelon basis of the span and a basis of the null space:
+    0/1 coefficient vectors c with sum(c_i * vectors[i]) == 0.  Each row
+    vanishes at the pivots of the rows before it, so `_gf2_reduce` by the
+    rows gives the same residue for every echelon basis of one span.
+    """
+    n = len(vectors)
+    width = len(vectors[0]) if vectors else 0
+    rows: list[Bits] = []
+    null: list[list[int]] = []
+    for idx, v in enumerate(vectors):
+        # an identity tail records which inputs were combined
+        v = _gf2_reduce(rows, v + tuple(int(i == idx) for i in range(n)))
+        if any(v[:width]):
+            rows.append(v)
+        else:
+            null.append(list(v[width:]))
+    return [r[:width] for r in rows], null
 
 
 def _gf2_solve(cols: list[Bits], target: Bits) -> list[int] | None:
-    """0/1 coefficients with sum(c_i * cols[i]) == target, or None."""
-    work: list[tuple[Bits, list[int]]] = []
-    for idx, col in enumerate(cols):
-        v, coeff = col, [1 if i == idx else 0 for i in range(len(cols))]
-        for bv, bc in work:
-            pivot = next(i for i, x in enumerate(bv) if x)
-            if v[pivot]:
-                v = tuple((a + b) % 2 for a, b in zip(v, bv))
-                coeff = [(a + b) % 2 for a, b in zip(coeff, bc)]
-        if any(v):
-            work.append((v, coeff))
-    t, tc = target, [0] * len(cols)
-    for bv, bc in work:
-        pivot = next(i for i, x in enumerate(bv) if x)
-        if t[pivot]:
-            t = tuple((a + b) % 2 for a, b in zip(t, bv))
-            tc = [(a + b) % 2 for a, b in zip(tc, bc)]
-    return None if any(t) else tc
+    """0/1 coefficients with sum(c_i * cols[i]) == target, or None.  They
+    are read off the null vector of cols + [target] that uses the target;
+    only the last input's null vector can."""
+    null = _gf2_echelon(cols + [target])[1]
+    return null[-1][:-1] if null and null[-1][-1] else None
 
 
-def _gf2_nullspace(cols: list[Bits]) -> list[list[int]]:
-    """Basis of coefficient vectors c with sum(c_i * cols[i]) == 0."""
-    work: list[tuple[Bits, list[int]]] = []
-    out: list[list[int]] = []
-    for idx, col in enumerate(cols):
-        v, coeff = col, [1 if i == idx else 0 for i in range(len(cols))]
-        for bv, bc in work:
-            pivot = next(i for i, x in enumerate(bv) if x)
-            if v[pivot]:
-                v = tuple((a + b) % 2 for a, b in zip(v, bv))
-                coeff = [(a + b) % 2 for a, b in zip(coeff, bc)]
-        if any(v):
-            work.append((v, coeff))
-        else:
-            out.append(coeff)
-    return out
+def _gf2_same_span(a: list[Bits], b: list[Bits]) -> bool:
+    ba, bb = _gf2_echelon(a)[0], _gf2_echelon(b)[0]
+    return len(ba) == len(bb) and all(not any(_gf2_reduce(ba, v)) for v in bb)
 
 
 def _gf2_unimodular_lift(rows: list[Bits]) -> list[list[int]]:
@@ -169,7 +144,22 @@ def marking_kernel(mod: LinkModule) -> list[GroupElt]:
 
 
 def build_arc_quandle(mod: LinkModule) -> ArcQuandle:
-    det = link_determinant(mod)
+    """The coset quandle of the module.  Its table is built on the first
+    call and kept on the module for every later one."""
+    if mod.arc_quandle_parts is None:
+        mod.arc_quandle_parts = _coset_table(mod)
+    q, elems, comp_of, kernel = mod.arc_quandle_parts
+    return ArcQuandle(
+        quandle=q, module=mod, elements=elems, component_of=comp_of, kernel=kernel
+    )
+
+
+def _coset_table(
+    mod: LinkModule,
+) -> tuple[FiniteQuandle, list[GroupElt], list[int], list[GroupElt]]:
+    """The checked coset quandle, its elements, their components and the
+    marking kernel."""
+    det = mod.determinant
     if det == 0:
         raise ValueError("Q_A infinite; use algebraic comparisons")
     kernel = marking_kernel(mod)
@@ -212,9 +202,7 @@ def build_arc_quandle(mod: LinkModule) -> ArcQuandle:
             raise InternalCheckError("orbits do not match cosets")
     if not is_semiregular(q):
         raise InternalCheckError("arc quandle not semiregular")
-    return ArcQuandle(
-        quandle=q, module=mod, elements=elems, component_of=comp_of, kernel=kernel
-    )
+    return q, elems, comp_of, kernel
 
 
 @dataclass
@@ -398,7 +386,7 @@ def _explicit_free_generators(
     # invertible over GF(2); row choices differ by the kernel of the
     # block map modulo torsion parities
     kernel_span: set[Bits] = {tuple([0] * m)}
-    for vec in _gf2_nullspace(cols_tail + cols_tg):
+    for vec in _gf2_echelon(cols_tail + cols_tg)[1]:
         head = tuple(v % 2 for v in vec[:m])
         kernel_span |= {
             tuple((a + b) % 2 for a, b in zip(s, head)) for s in kernel_span
@@ -417,7 +405,7 @@ def _explicit_free_generators(
             return True
         for k in kernel_span:
             cand = tuple((a + b) % 2 for a, b in zip(particular[j], k))
-            if len(_gf2_basis(chosen + [cand])) == j + 1:
+            if len(_gf2_echelon(chosen + [cand])[0]) == j + 1:
                 chosen.append(cand)
                 if extend(j + 1):
                     return True
@@ -540,7 +528,7 @@ def characteristic_compatibility(
         def block(x: GroupElt) -> Bits:
             return _parity_block(mod, x, ordering)
 
-        p_torsion = _gf2_basis([block(t) for t in mod.group.torsion_elements()])
+        p_torsion = _gf2_echelon([block(t) for t in mod.group.torsion_elements()])[0]
 
         unit = {
             j: tuple(1 if i == j else 0 for i in range(mu - 1))
@@ -575,7 +563,8 @@ def characteristic_compatibility(
         reduced_units = [_gf2_reduce(p_torsion, u) for u in remaining]
         if not _gf2_same_span(reduced_rest, reduced_units):
             continue
-        if any(_gf2_reduce(_gf2_basis(reduced_rest), _gf2_reduce(p_torsion, v1))):
+        basis_rest = _gf2_echelon(reduced_rest)[0]
+        if any(_gf2_reduce(basis_rest, _gf2_reduce(p_torsion, v1))):
             continue
         torsion_gens = found_gens or []
         torsion_slots = list(found_slots or ())
@@ -605,11 +594,10 @@ def compare_with_characteristic(mod: LinkModule) -> bool:
     """Is the coset quandle isomorphic to the characteristic subquandle
     of ker(weight)?  Cross-checked against characteristic_compatibility,
     which decides the same question structurally."""
-    det = link_determinant(mod)
-    if det == 0:
+    if mod.determinant == 0:
         raise ValueError("determinant zero; comparison needs a finite quandle")
     qa = build_arc_quandle(mod)
-    core_prime = characteristic_subquandle(weight_kernel(mod).group)
+    core_prime = characteristic_subquandle(mod.kernel)
     if core_prime.n != qa.quandle.n:
         raise InternalCheckError("cardinality equality violated")
     iso = is_isomorphic(qa.quandle, core_prime) is not None
@@ -638,12 +626,7 @@ def _torsion_isos(
 ) -> tuple[list[GroupElt], list[list[GroupElt]]]:
     """Canonical torsion generators of m1 and, per generator, the m2
     elements of compatible order they may map to."""
-    g1 = m1.group
-    gens = []
-    for i, t in enumerate(g1.torsion):
-        coords = [0] * g1.n_coords
-        coords[g1.free_rank + i] = 1
-        gens.append(g1.element(coords))
+    gens = _canonical_torsion_generators(m1.group)
     t2 = [x for x in m2.group.torsion_elements() if not x.is_zero()]
     pools = [[x for x in t2 if g.order() % x.order() == 0] for g in gens]
     return gens, pools
@@ -660,7 +643,7 @@ def marking_equivalent(m1: LinkModule, m2: LinkModule) -> MarkingComparison:
         return MarkingComparison("not_equivalent", "component counts differ")
     if torsion_parity_profile(m1) != torsion_parity_profile(m2):
         return MarkingComparison("not_equivalent", "torsion parity profiles differ")
-    det1, det2 = link_determinant(m1), link_determinant(m2)
+    det1, det2 = m1.determinant, m2.determinant
     if (det1 == 0) != (det2 == 0):
         return MarkingComparison("not_equivalent", "one determinant is zero")
     if det1 != 0:
@@ -683,10 +666,10 @@ def _marking_search_det0(m1: LinkModule, m2: LinkModule) -> MarkingComparison:
     torsion_order = len(list(m1.group.torsion_elements()))
     adapted1 = _weight_adapted_basis(m1)
     adapted2 = _weight_adapted_basis(m2)
-    p_torsion2 = _gf2_basis([m2.parity(t) for t in m2.group.torsion_elements()])
+    p_torsion2 = _gf2_echelon([m2.parity(t) for t in m2.group.torsion_elements()])[0]
     sources = [m2.parity(c) for c in adapted2]
     red_s = [_gf2_reduce(p_torsion2, v) for v in sources[1:]]
-    basis_s = _gf2_basis(red_s)
+    basis_s = _gf2_echelon(red_s)[0]
     s0 = _gf2_reduce(basis_s, _gf2_reduce(p_torsion2, sources[0]))
 
     for images in itertools.product(*pools):
@@ -743,20 +726,12 @@ def reindexing_sensitivity(mod: LinkModule) -> ReindexingReport:
     """Partition of the components by interchangeability under coset
     quandle automorphisms; a singleton class marks a component that every
     automorphism pins down."""
-    if link_determinant(mod) == 0:
+    if mod.determinant == 0:
         return ReindexingReport(status="unknown", classes=[])
     qa = build_arc_quandle(mod)
     orbs = orbits(qa.quandle)
     comp_of_orbit = qa.orbit_component
-    mu = mod.mu
-    parent = list(range(mu))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    interchangeable = UnionFind(mod.mu)
     elem_orbit = {}
     for oi, orb in enumerate(orbs):
         for x in orb:
@@ -764,12 +739,7 @@ def reindexing_sensitivity(mod: LinkModule) -> ReindexingReport:
     for f in automorphisms(qa.quandle):
         for oi, orb in enumerate(orbs):
             target = elem_orbit[f[orb[0]]]
-            a, b = find(comp_of_orbit[oi]), find(comp_of_orbit[target])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for c in range(mu):
-        groups.setdefault(find(c), []).append(c)
+            interchangeable.union(comp_of_orbit[oi], comp_of_orbit[target])
     return ReindexingReport(
-        status="ok", classes=[tuple(groups[r]) for r in sorted(groups)]
+        status="ok", classes=[tuple(c) for c in interchangeable.classes()]
     )

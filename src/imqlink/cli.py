@@ -31,15 +31,18 @@ from .diagram import (
     parse_diagram,
     serialize_diagram,
 )
-from .imq import check_size_bounds, compute_imq, surjection_to_arc_quandle
+from .imq import (
+    ImqResult,
+    check_size_bounds,
+    compute_imq,
+    surjection_to_arc_quandle,
+)
 from .linkmodule import (
     InternalCheckError,
     build_link_module,
-    link_determinant,
     longitude_zero_subset,
     longitudes,
     torsion_parity_profile,
-    weight_kernel,
 )
 from .quandle import (
     CapExceeded,
@@ -82,11 +85,11 @@ def build_report(
     name: str,
     run_imq: bool = True,
     imq_cap: int | None = None,
-) -> dict:
-    """All report fields for one diagram, as a JSON-ready dict."""
+) -> tuple[dict, ImqResult | None]:
+    """All report fields for one diagram, as a JSON-ready dict, and the
+    presented quandle when it was computed."""
     mod = build_link_module(d)
-    det = link_determinant(mod)
-    kw = weight_kernel(mod)
+    det = mod.determinant
     even = make_even(d)
     even_mod = mod if even is d else build_link_module(even)
     longs = longitudes(even_mod)
@@ -102,13 +105,14 @@ def build_report(
         "evenized": even is not d,
         "determinant": det,
         "module": _group_dict(mod.group),
-        "weight_kernel": _group_dict(kw.group),
+        "weight_kernel": _group_dict(mod.kernel),
         "longitude_orders": [l.order() for l in longs],
         "longitude_zero_subset": zero_subset,
         "parity_profile": [list(v) for v in torsion_parity_profile(mod)],
         "characteristic_compatibility": characteristic_compatibility(mod).status,
     }
     checks: dict = {}
+    res = None
     if det == 0:
         report["arc_quandle"] = "infinite"
         report["imq"] = "infinite"
@@ -126,7 +130,7 @@ def build_report(
         if not run_imq:
             report["imq"] = "skipped"
         else:
-            res = compute_imq(d, max_elements=imq_cap)
+            res = compute_imq(mod, max_elements=imq_cap)
             q = res.quandle
             report["imq"] = {
                 "size": q.n,
@@ -143,7 +147,7 @@ def build_report(
             )
     report["checks"] = checks
     report["checks_passed"] = all(checks.values())
-    return report
+    return report, res
 
 
 def render_report_text(rep: dict) -> str:
@@ -192,7 +196,7 @@ def cmd_report(args) -> int:
     d = _load(args.path)
     code = EXIT_OK
     try:
-        rep = build_report(
+        rep, res = build_report(
             d, Path(args.path).stem, run_imq=not args.no_imq, imq_cap=args.imq_cap
         )
     except CapExceeded as e:
@@ -200,8 +204,7 @@ def cmd_report(args) -> int:
         return EXIT_CAP
     _emit(rep, args.format)
     if args.dump_quandle:
-        if isinstance(rep["imq"], dict):
-            res = compute_imq(d, max_elements=args.imq_cap)
+        if res is not None:
             Path(args.dump_quandle).write_text(serialize_quandle(res.quandle))
         else:
             print("no finite presented quandle to dump", file=sys.stderr)
@@ -212,7 +215,7 @@ def cmd_report(args) -> int:
 def cmd_compare(args) -> int:
     d1, d2 = _load(args.path1), _load(args.path2)
     m1, m2 = build_link_module(d1), build_link_module(d2)
-    det1, det2 = link_determinant(m1), link_determinant(m2)
+    det1, det2 = m1.determinant, m2.determinant
     marking = marking_equivalent(m1, m2)
     record: dict = {
         "first": Path(args.path1).stem,
@@ -220,7 +223,7 @@ def cmd_compare(args) -> int:
         "module_isomorphic": m1.group == m2.group,
         "marking_equivalent": marking.status,
         "marking_reason": marking.reason,
-        "h1_isomorphic": weight_kernel(m1).group == weight_kernel(m2).group,
+        "h1_isomorphic": m1.kernel == m2.kernel,
     }
     if det1 != 0 and det2 != 0:
         qa1, qa2 = build_arc_quandle(m1), build_arc_quandle(m2)
@@ -230,8 +233,8 @@ def cmd_compare(args) -> int:
         if args.no_imq:
             record["imq_isomorphic"] = None
         else:
-            r1 = compute_imq(d1, max_elements=args.imq_cap)
-            r2 = compute_imq(d2, max_elements=args.imq_cap)
+            r1 = compute_imq(m1, max_elements=args.imq_cap)
+            r2 = compute_imq(m2, max_elements=args.imq_cap)
             record["imq_isomorphic"] = (
                 is_isomorphic(r1.quandle, r2.quandle) is not None
             )
@@ -311,7 +314,7 @@ def _corpus_worker(path_str: str, no_imq: bool, imq_cap: int | None) -> dict:
         d = _load(path_str)
         return build_report(
             d, Path(path_str).stem, run_imq=not no_imq, imq_cap=imq_cap
-        )
+        )[0]
     except DiagramValidationError as e:
         return {"name": Path(path_str).stem, "error": str(e), "exit": EXIT_VALIDATION}
     except (DiagramSyntaxError, ValueError) as e:

@@ -133,12 +133,6 @@ def validate_diagram(d: LinkDiagram) -> list[str]:
     return bad
 
 
-def _structure(obj, text_ok=False):
-    if not isinstance(obj, dict):
-        raise DiagramSyntaxError("top level must be a map")
-    return obj
-
-
 def parse_diagram(text: str) -> LinkDiagram:
     """Parse the JSON serialization and validate the result.
 
@@ -151,7 +145,8 @@ def parse_diagram(text: str) -> LinkDiagram:
         raise DiagramSyntaxError(
             f"syntax error at line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
-    obj = _structure(obj)
+    if not isinstance(obj, dict):
+        raise DiagramSyntaxError("top level must be a map")
     unknown = set(obj) - {"arcs", "crossings", "components"}
     if unknown:
         raise DiagramSyntaxError(f"unknown keys: {sorted(unknown)}")

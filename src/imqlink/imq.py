@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 from .arcquandle import ArcQuandle
 from .diagram import LinkDiagram, component_walk
-from .linkmodule import InternalCheckError, build_link_module, link_determinant
-from .quandle import CapExceeded, FiniteQuandle, check_axioms, orbits
+from .linkmodule import InternalCheckError, LinkModule
+from .quandle import CapExceeded, FiniteQuandle, UnionFind, check_axioms, orbits
 
 
 class _Saturator:
     def __init__(self, max_elements: int):
-        self.parent: list[int] = []
-        self.age: list[int] = []
+        self.uf = UnionFind(0)
+        self.find = self.uf.find
         self.table: dict[tuple[int, int], int] = {}
         self.pending_unions: list[tuple[int, int]] = []
         self.max_elements = max_elements
@@ -35,19 +35,11 @@ class _Saturator:
     def fresh(self) -> int:
         if self.created >= self.max_elements:
             raise CapExceeded("resource cap: element limit reached")
-        e = len(self.parent)
-        self.parent.append(e)
-        self.age.append(self.created)
+        e = self.uf.add()
         self.created += 1
         self.dirty.add(e)
         self.set_op(e, e, e)
         return e
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
 
     def set_op(self, x: int, y: int, z: int) -> None:
         x, y, z = self.find(x), self.find(y), self.find(z)
@@ -66,14 +58,10 @@ class _Saturator:
         """Drain merges, keeping the table congruence-closed."""
         while self.pending_unions:
             a, b = self.pending_unions.pop()
-            ra, rb = self.find(a), self.find(b)
-            if ra == rb:
+            # the older (lower-numbered) class stays canonical
+            if not self.uf.union(a, b):
                 continue
-            # the older class stays canonical
-            if (self.age[rb], rb) < (self.age[ra], ra):
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-            self.dirty.add(ra)
+            self.dirty.add(self.find(a))
             rebuilt: dict[tuple[int, int], int] = {}
             for (x, y), z in list(self.table.items()):
                 xf, yf, zf = self.find(x), self.find(y), self.find(z)
@@ -87,11 +75,7 @@ class _Saturator:
             self.table.update(rebuilt)
 
     def reps(self) -> list[int]:
-        seen = sorted(
-            {self.find(i) for i in range(len(self.parent))},
-            key=lambda r: (self.age[r], r),
-        )
-        return seen
+        return sorted({self.find(i) for i in range(self.created)})
 
     def derive_pass(self, restrict: set[int] | None, rng) -> bool:
         """One instantiation sweep of distributivity and mediality over
@@ -168,12 +152,13 @@ class ImqResult:
 
 
 def compute_imq(
-    d: LinkDiagram,
+    mod: LinkModule,
     max_elements: int | None = None,
     max_steps: int = 100_000,
     seed: int | None = None,
 ) -> ImqResult:
-    """The quandle presented by the diagram's crossing relations.
+    """The quandle presented by the crossing relations of the module's
+    diagram.
 
     Rejects determinant-zero diagrams (the presented quandle is then
     infinite).  `max_elements` defaults to 64 times the size bound
@@ -181,8 +166,8 @@ def compute_imq(
     distinct from the infinite case.  `seed` shuffles deduction order
     without affecting the result up to isomorphism.
     """
-    mod = build_link_module(d)
-    det = link_determinant(mod)
+    d = mod.diagram
+    det = mod.determinant
     if det == 0:
         raise ValueError("infinite quandle: determinant is zero")
     bound = d.mu * det // 2

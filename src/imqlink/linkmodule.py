@@ -6,12 +6,20 @@ coalesce.  The cokernel carries two extra structures: the weight map w
 (every arc class has weight 1) and the component-parity map p into
 (Z/2)^mu.  The pair (w, p) drives all re-indexing and equivalence logic;
 their asymmetric combined form (w, p_2..p_mu) is available as `marking`.
+
+Since w is onto Z, the module splits as M = Z (+) ker(w).  So ker(w), the
+first homology of the double branched cover, is M with one free factor
+dropped, and the determinant is |ker(w)| (0 when infinite); both are read
+off M's invariant factors once, in `build_link_module`.  That function
+also presents ker(w) literally, as the crossing rows plus a unit row at
+one arc (`weight_kernel`), and raises InternalCheckError unless the two
+agree.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .abelian import (
@@ -21,7 +29,6 @@ from .abelian import (
     Presentation,
     cokernel,
     int_det,
-    subgroup_contains,
 )
 from .diagram import LinkDiagram, component_walk
 
@@ -44,6 +51,14 @@ class LinkModule:
     pres: Presentation
     group: FgAbGroup
     arc_class: tuple[GroupElt, ...]
+    kernel: FgAbGroup  # ker(weight)
+    determinant: int
+    # the coset quandle's table, elements, components and kernel, set by
+    # the first build_arc_quandle call; nothing in it refers back to the
+    # module, so no reference cycle delays freeing a dropped module
+    arc_quandle_parts: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def mu(self) -> int:
@@ -84,24 +99,29 @@ def build_link_module(d: LinkDiagram) -> LinkModule:
         if any(v % 2 for v in per_comp):
             raise InternalCheckError(f"relation row {i} has odd component sum")
     pres = cokernel(rows, d.n_arcs)
-    mod = LinkModule(
-        diagram=d,
-        pres=pres,
-        group=pres.group,
-        arc_class=tuple(pres.generator_image(a) for a in range(d.n_arcs)),
-    )
     r = pres.group.free_rank
     k = sum(1 for t in pres.group.torsion if t % 2 == 0)
     if not (1 <= r <= d.mu and r + k == d.mu):
         raise InternalCheckError(
             f"module shape violated: free rank {r}, even factors {k}, mu {d.mu}"
         )
+    kernel = FgAbGroup(r - 1, pres.group.torsion)
+    mod = LinkModule(
+        diagram=d,
+        pres=pres,
+        group=pres.group,
+        arc_class=tuple(pres.generator_image(a) for a in range(d.n_arcs)),
+        kernel=kernel,
+        determinant=kernel.order(),
+    )
     for a in range(d.n_arcs):
         if mod.weight(mod.arc_class[a]) != 1:
             raise InternalCheckError(f"arc {a} has weight != 1")
         want = tuple(1 if i == d.kappa[a] else 0 for i in range(d.mu))
         if mod.parity(mod.arc_class[a]) != want:
             raise InternalCheckError(f"arc {a} has wrong parity vector")
+    if weight_kernel(mod).group != kernel:
+        raise InternalCheckError("presented weight kernel differs from the split")
     return mod
 
 
@@ -115,12 +135,6 @@ class WeightKernel:
     pres: Presentation
     base_arc: int
     module: LinkModule
-
-    def project(self, x: GroupElt) -> GroupElt:
-        """Image of a module element under the quotient killing the base
-        arc class; restricted to ker(weight) this is the canonical
-        isomorphism."""
-        return self.pres.to_canonical(self.module.pres.lift(x))
 
 
 def weight_kernel(mod: LinkModule, base_arc: int = 0) -> WeightKernel:
@@ -136,8 +150,7 @@ def weight_kernel(mod: LinkModule, base_arc: int = 0) -> WeightKernel:
 
 def link_determinant(mod: LinkModule) -> int:
     """|ker(weight)| when finite, else 0."""
-    kw = weight_kernel(mod)
-    return 0 if kw.group.free_rank else kw.group.order()
+    return mod.determinant
 
 
 def determinant_by_minors(d: LinkDiagram, base_arc: int = 0) -> int:
@@ -211,7 +224,7 @@ def double_kernel_subgroup_check(mod: LinkModule) -> bool:
     """{x : weight 0, parity 0} equals 2 * {x : weight 0}; needs finite
     ker(weight)."""
     kw_elements = [t for t in mod.group.torsion_elements() if mod.weight(t) == 0]
-    if weight_kernel(mod).group.free_rank:
+    if mod.kernel.free_rank:
         raise ValueError("ker(weight) is infinite")
     joint = [t for t in kw_elements if not any(mod.parity(t))]
     doubled = [t.smul(2) for t in kw_elements]

@@ -75,25 +75,48 @@ def check_axioms(q: FiniteQuandle) -> list[str]:
     return bad
 
 
-def orbits(q: FiniteQuandle) -> list[list[int]]:
-    """Connected classes of the relation x ~ x|>y, via union-find."""
-    parent = list(range(q.n))
+class UnionFind:
+    """Disjoint classes of 0..n-1; every class is named by its least
+    member."""
 
-    def find(a: int) -> int:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def add(self) -> int:
+        """A new singleton class."""
+        self.parent.append(len(self.parent))
+        return len(self.parent) - 1
+
+    def find(self, a: int) -> int:
+        parent = self.parent
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of a and b; False when already one class."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    def classes(self) -> list[list[int]]:
+        """The classes, each ascending, in order of their least members."""
+        groups: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            groups.setdefault(self.find(x), []).append(x)
+        return [groups[r] for r in sorted(groups)]
+
+
+def orbits(q: FiniteQuandle) -> list[list[int]]:
+    """Connected classes of the relation x ~ x|>y."""
+    uf = UnionFind(q.n)
     for x in range(q.n):
         for y in range(q.n):
-            ra, rb = find(x), find(q.op[x][y])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for x in range(q.n):
-        groups.setdefault(find(x), []).append(x)
-    return [groups[r] for r in sorted(groups)]
+            uf.union(x, q.op[x][y])
+    return uf.classes()
 
 
 def orbit_of(q: FiniteQuandle, x: int) -> list[int]:
@@ -240,10 +263,10 @@ def characteristic_subquandle(a: FgAbGroup) -> FiniteQuandle:
     the doubled group."""
     if a.order() == 0:
         raise ValueError("characteristic subquandle of an infinite group")
-    elems = [e for e in a.elements() if _at_most_one_odd(e)]
-    index = {e: i for i, e in enumerate(elems)}
-    op = [[index[y.smul(2) - x] for y in elems] for x in elems]
-    return FiniteQuandle(op, labels=dict(enumerate(elems)))
+    core = core_quandle(a)
+    return subquandle(
+        core, [x for x in range(core.n) if _at_most_one_odd(core.labels[x])]
+    )
 
 
 def subquandle(q: FiniteQuandle, members: list[int]) -> FiniteQuandle:
@@ -262,10 +285,10 @@ def subquandle(q: FiniteQuandle, members: list[int]) -> FiniteQuandle:
     return FiniteQuandle(op, labels=labels)
 
 
-def _fingerprints(q: FiniteQuandle) -> list[int]:
-    """Operation-aware color refinement; isomorphic quandles get equal
-    color histograms and isomorphisms preserve colors."""
-    orbs = orbits(q)
+def _fingerprints(q: FiniteQuandle, orbs: list[list[int]]) -> list[int]:
+    """Operation-aware color refinement, seeded by the orbits of q;
+    isomorphic quandles get equal color histograms and isomorphisms
+    preserve colors."""
     orb_of = {}
     for orb in orbs:
         for x in orb:
@@ -293,17 +316,21 @@ def _fingerprints(q: FiniteQuandle) -> list[int]:
 def _iso_search(
     q1: FiniteQuandle, q2: FiniteQuandle, want_all: bool
 ) -> list[list[int]]:
+    # automorphisms pass q1 is q2: each invariant is then computed once
     if q1.n != q2.n:
         return []
-    if sorted(len(o) for o in orbits(q1)) != sorted(len(o) for o in orbits(q2)):
+    o1 = orbits(q1)
+    o2 = o1 if q2 is q1 else orbits(q2)
+    if sorted(len(o) for o in o1) != sorted(len(o) for o in o2):
         return []
-    c1, c2 = _fingerprints(q1), _fingerprints(q2)
+    c1 = _fingerprints(q1, o1)
+    c2 = c1 if q2 is q1 else _fingerprints(q2, o2)
     if sorted(c1) != sorted(c2):
         return []
     if q1.n > 1:
         try:
             d1 = displacement_group(q1)
-            d2 = displacement_group(q2)
+            d2 = d1 if q2 is q1 else displacement_group(q2)
             if d1.group != d2.group:
                 return []
         except CapExceeded:

@@ -36,7 +36,7 @@ def arc_quandles(modules):
 @pytest.fixture(scope="session")
 def imq_results(diagrams, modules):
     return {
-        name: compute_imq(diagrams[name])
+        name: compute_imq(modules[name])
         for name in FIXTURE_NAMES
         if link_determinant(modules[name]) != 0
     }

@@ -4,9 +4,11 @@ with caching, and the exit code contract."""
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from imqlink import arcquandle, imq, linkmodule
 from imqlink.cli import main
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.quandle import parse_quandle
@@ -268,3 +270,63 @@ def test_console_script(tmp_path):
     rep = json.loads(proc.stdout)
     assert rep["determinant"] == 4
     assert rep["imq"] == {"size": 6, "orbit_sizes": [2, 2, 2]}
+
+
+def count_calls(monkeypatch, counts, home, name):
+    """Count calls of home.name, through every imqlink module binding it."""
+    original = getattr(home, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("imqlink"):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    counts = Counter()
+    for home, name in (
+        (linkmodule, "build_link_module"),
+        (linkmodule, "weight_kernel"),
+        (arcquandle, "_coset_table"),
+        (imq, "_Saturator"),
+    ):
+        count_calls(monkeypatch, counts, home, name)
+    return counts
+
+
+@pytest.mark.parametrize("name", ("hopf2", "t22t24"))
+@pytest.mark.parametrize("dump", (False, True), ids=("plain", "dump"))
+def test_report_computes_each_invariant_once(
+    name, dump, tmp_path, capsys, engine_calls
+):
+    args = ["report", write_fixture(tmp_path, name)]
+    if dump:
+        args += ["--dump-quandle", str(tmp_path / "q")]
+    code, out, _ = run(capsys, "--format", "machine", *args)
+    assert code == 0 and json.loads(out)["evenized"] is True
+    # the drawn and the evenized module, each presenting its weight
+    # kernel once; one coset-quandle table and one saturation
+    assert engine_calls == {
+        "build_link_module": 2,
+        "weight_kernel": 2,
+        "_coset_table": 1,
+        "_Saturator": 1,
+    }
+
+
+def test_compare_computes_each_invariant_once(tmp_path, capsys, engine_calls):
+    a = write_fixture(tmp_path, "hopf2")
+    b = write_fixture(tmp_path, "sixthree")
+    code, _, _ = run(capsys, "--format", "machine", "compare", a, b)
+    assert code == 0
+    assert engine_calls == {
+        "build_link_module": 2,
+        "weight_kernel": 2,
+        "_coset_table": 2,
+        "_Saturator": 2,
+    }

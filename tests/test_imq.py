@@ -132,7 +132,7 @@ def test_two_component_surjection_is_bijective(text, det):
     assert d.mu == 2
     mod = build_link_module(d)
     assert link_determinant(mod) == det
-    res = compute_imq(d)
+    res = compute_imq(mod)
     qa = build_arc_quandle(mod)
     f = surjection_to_arc_quandle(res, qa)
     assert res.quandle.n == qa.quandle.n == det
@@ -198,23 +198,23 @@ def test_displacement_group_values(name, imq_results):
 
 
 @pytest.mark.parametrize("name", ("hopf2", "t22t24"))
-def test_seeded_runs_agree_up_to_isomorphism(name, diagrams, imq_results):
+def test_seeded_runs_agree_up_to_isomorphism(name, modules, imq_results):
     base = imq_results[name].quandle
     for seed in (0, 1, 2):
-        r = compute_imq(diagrams[name], seed=seed)
+        r = compute_imq(modules[name], seed=seed)
         assert r.quandle.n == base.n
         assert is_isomorphic(r.quandle, base) is not None
 
 
 @pytest.mark.parametrize("name", ("hopf2", "t22t24"))
 def test_make_even_preserves_quandle(name, diagrams, imq_results):
-    ev = compute_imq(make_even(diagrams[name]))
+    ev = compute_imq(build_link_module(make_even(diagrams[name])))
     assert is_isomorphic(ev.quandle, imq_results[name].quandle) is not None
 
 
 @pytest.mark.parametrize("name", FINITE)
 def test_longitude_fixes_orbit(name, diagrams):
-    res = compute_imq(make_even(diagrams[name]))
+    res = compute_imq(build_link_module(make_even(diagrams[name])))
     assert longitude_fixes_orbit(res)
 
 
@@ -224,11 +224,11 @@ def test_longitude_check_requires_even(imq_results, diagrams):
         longitude_fixes_orbit(imq_results["trefoil"])
 
 
-def test_cap_exceeded_is_distinct_from_infinite(diagrams):
+def test_cap_exceeded_is_distinct_from_infinite(modules):
     with pytest.raises(CapExceeded, match="resource cap"):
-        compute_imq(diagrams["t22t24"], max_elements=2)
+        compute_imq(modules["t22t24"], max_elements=2)
     with pytest.raises(ValueError, match="infinite quandle"):
-        compute_imq(diagrams["fig5l"])
+        compute_imq(modules["fig5l"])
 
 
 @pytest.mark.parametrize("name", ("hopf2", "sixthree"))

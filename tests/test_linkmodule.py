@@ -71,11 +71,18 @@ def test_module_shape_relation():
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_weight_kernel_base_arc_independent(name, modules):
-    mod = modules[name]
-    base = weight_kernel(mod, base_arc=0)
-    for arc in range(1, mod.diagram.n_arcs):
-        assert weight_kernel(mod, base_arc=arc).group == base.group
+def test_weight_kernel_base_arc_independent(name, diagrams, modules):
+    # the kernel and determinant split off the module match the literal
+    # presentation at every base arc and the minor oracle, on the drawn
+    # diagram and on its evenized form
+    even = make_even(diagrams[name])
+    mods = [modules[name]]
+    if even is not diagrams[name]:
+        mods.append(build_link_module(even))
+    for mod in mods:
+        assert mod.determinant == determinant_by_minors(mod.diagram)
+        for arc in range(mod.diagram.n_arcs):
+            assert weight_kernel(mod, base_arc=arc).group == mod.kernel
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

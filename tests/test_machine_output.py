@@ -1,0 +1,56 @@
+"""Byte-identity gate: `--format machine` output of report, compare and a
+cold corpus run on the bundled fixtures, plus the `--dump-quandle` tables,
+must match the recorded `machine_output.json` exactly.
+
+The recorded file holds the exit code and stdout of every run, as written
+by `machine_outputs` before an engine change.  A change that alters any
+byte of this output changes behaviour: it re-records the file from
+`machine_outputs` in the same commit and says why.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+from pathlib import Path
+
+from imqlink.cli import main
+from imqlink.fixtures import FIXTURE_NAMES, fixture_text
+
+RECORDED = Path(__file__).with_name("machine_output.json")
+
+
+def _run(capsys, *argv) -> dict:
+    code = main(["--format", "machine", *argv])
+    return {"exit": code, "stdout": capsys.readouterr().out}
+
+
+def machine_outputs(tmp_path, capsys) -> dict:
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    path = {}
+    for name in FIXTURE_NAMES:
+        path[name] = fixtures / f"{name}.json"
+        path[name].write_text(fixture_text(name))
+
+    out = {}
+    for name in FIXTURE_NAMES:
+        out[f"report {name}"] = _run(capsys, "report", str(path[name]))
+        dump = tmp_path / f"{name}.quandle"
+        _run(capsys, "report", str(path[name]), "--dump-quandle", str(dump))
+        if dump.exists():
+            out[f"dump {name}"] = dump.read_text()
+    for a, b in itertools.combinations(FIXTURE_NAMES, 2):
+        out[f"compare {a} {b}"] = _run(capsys, "compare", str(path[a]), str(path[b]))
+    cache = tmp_path / "cold.cache"
+    out["corpus"] = _run(capsys, "corpus", str(fixtures), "--cache", str(cache))
+    return out
+
+
+def test_machine_output_is_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QUANDLE_CACHE", raising=False)
+    got = machine_outputs(tmp_path, capsys)
+    want = json.loads(RECORDED.read_text())
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
