@@ -20,10 +20,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(m: int, n: int) -> Matrix:
-    return [[0] * n for _ in range(m)]
-
-
 def mat_mul(a: Matrix, b: Matrix, n_cols_b: int | None = None) -> Matrix:
     """Product a*b.  n_cols_b disambiguates the shape of an empty b."""
     if n_cols_b is None:
@@ -88,6 +84,13 @@ class SmithForm:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diag if d != 0)
+
+
+def _nearest_quotient(x: int, p: int) -> int:
+    """x/p rounded to the nearest integer, so |x - q*p| <= |p|/2.  A floor
+    quotient leaves remainders up to |p| - 1, and on some row orders the
+    entries of the working matrix and witnesses then grow without bound."""
+    return (2 * x + p) // (2 * p)
 
 
 def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
@@ -169,14 +172,14 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
             dirty = False
             for i in range(t + 1, m):
                 if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
+                    q = _nearest_quotient(a[i][t], a[t][t])
                     add_row(i, t, -q)
                     if a[i][t] != 0:
                         swap_rows(t, i)
                         dirty = True
             for j in range(t + 1, n):
                 if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
+                    q = _nearest_quotient(a[t][j], a[t][t])
                     add_col(j, t, -q)
                     if a[t][j] != 0:
                         swap_cols(t, j)
@@ -242,30 +245,6 @@ class FgAbGroup:
     def order(self) -> int:
         """Group order, with 0 meaning infinite."""
         return 0 if self.free_rank else prod(self.torsion, start=1)
-
-    def two_rank(self) -> int:
-        """Rank of the group modulo doubled elements."""
-        return self.free_rank + sum(1 for t in self.torsion if t % 2 == 0)
-
-    def two_primary_exponents(self) -> tuple[int, ...]:
-        """Orders of the 2-primary cyclic factors, ascending."""
-        out = []
-        for t in self.torsion:
-            e = 1
-            while t % 2 == 0:
-                e *= 2
-                t //= 2
-            if e > 1:
-                out.append(e)
-        return tuple(out)
-
-    def odd_part_order(self) -> int:
-        out = 1
-        for t in self.torsion:
-            while t % 2 == 0:
-                t //= 2
-            out *= t
-        return out
 
     def element(self, coords) -> "GroupElt":
         coords = tuple(coords)
@@ -350,9 +329,6 @@ class GroupElt:
             if c:
                 out = lcm(out, t // gcd(c, t))
         return out
-
-    def is_torsion(self) -> bool:
-        return self.order() != 0
 
 
 @dataclass

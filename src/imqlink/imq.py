@@ -4,10 +4,15 @@ diagram.
 One generator per arc, relations under |> over = other under at each
 crossing.  The finite quandle these present is found by saturation: a
 union-find tracks forced equalities, a partial table holds forced
-products, axiom instances are replayed until quiet, and only then is the
-oldest undefined product given a fresh element.  Elements are created
-only when forced and merged only when forced, so the closed table is the
-initial model of the presentation.
+products, sweeps of mediality instances are replayed until quiet, and only
+then is the oldest undefined product given a fresh element.  Elements are
+created only when forced and merged only when forced, so the closed table
+is the initial model of the presentation.
+
+A quiet table is the least congruence-closed partial table holding the
+facts so far, and that does not depend on the order of deductions.  So
+fresh elements are created in the same order whatever that order, and the
+final table is identical for every `seed`.
 """
 
 from __future__ import annotations
@@ -30,14 +35,12 @@ class _Saturator:
         self.pending_unions: list[tuple[int, int]] = []
         self.max_elements = max_elements
         self.created = 0
-        self.dirty: set[int] = set()
 
     def fresh(self) -> int:
         if self.created >= self.max_elements:
             raise CapExceeded("resource cap: element limit reached")
         e = self.uf.add()
         self.created += 1
-        self.dirty.add(e)
         self.set_op(e, e, e)
         return e
 
@@ -46,7 +49,6 @@ class _Saturator:
         cur = self.table.get((x, y))
         if cur is None:
             self.table[(x, y)] = z
-            self.dirty.update((x, y, z))
             # translations are involutions, so the reverse fact is forced
             if self.table.get((z, y)) != x:
                 self.set_op(z, y, x)
@@ -61,7 +63,6 @@ class _Saturator:
             # the older (lower-numbered) class stays canonical
             if not self.uf.union(a, b):
                 continue
-            self.dirty.add(self.find(a))
             rebuilt: dict[tuple[int, int], int] = {}
             for (x, y), z in list(self.table.items()):
                 xf, yf, zf = self.find(x), self.find(y), self.find(z)
@@ -77,14 +78,20 @@ class _Saturator:
     def reps(self) -> list[int]:
         return sorted({self.find(i) for i in range(self.created)})
 
-    def derive_pass(self, restrict: set[int] | None, rng) -> bool:
-        """One instantiation sweep of distributivity and mediality over
-        currently defined products; returns whether anything changed."""
+    def derive_pass(self, rng) -> bool:
+        """One instantiation sweep of mediality, (w|>x)|>(y|>z) =
+        (w|>y)|>(x|>z), over every pair of currently defined products;
+        returns whether anything changed.
+
+        Right distributivity, (x|>y)|>z = (x|>z)|>(y|>z), needs no sweep of
+        its own: it is the mediality instance with (y, z) := (z, z), and
+        `fresh` puts z|>z = z into the table for every element (merges keep
+        it), so this sweep meets each of its instances.
+        """
         changed = False
         items = list(self.table.items())
         if rng is not None:
             rng.shuffle(items)
-        reps = self.reps()
         op = self.table
 
         def relate(key: tuple[int, int], val: int) -> None:
@@ -96,38 +103,11 @@ class _Saturator:
                 changed = True
                 self.set_op(k[0], k[1], v)
 
-        # right distributivity: (x|>y)|>z = (x|>z)|>(y|>z)
-        for (x, y), a in items:
-            if op.get((x, y)) != a:
-                continue
-            for z in reps:
-                if restrict is not None and not restrict & {x, y, z, a}:
-                    continue
-                b = op.get((a, z))
-                c = op.get((x, z))
-                d = op.get((y, z))
-                if c is None or d is None:
-                    continue
-                e = op.get((c, d))
-                if b is None and e is None:
-                    continue
-                if b is None:
-                    relate((a, z), e)
-                elif e is None:
-                    relate((c, d), b)
-                elif self.find(b) != self.find(e):
-                    relate((a, z), e)
-        # mediality: (w|>x)|>(y|>z) = (w|>y)|>(x|>z)
-        items = list(self.table.items())
-        if rng is not None:
-            rng.shuffle(items)
         for (w, x), a in items:
             if op.get((w, x)) != a:
                 continue
             for (y, z), b in items:
                 if op.get((y, z)) != b or op.get((w, x)) != a:
-                    continue
-                if restrict is not None and not restrict & {w, x, y, z, a, b}:
                     continue
                 c = op.get((w, y))
                 d = op.get((x, z))
@@ -163,8 +143,9 @@ def compute_imq(
     Rejects determinant-zero diagrams (the presented quandle is then
     infinite).  `max_elements` defaults to 64 times the size bound
     mu*det/2, floor 10000; exceeding it raises CapExceeded, which is
-    distinct from the infinite case.  `seed` shuffles deduction order
-    without affecting the result up to isomorphism.
+    distinct from the infinite case.  `max_steps` caps the number of
+    deduction sweeps, raising CapExceeded too.  `seed` shuffles
+    deduction order; the table comes out identical for every seed.
     """
     d = mod.diagram
     det = mod.determinant
@@ -189,13 +170,7 @@ def compute_imq(
         steps += 1
         if steps > max_steps:
             raise CapExceeded("resource cap: step limit reached")
-        restrict = s.dirty if s.dirty else None
-        s.dirty = set()
-        if s.derive_pass(restrict, rng):
-            continue
-        if restrict is not None and s.derive_pass(None, rng):
-            # the restricted sweep can miss instances whose only dirty
-            # participant is an inner product; a full sweep closes them
+        if s.derive_pass(rng):
             continue
         reps = s.reps()
         missing = None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 
 import pytest
 import sympy
@@ -77,6 +78,47 @@ def test_smith_matches_sympy_on_random_matrices():
         want += [0] * (len(sf.diag) - len(want))
         # sympy may order zero entries differently; compare nonzero chains
         assert [d for d in sf.diag if d] == [d for d in want if d]
+
+
+# One drawing of T(2,2) # T(2,21) with shuffled arc and crossing lists:
+# (over, under, under') arc ids per crossing.  Its weight-kernel matrix, in
+# this row order, made floor-quotient elimination grow its entries without
+# bound; the reversed order always finished in milliseconds.
+_REDRAWN_CROSSINGS = [
+    (20, 5, 18), (1, 17, 21), (5, 0, 20), (7, 12, 13), (3, 14, 18),
+    (0, 5, 22), (8, 10, 16), (9, 11, 15), (2, 15, 19), (6, 17, 22),
+    (10, 8, 11), (16, 4, 8), (19, 2, 13), (15, 2, 9), (22, 0, 1),
+    (21, 1, 12), (12, 7, 21), (4, 14, 16), (13, 7, 19), (14, 3, 4),
+    (17, 6, 6), (18, 3, 20), (11, 9, 10),
+]
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("smith_normal_form ran past its time limit")
+
+
+def test_smith_entries_stay_small_in_every_row_order():
+    n = 23
+    rows = []
+    for over, u, v in _REDRAWN_CROSSINGS:
+        row = [0] * n
+        row[over] += 2
+        row[u] -= 1
+        row[v] -= 1
+        rows.append(row)
+    rows.append([1] + [0] * (n - 1))  # the weight-kernel unit row on arc 0
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    try:
+        diags = []
+        for order in (rows, rows[::-1]):
+            signal.alarm(5)  # replaces the previous order's alarm
+            diags.append(_assert_smith_witnesses(order, n).diag)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert diags[0] == diags[1]
+    want = [abs(x) for x in sympy_snf(sympy.Matrix(rows)).diagonal()]
+    assert [d for d in diags[0] if d] == [d for d in want if d] == [1] * 22 + [42]
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,6 +23,7 @@ from imqlink.quandle import (
     is_isomorphic,
     is_semiregular,
     orbits,
+    serialize_quandle,
 )
 
 EXPECTED = {
@@ -197,13 +198,16 @@ def test_displacement_group_values(name, imq_results):
     assert dis.group.torsion == torsion
 
 
-@pytest.mark.parametrize("name", ("hopf2", "t22t24"))
+@pytest.mark.parametrize("name", FINITE)
 def test_seeded_runs_agree_up_to_isomorphism(name, modules, imq_results):
+    # a quiet table does not depend on deduction order, so the seed leaves
+    # even the element numbering unchanged
     base = imq_results[name].quandle
     for seed in (0, 1, 2):
         r = compute_imq(modules[name], seed=seed)
         assert r.quandle.n == base.n
         assert is_isomorphic(r.quandle, base) is not None
+        assert serialize_quandle(r.quandle) == serialize_quandle(base)
 
 
 @pytest.mark.parametrize("name", ("hopf2", "t22t24"))
@@ -229,6 +233,15 @@ def test_cap_exceeded_is_distinct_from_infinite(modules):
         compute_imq(modules["t22t24"], max_elements=2)
     with pytest.raises(ValueError, match="infinite quandle"):
         compute_imq(modules["fig5l"])
+
+
+def test_step_cap_raises(modules):
+    # t22t24 closes after 14 deduction sweeps
+    with pytest.raises(CapExceeded, match="step limit"):
+        compute_imq(modules["t22t24"], max_steps=1)
+    with pytest.raises(CapExceeded, match="step limit"):
+        compute_imq(modules["t22t24"], max_steps=13)
+    assert compute_imq(modules["t22t24"], max_steps=14).quandle.n == 12
 
 
 @pytest.mark.parametrize("name", ("hopf2", "sixthree"))

@@ -1,6 +1,9 @@
 """Byte-identity gate: `--format machine` output of report, compare and a
 cold corpus run on the bundled fixtures, plus the `--dump-quandle` tables,
-must match the recorded `machine_output.json` exactly.
+must match the recorded `machine_output.json` exactly.  Reports and tables
+of two larger benchmark-family diagrams (`diagrams/`: T(2,13), 13 elements,
+and the 4-component chain T(2,2) # T(2,2) # T(2,2), 16 elements) must match
+`machine_output_large.json`.
 
 The recorded file holds the exit code and stdout of every run, as written
 by `machine_outputs` before an engine change.  A change that alters any
@@ -18,6 +21,10 @@ from imqlink.cli import main
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 
 RECORDED = Path(__file__).with_name("machine_output.json")
+RECORDED_LARGE = Path(__file__).with_name("machine_output_large.json")
+DIAGRAMS = Path(__file__).with_name("diagrams")
+# chain_word closures from perfbench/gen.py, seed 1: regions [13] and [2, 2, 2]
+LARGE = ("t2_13", "chain_2_2_2")
 
 
 def _run(capsys, *argv) -> dict:
@@ -47,10 +54,28 @@ def machine_outputs(tmp_path, capsys) -> dict:
     return out
 
 
-def test_machine_output_is_byte_identical(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("QUANDLE_CACHE", raising=False)
-    got = machine_outputs(tmp_path, capsys)
-    want = json.loads(RECORDED.read_text())
+def large_outputs(tmp_path, capsys) -> dict:
+    out = {}
+    for name in LARGE:
+        dump = tmp_path / f"{name}.quandle"
+        path = DIAGRAMS / f"{name}.json"
+        run = _run(capsys, "report", str(path), "--dump-quandle", str(dump))
+        out[name] = {**run, "table": dump.read_text()}
+    return out
+
+
+def _assert_recorded(got: dict, recorded: Path) -> None:
+    want = json.loads(recorded.read_text())
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], key
+
+
+def test_machine_output_is_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QUANDLE_CACHE", raising=False)
+    _assert_recorded(machine_outputs(tmp_path, capsys), RECORDED)
+
+
+def test_larger_tables_are_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QUANDLE_CACHE", raising=False)
+    _assert_recorded(large_outputs(tmp_path, capsys), RECORDED_LARGE)
