@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent import futures
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -301,12 +301,20 @@ def _load_cache(path: Path) -> dict[str, dict]:
 
 
 def _write_cache(path: Path, cache: dict[str, dict]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as fh:
-        for key in sorted(cache):
-            fh.write(json.dumps({"key": key, "report": cache[key]}, sort_keys=True))
-            fh.write("\n")
-    os.replace(tmp, path)
+    """Rewrite the cache atomically, through a temp file of its own in the
+    cache's directory, so concurrent runs never write into one file."""
+    fd, tmp = tempfile.mkstemp(
+        prefix=path.name + ".", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            for key in sorted(cache):
+                fh.write(json.dumps({"key": key, "report": cache[key]}, sort_keys=True))
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _corpus_worker(path_str: str, no_imq: bool, imq_cap: int | None) -> dict:
@@ -361,6 +369,9 @@ def cmd_corpus(args) -> int:
 
     if to_compute:
         if args.jobs > 1:
+            # imported here: a sequential run need not load it
+            from concurrent import futures
+
             with futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 computed = list(
                     pool.map(

@@ -4,10 +4,19 @@ diagram.
 One generator per arc, relations under |> over = other under at each
 crossing.  The finite quandle these present is found by saturation: a
 union-find tracks forced equalities, a partial table holds forced
-products, sweeps of mediality instances are replayed until quiet, and only
-then is the oldest undefined product given a fresh element.  Elements are
-created only when forced and merged only when forced, so the closed table
-is the initial model of the presentation.
+products, and deductions run until the table is quiet; only then is the
+oldest undefined product given a fresh element.  Elements are created only
+when forced and merged only when forced, so the closed table is the
+initial model of the presentation.
+
+Deductions follow the deduction-stack discipline of coset enumeration.
+Every new product goes on a queue.  A popped product joins per-element
+indexes of processed products (rows, columns and preimages) and is replayed
+against processed products only, once in each role it can play in a
+mediality instance.  So each instance is examined when its last premise
+arrives, and no deduction rescans the table.  A merge re-queues only the
+products that named the absorbed class.  A step, as counted by
+`max_steps`, is one closure to quiet plus one fresh element.
 
 A quiet table is the least congruence-closed partial table holding the
 facts so far, and that does not depend on the order of deductions.  So
@@ -28,11 +37,27 @@ from .quandle import CapExceeded, FiniteQuandle, UnionFind, check_axioms, orbits
 
 
 class _Saturator:
-    def __init__(self, max_elements: int):
+    """Congruence closure of a partial table of products.
+
+    `table` maps (x, y) to x|>y on class representatives.  `uses[e]` holds
+    the keys of the table whose key or value names e.  Processed products
+    are indexed by element: `row[x]` maps y to x|>y, `col[y]` maps x to
+    x|>y, and `pre[z]` holds the keys whose value is z.  `queue` holds
+    products defined but not yet processed, and `pending_unions` the
+    equalities forced but not yet merged.
+    """
+
+    def __init__(self, max_elements: int, rng: random.Random | None):
         self.uf = UnionFind(0)
         self.find = self.uf.find
         self.table: dict[tuple[int, int], int] = {}
+        self.uses: list[set[tuple[int, int]]] = []
+        self.row: list[dict[int, int]] = []
+        self.col: list[dict[int, int]] = []
+        self.pre: list[set[tuple[int, int]]] = []
+        self.queue: list[tuple[int, int]] = []
         self.pending_unions: list[tuple[int, int]] = []
+        self.rng = rng
         self.max_elements = max_elements
         self.created = 0
 
@@ -41,86 +66,128 @@ class _Saturator:
             raise CapExceeded("resource cap: element limit reached")
         e = self.uf.add()
         self.created += 1
+        self.uses.append(set())
+        self.row.append({})
+        self.col.append({})
+        self.pre.append(set())
         self.set_op(e, e, e)
         return e
 
     def set_op(self, x: int, y: int, z: int) -> None:
         x, y, z = self.find(x), self.find(y), self.find(z)
-        cur = self.table.get((x, y))
+        key = (x, y)
+        cur = self.table.get(key)
         if cur is None:
-            self.table[(x, y)] = z
+            self.table[key] = z
+            self.uses[x].add(key)
+            self.uses[y].add(key)
+            self.uses[z].add(key)
+            self.queue.append(key)
             # translations are involutions, so the reverse fact is forced
             if self.table.get((z, y)) != x:
                 self.set_op(z, y, x)
         elif cur != z:
             self.pending_unions.append((cur, z))
-            self.settle()
 
-    def settle(self) -> None:
-        """Drain merges, keeping the table congruence-closed."""
-        while self.pending_unions:
-            a, b = self.pending_unions.pop()
-            # the older (lower-numbered) class stays canonical
-            if not self.uf.union(a, b):
-                continue
-            rebuilt: dict[tuple[int, int], int] = {}
-            for (x, y), z in list(self.table.items()):
-                xf, yf, zf = self.find(x), self.find(y), self.find(z)
-                old = rebuilt.get((xf, yf))
-                if old is None:
-                    rebuilt[(xf, yf)] = zf
-                elif old != zf:
-                    self.pending_unions.append((old, zf))
-            # mutate in place so live aliases keep seeing current facts
-            self.table.clear()
-            self.table.update(rebuilt)
+    def merge(self, a: int, b: int) -> None:
+        """Merge the classes of a and b, then rename and re-queue the
+        products that named the absorbed class."""
+        a, b = self.find(a), self.find(b)
+        if not self.uf.union(a, b):
+            return
+        # the older (lower-numbered) class stays canonical
+        gone = max(a, b)
+        keys, self.uses[gone] = self.uses[gone], set()
+        for key in keys:
+            x, y = key
+            z = self.table.pop(key)
+            self.uses[x].discard(key)
+            self.uses[y].discard(key)
+            self.uses[z].discard(key)
+            if y in self.row[x]:
+                del self.row[x][y]
+                del self.col[y][x]
+                self.pre[z].discard(key)
+            self.set_op(x, y, z)
 
     def reps(self) -> list[int]:
         return sorted({self.find(i) for i in range(self.created)})
 
-    def derive_pass(self, rng) -> bool:
-        """One instantiation sweep of mediality, (w|>x)|>(y|>z) =
-        (w|>y)|>(x|>z), over every pair of currently defined products;
-        returns whether anything changed.
+    def close(self) -> None:
+        """Deduce until the queue and the pending merges are empty."""
+        queue, rng = self.queue, self.rng
+        while True:
+            if self.pending_unions:
+                self.merge(*self.pending_unions.pop())
+                continue
+            if not queue:
+                return
+            if rng is not None:
+                i = rng.randrange(len(queue))
+                queue[i], queue[-1] = queue[-1], queue[i]
+            x, y = key = queue.pop()
+            z = self.table.get(key)
+            # a renamed key is gone from the table; a processed one is done
+            if z is not None and y not in self.row[x]:
+                self.replay(x, y, z)
 
-        Right distributivity, (x|>y)|>z = (x|>z)|>(y|>z), needs no sweep of
+    def replay(self, p: int, q: int, r: int) -> None:
+        """Index the product p|>q = r as processed, then apply mediality,
+        (w|>x)|>(y|>z) = (w|>y)|>(x|>z), to every instance in which it is
+        the inner product w|>x, the inner product y|>z or the outer product
+        on the left and every other premise is processed.  Swapping x and y
+        exchanges the two sides, so this covers its other three roles.
+
+        Right distributivity, (x|>y)|>z = (x|>z)|>(y|>z), needs no rule of
         its own: it is the mediality instance with (y, z) := (z, z), and
         `fresh` puts z|>z = z into the table for every element (merges keep
-        it), so this sweep meets each of its instances.
+        it).
         """
-        changed = False
-        items = list(self.table.items())
-        if rng is not None:
-            rng.shuffle(items)
-        op = self.table
+        row, col, pre, table = self.row, self.col, self.pre, self.table
+        row[p][q] = r
+        col[q][p] = r
+        pre[r].add((p, q))
 
-        def relate(key: tuple[int, int], val: int) -> None:
-            nonlocal changed
-            k = (self.find(key[0]), self.find(key[1]))
-            v = self.find(val)
-            cur = op.get(k)
-            if cur is None or cur != v:
-                changed = True
-                self.set_op(k[0], k[1], v)
+        # merges wait until the replay ends, so every name here is a
+        # representative and a fact already in the table needs no set_op
+        def conclude(x: int, y: int, z: int) -> None:
+            if table.get((x, y)) != z:
+                self.set_op(x, y, z)
 
-        for (w, x), a in items:
-            if op.get((w, x)) != a:
-                continue
-            for (y, z), b in items:
-                if op.get((y, z)) != b or op.get((w, x)) != a:
-                    continue
-                c = op.get((w, y))
-                d = op.get((x, z))
-                lhs = op.get((a, b))
-                rhs = op.get((c, d)) if c is not None and d is not None else None
-                if lhs is not None and c is not None and d is not None:
-                    if rhs is None:
-                        relate((c, d), lhs)
-                    elif self.find(lhs) != self.find(rhs):
-                        relate((a, b), rhs)
-                elif lhs is None and rhs is not None:
-                    relate((a, b), rhs)
-        return changed
+        def relate(a: int, b: int, c: int, d: int) -> None:
+            # the inner products a = w|>x, b = y|>z, c = w|>y, d = x|>z
+            e = row[a].get(b)
+            if e is not None:
+                conclude(c, d, e)
+                return
+            e = row[c].get(d)
+            if e is not None:
+                conclude(a, b, e)
+
+        # as w|>x = a: y runs over row w, z over row x
+        row_x = row[q]
+        for y, c in row[p].items():
+            row_y = row[y]
+            for z, d in row_x.items():
+                b = row_y.get(z)
+                if b is not None:
+                    relate(r, b, c, d)
+        # as y|>z = b: w runs over column y, x over column z
+        col_z = col[q]
+        for w, c in col[p].items():
+            row_w = row[w]
+            for x, d in col_z.items():
+                a = row_w.get(x)
+                if a is not None:
+                    relate(a, r, c, d)
+        # as (w|>x)|>(y|>z): w|>x runs over the preimages of p, y|>z of q
+        for w, x in pre[p]:
+            row_w, row_x = row[w], row[x]
+            for y, z in pre[q]:
+                c = row_w.get(y)
+                d = row_x.get(z)
+                if c is not None and d is not None:
+                    conclude(c, d, r)
 
 
 @dataclass
@@ -144,8 +211,9 @@ def compute_imq(
     infinite).  `max_elements` defaults to 64 times the size bound
     mu*det/2, floor 10000; exceeding it raises CapExceeded, which is
     distinct from the infinite case.  `max_steps` caps the number of
-    deduction sweeps, raising CapExceeded too.  `seed` shuffles
-    deduction order; the table comes out identical for every seed.
+    steps, each one closure to quiet plus one fresh element, raising
+    CapExceeded too.  `seed` shuffles the order in which deductions are
+    popped; the table comes out identical for every seed.
     """
     d = mod.diagram
     det = mod.determinant
@@ -156,22 +224,20 @@ def compute_imq(
         max_elements = max(64 * bound, 10_000)
     rng = random.Random(seed) if seed is not None else None
 
-    s = _Saturator(max_elements)
+    s = _Saturator(max_elements, rng)
     gen = [s.fresh() for _ in range(d.n_arcs)]
     for c in d.crossings:
         over = gen[c.over]
         u, v = c.under
         s.set_op(gen[u], over, gen[v])
         s.set_op(gen[v], over, gen[u])
-    s.settle()
 
     steps = 0
     while True:
         steps += 1
         if steps > max_steps:
             raise CapExceeded("resource cap: step limit reached")
-        if s.derive_pass(rng):
-            continue
+        s.close()
         reps = s.reps()
         missing = None
         for x, y in itertools.product(reps, repeat=2):

@@ -253,6 +253,41 @@ def test_corpus_parallel_jobs(tmp_path, capsys, monkeypatch):
     assert data["summary"]["all_property_checks_passed"] is True
 
 
+def test_cli_import_leaves_process_pool_unloaded():
+    # only `corpus --jobs N` with N > 1 needs a process pool
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, imqlink.cli; print('concurrent.futures' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cache_write_does_not_use_a_fixed_temp_name(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "hopf2.json").write_text(fixture_text("hopf2"))
+    cache = tmp_path / "run.cache"
+    # a directory where a fixed `<cache>.tmp` name would be written
+    (tmp_path / "run.cache.tmp").mkdir()
+    code, out, _ = run(
+        capsys, "--format", "machine", "corpus", str(corpus), "--cache", str(cache)
+    )
+    assert code == 0
+    assert json.loads(out)["summary"]["reported"] == 1
+    assert len(cache.read_text().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "corpus",
+        "run.cache",
+        "run.cache.tmp",
+    ]
+
+
 def test_corpus_rejects_missing_dir(tmp_path, capsys):
     code, _, err = run(capsys, "corpus", str(tmp_path / "nope"))
     assert code == 1

@@ -1,10 +1,15 @@
 """Saturation of the presented quandle, its size bounds, and the
 surjection onto the arc-class quandle."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from conftest import FINITE
+from oracles import literal_axiom_violations, open_deduction
 
+from imqlink import imq
 from imqlink.arcquandle import build_arc_quandle
 from imqlink.diagram import make_even, parse_diagram
 from imqlink.imq import (
@@ -17,14 +22,27 @@ from imqlink.linkmodule import build_link_module, link_determinant, weight_kerne
 from imqlink.quandle import (
     CapExceeded,
     build_partition_quandle,
+    check_axioms,
     core_quandle,
     displacement_group,
     group_from_quandle,
     is_isomorphic,
     is_semiregular,
     orbits,
+    parse_quandle,
     serialize_quandle,
 )
+
+RECORDED_LARGE = Path(__file__).with_name("machine_output_large.json")
+
+
+def _recorded_table(name):
+    return json.loads(RECORDED_LARGE.read_text())[name]["table"]
+
+
+def _large_module(name):
+    text = (RECORDED_LARGE.parent / "diagrams" / f"{name}.json").read_text()
+    return build_link_module(parse_diagram(text))
 
 EXPECTED = {
     "hopf2": (6, [2, 2, 2]),
@@ -236,12 +254,13 @@ def test_cap_exceeded_is_distinct_from_infinite(modules):
 
 
 def test_step_cap_raises(modules):
-    # t22t24 closes after 14 deduction sweeps
+    # t22t24 closes in 7 steps: each closes the table to quiet and then
+    # adds one fresh element, 6 in all, and the last finds none missing
     with pytest.raises(CapExceeded, match="step limit"):
         compute_imq(modules["t22t24"], max_steps=1)
     with pytest.raises(CapExceeded, match="step limit"):
-        compute_imq(modules["t22t24"], max_steps=13)
-    assert compute_imq(modules["t22t24"], max_steps=14).quandle.n == 12
+        compute_imq(modules["t22t24"], max_steps=6)
+    assert compute_imq(modules["t22t24"], max_steps=7).quandle.n == 12
 
 
 @pytest.mark.parametrize("name", ("hopf2", "sixthree"))
@@ -253,3 +272,55 @@ def test_partition_round_trip(name, imq_results):
     translations = {e: q.translation(e) for e in range(q.n)}
     rebuilt = build_partition_quandle(q.n, partition, translations)
     assert rebuilt.op == q.op
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_check_axioms_agrees_with_literal_oracle(name, imq_results, arc_quandles):
+    for q in (imq_results[name].quandle, arc_quandles[name].quandle):
+        assert check_axioms(q) == literal_axiom_violations(q) == []
+
+
+@pytest.mark.parametrize("name", ("t2_13", "chain_2_2_2"))
+def test_check_axioms_agrees_with_literal_oracle_on_larger_tables(name):
+    q = parse_quandle(_recorded_table(name))
+    assert check_axioms(q) == literal_axiom_violations(q) == []
+
+
+# elements the saturation creates on each gate diagram, the same for every
+# deduction order; chain_2_3_pad30 merges 26 of them away
+CREATED_LARGE = {"t2_13": 13, "chain_2_2_2": 16, "chain_2_6": 18, "chain_2_3_pad30": 32}
+
+
+@pytest.mark.parametrize("name", sorted(CREATED_LARGE))
+def test_seeded_runs_match_recorded_larger_tables(name):
+    # any deduction order closes on the recorded table, creating only the
+    # elements it forces
+    want = _recorded_table(name)
+    mod = _large_module(name)
+    for seed in (None, 0, 1, 2):
+        res = compute_imq(mod, seed=seed)
+        assert serialize_quandle(res.quandle) == want
+        assert res.elements_created == CREATED_LARGE[name]
+
+
+@pytest.mark.parametrize("name", ("hopf2", "t22t24", "t2_13", "chain_2_3_pad30"))
+def test_every_closure_is_quiet(name, modules, monkeypatch):
+    # each step's closure must leave no deduction open, or the fresh
+    # element it is followed by may be one the presentation does not force
+    mod = modules[name] if name in modules else _large_module(name)
+    close = imq._Saturator.close
+    closures = []
+
+    def checked_close(s):
+        close(s)
+        reps = set(s.reps())
+        assert all({x, y, z} <= reps for (x, y), z in s.table.items())
+        assert all(s.table[(e, e)] == e for e in reps)
+        assert open_deduction(s.table) is None
+        closures.append(len(s.table))
+
+    monkeypatch.setattr(imq._Saturator, "close", checked_close)
+    for seed in (None, 0, 1):
+        closures.clear()
+        res = compute_imq(mod, seed=seed)
+        assert closures[-1] == res.quandle.n ** 2

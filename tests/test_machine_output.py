@@ -1,8 +1,10 @@
 """Byte-identity gate: `--format machine` output of report, compare and a
 cold corpus run on the bundled fixtures, plus the `--dump-quandle` tables,
 must match the recorded `machine_output.json` exactly.  Reports and tables
-of two larger benchmark-family diagrams (`diagrams/`: T(2,13), 13 elements,
-and the 4-component chain T(2,2) # T(2,2) # T(2,2), 16 elements) must match
+of four larger benchmark-family diagrams (`diagrams/`: T(2,13), 13 elements;
+the 4-component chain T(2,2) # T(2,2) # T(2,2), 16 elements; the chain
+T(2,2) # T(2,6), 18 elements; and T(2,2) # T(2,3) padded with Reidemeister II
+pairs to 31 crossings, 6 elements after 26 merges) must match
 `machine_output_large.json`.
 
 The recorded file holds the exit code and stdout of every run, as written
@@ -23,8 +25,10 @@ from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 RECORDED = Path(__file__).with_name("machine_output.json")
 RECORDED_LARGE = Path(__file__).with_name("machine_output_large.json")
 DIAGRAMS = Path(__file__).with_name("diagrams")
-# chain_word closures from perfbench/gen.py, seed 1: regions [13] and [2, 2, 2]
-LARGE = ("t2_13", "chain_2_2_2")
+# closures from perfbench/gen.py, seed 1: chain_word regions [13], [2, 2, 2]
+# and [2, 6]; chain_2_3_pad30 is chain_word [2, 3] then pad_r2 to 30 letters
+# on one Random(1)
+LARGE = ("t2_13", "chain_2_2_2", "chain_2_6", "chain_2_3_pad30")
 
 
 def _run(capsys, *argv) -> dict:

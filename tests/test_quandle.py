@@ -7,6 +7,7 @@ import random
 from math import prod
 
 import pytest
+from oracles import literal_axiom_violations
 from sympy import factorint
 
 from imqlink.abelian import FgAbGroup, quotient_by_subgroup
@@ -98,6 +99,39 @@ def test_displacement_cap():
         displacement_group(_core_of([8]), cap=1)
 
 
+def _transposition_quandle(k: int) -> FiniteQuandle:
+    """Conjugation quandle on the transpositions of S_k, s |> t = tst:
+    involutory and self-distributive, and not medial for k >= 4."""
+    trans = list(itertools.combinations(range(k), 2))
+    index = {t: i for i, t in enumerate(trans)}
+
+    def conj(s, t):
+        swap = {t[0]: t[1], t[1]: t[0]}
+        return index[tuple(sorted(swap.get(v, v) for v in s))]
+
+    return FiniteQuandle([[conj(s, t) for t in trans] for s in trans])
+
+
+def _core_of_permutations(k: int) -> FiniteQuandle:
+    """Core of the symmetric group S_k, x |> y = y x^-1 y: involutory and
+    self-distributive, and not medial for k >= 3."""
+    perms = list(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+
+    def mul(p, q):
+        return tuple(p[v] for v in q)
+
+    def inv(p):
+        out = [0] * k
+        for v, img in enumerate(p):
+            out[img] = v
+        return tuple(out)
+
+    return FiniteQuandle(
+        [[index[mul(mul(y, inv(x)), y)] for y in perms] for x in perms]
+    )
+
+
 def test_displacement_rejects_nonmedial():
     # conjugation quandle on the six transpositions of S4: involutory and
     # self-distributive but not medial, so translations do not commute
@@ -114,6 +148,45 @@ def test_displacement_rejects_nonmedial():
     assert violations and all("mediality" in v for v in violations)
     with pytest.raises(ValueError, match="do not commute"):
         displacement_group(q)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [_transposition_quandle(4), _transposition_quandle(5), _core_of_permutations(3)],
+    ids=["S4", "S5", "core-S3"],
+)
+def test_nonmedial_quandles_report_mediality(q):
+    violations = check_axioms(q)
+    assert violations and all("mediality" in v for v in violations)
+    oracle = literal_axiom_violations(q)
+    assert oracle and all("mediality" in v for v in oracle)
+
+
+def _corruptions(q: FiniteQuandle, rng: random.Random, count: int):
+    """Copies of q with one entry changed."""
+    for _ in range(count):
+        table = [list(row) for row in q.op]
+        x, y = rng.randrange(q.n), rng.randrange(q.n)
+        table[x][y] = (table[x][y] + rng.randrange(1, q.n)) % q.n
+        yield FiniteQuandle(table)
+
+
+def test_check_axioms_agrees_with_literal_oracle():
+    rng = random.Random(RNG_SEED)
+    cases = [_transposition_quandle(4), _transposition_quandle(5)]
+    cases.append(_core_of_permutations(3))
+    for n in range(1, 13):
+        for a in _abelian_shapes(n):
+            cases.append(core_quandle(a))
+            cases.append(characteristic_subquandle(a))
+    for base in (_core_of([5]), _core_of([2, 4]), _transposition_quandle(4)):
+        cases.extend(_corruptions(base, rng, 15))
+    verdicts = set()
+    for q in cases:
+        verdict = bool(check_axioms(q))
+        assert verdict == bool(literal_axiom_violations(q)), serialize_quandle(q)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_core_fixed_point_profile_z2z4():
