@@ -1,10 +1,12 @@
 """Exact integer matrix algebra and finitely generated abelian groups.
 
 All arithmetic uses plain Python ints, so arbitrary precision is automatic.
-Matrices are dense lists of row lists.  The Smith normal form routine keeps
-unimodular witnesses U, V together with their inverses, which is what lets a
-:class:`Presentation` translate between generator coordinates and canonical
-coordinates of the quotient group.
+Matrices are dense lists of row lists.  A product skips the zero entries of
+its left factor, so it costs O(nnz(a) * cols(b)) multiply-adds: relation
+rows have at most three nonzeros, and the witnesses stay mostly sparse.
+The Smith normal form routine keeps unimodular witnesses U, V together with
+their inverses, which is what lets a :class:`Presentation` translate between
+generator coordinates and canonical coordinates of the quotient group.
 """
 
 from __future__ import annotations
@@ -21,16 +23,23 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix, n_cols_b: int | None = None) -> Matrix:
-    """Product a*b.  n_cols_b disambiguates the shape of an empty b."""
+    """Product a*b.  n_cols_b disambiguates the shape of an empty b.
+
+    Row i of the product is the sum of x * b[k] over the nonzero entries
+    x = a[i][k], so zeros of a cost nothing."""
     if n_cols_b is None:
         n_cols_b = len(b[0]) if b else 0
+    if any(len(bk) < n_cols_b for bk in b):
+        raise ValueError("short row in mat_mul")
     out = []
     for row in a:
         if len(row) != len(b):
             raise ValueError("shape mismatch in mat_mul")
-        out.append(
-            [sum(row[k] * b[k][j] for k in range(len(b))) for j in range(n_cols_b)]
-        )
+        acc = [0] * n_cols_b
+        for x, bk in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, bk)]
+        out.append(acc)
     return out
 
 

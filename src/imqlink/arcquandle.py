@@ -728,6 +728,9 @@ def reindexing_sensitivity(mod: LinkModule) -> ReindexingReport:
     automorphism pins down."""
     if mod.determinant == 0:
         return ReindexingReport(status="unknown", classes=[])
+    if mod.mu == 1:
+        # one component is one class, whatever the automorphisms are
+        return ReindexingReport(status="ok", classes=[(0,)])
     qa = build_arc_quandle(mod)
     orbs = orbits(qa.quandle)
     comp_of_orbit = qa.orbit_component

@@ -286,9 +286,13 @@ def _cache_key(d: LinkDiagram, no_imq: bool, imq_cap: int | None) -> str:
     return hashlib.sha256(material.encode()).hexdigest()
 
 
-def _load_cache(path: Path) -> dict[str, dict]:
+def _load_cache(path: Path) -> tuple[dict[str, dict], bool]:
+    """The cached reports by key, and whether the file exists with every
+    non-blank line a record, so that rewriting it would give it back the
+    same dict."""
     cache: dict[str, dict] = {}
-    if path.exists():
+    clean = path.exists()
+    if clean:
         for line in path.read_text().splitlines():
             if not line.strip():
                 continue
@@ -296,8 +300,8 @@ def _load_cache(path: Path) -> dict[str, dict]:
                 entry = json.loads(line)
                 cache[entry["key"]] = entry["report"]
             except (ValueError, KeyError):
-                continue  # ignore corrupt records
-    return cache
+                clean = False  # skip the corrupt record; the rewrite drops it
+    return cache, clean
 
 
 def _write_cache(path: Path, cache: dict[str, dict]) -> None:
@@ -341,12 +345,13 @@ def cmd_corpus(args) -> int:
     cache_path = Path(
         args.cache or os.environ.get("QUANDLE_CACHE") or ".quandle-cache"
     )
-    cache = _load_cache(cache_path)
+    cache, clean = _load_cache(cache_path)
 
     rows: list[dict] = []
     hits = 0
     worst = EXIT_OK
     to_compute: list[tuple[int, Path]] = []
+    added = False
     for p in files:
         try:
             d = _load(str(p))
@@ -393,9 +398,11 @@ def cmd_corpus(args) -> int:
             else:
                 key = rows[idx]["pending"]
                 cache[key] = rep
+                added = True
                 rows[idx] = {**rep, "cached": False}
 
-    _write_cache(cache_path, cache)
+    if added or not clean:
+        _write_cache(cache_path, cache)
 
     ok_rows = [r for r in rows if "error" not in r]
     all_checks = all(r.get("checks_passed", False) for r in ok_rows)

@@ -45,3 +45,20 @@ def open_deduction(table: dict[tuple[int, int], int]) -> str | None:
             if table.get((a, b)) != table.get((c, d)):
                 return f"mediality: ({w}|>{x})|>({y}|>{z})"
     return None
+
+
+def dense_mat_mul(a: list[list[int]], b: list[list[int]], n_cols_b: int | None = None) -> list[list[int]]:
+    """Product a*b by the literal triple loop over every entry, zeros
+    included.  n_cols_b gives the width of an empty b."""
+    if n_cols_b is None:
+        n_cols_b = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(n_cols_b):
+            total = 0
+            for k in range(len(b)):
+                total += row[k] * b[k][j]
+            out_row.append(total)
+        out.append(out_row)
+    return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import signal
+from pathlib import Path
 
 import pytest
 import sympy
@@ -11,6 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imqlink import abelian, quandle
 from imqlink.abelian import (
     FgAbGroup,
     cokernel,
@@ -25,7 +27,14 @@ from imqlink.abelian import (
     subgroup_contains,
     subgroup_type,
     subgroups_equal,
+    vec_mat,
 )
+from imqlink.diagram import parse_diagram
+from imqlink.imq import compute_imq
+from imqlink.linkmodule import build_link_module, relation_matrix
+from oracles import dense_mat_mul
+
+DIAGRAMS = Path(__file__).with_name("diagrams")
 
 
 def _assert_smith_witnesses(rows, n_cols):
@@ -33,9 +42,9 @@ def _assert_smith_witnesses(rows, n_cols):
     m = len(rows)
     assert abs(int_det(sf.u)) == 1
     assert abs(int_det(sf.v)) == 1
-    assert mat_mul(sf.u, sf.u_inv, m) == identity_matrix(m)
-    assert mat_mul(sf.v, sf.v_inv, n_cols) == identity_matrix(n_cols)
-    product = mat_mul(mat_mul(sf.u, rows, n_cols), sf.v, n_cols)
+    assert dense_mat_mul(sf.u, sf.u_inv, m) == identity_matrix(m)
+    assert dense_mat_mul(sf.v, sf.v_inv, n_cols) == identity_matrix(n_cols)
+    product = dense_mat_mul(dense_mat_mul(sf.u, rows, n_cols), sf.v, n_cols)
     for i in range(m):
         for j in range(n_cols):
             expected = sf.diag[i] if i == j and i < len(sf.diag) else 0
@@ -48,6 +57,92 @@ def _assert_smith_witnesses(rows, n_cols):
             assert sf.diag[i] % sf.diag[i - 1] == 0
     assert all(d >= 0 for d in sf.diag)
     return sf
+
+
+def _random_matrix(rng, m, n, density, bound):
+    """m x n, about a fifth of the rows all zero, the other entries nonzero
+    with probability density and at most bound in absolute value."""
+    rows = []
+    for _ in range(m):
+        if rng.random() < 0.2:
+            rows.append([0] * n)
+        else:
+            rows.append(
+                [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+            )
+    return rows
+
+
+def test_mat_mul_and_vec_mat_match_dense_oracle():
+    rng = random.Random(3)
+    for density in (0.0, 0.1, 0.3, 0.6, 1.0):
+        for bound in (9, 1 << 80):
+            for _ in range(12):
+                m, k, n = (rng.randint(1, 7) for _ in range(3))
+                a = _random_matrix(rng, m, k, density, bound)
+                b = _random_matrix(rng, k, n, density, bound)
+                want = dense_mat_mul(a, b)
+                assert mat_mul(a, b) == want
+                assert mat_mul(a, b, n) == want
+                for row, want_row in zip(a, want):
+                    assert vec_mat(row, b, n) == want_row
+    assert mat_mul([], [[1, 2]]) == dense_mat_mul([], [[1, 2]]) == []
+    assert mat_mul([[]], [], 3) == dense_mat_mul([[]], [], 3) == [[0, 0, 0]]
+    assert vec_mat([], [], 2) == [0, 0]
+    assert mat_mul([[5]], [[-7]]) == dense_mat_mul([[5]], [[-7]]) == [[-35]]
+    assert vec_mat([1 << 80], [[3]]) == [3 << 80]
+
+
+def test_mat_mul_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[1, 2]])  # a has two columns, b one row
+    with pytest.raises(ValueError):
+        vec_mat([1], [[1, 2]], 3)  # b narrower than n_cols_b
+    with pytest.raises(ValueError):
+        mat_mul([[1, 1]], [[1, 2], [3]])  # a short row of b
+    with pytest.raises(ValueError):
+        mat_mul([[1, 0]], [[1, 2], [3]])  # ... even under a zero of a
+
+
+def _group_from_quandle_matrix():
+    d = parse_diagram((DIAGRAMS / "t2_13.json").read_text())
+    q = compute_imq(build_link_module(d)).quandle
+    seen = []
+
+    def spy(rows, n_gens):
+        seen.append((rows, n_gens))
+        return abelian.cokernel(rows, n_gens)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quandle, "cokernel", spy)
+        quandle.group_from_quandle(q)
+    return seen[0]
+
+
+def _pad30_matrix(with_unit_row):
+    d = parse_diagram((DIAGRAMS / "chain_2_3_pad30.json").read_text())
+    rows = relation_matrix(d)
+    if with_unit_row:  # the weight-kernel presentation at arc 0
+        rows.append([1] + [0] * (d.n_arcs - 1))
+    return rows, d.n_arcs
+
+
+BENCH_SIZED = {
+    "pad30-relations": lambda: _pad30_matrix(False),
+    "pad30-weight-kernel": lambda: _pad30_matrix(True),
+    "t2_13-group-from-quandle": _group_from_quandle_matrix,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SIZED))
+def test_smith_on_bench_sized_matrices_matches_dense_products(name, monkeypatch):
+    rows, n_cols = BENCH_SIZED[name]()
+    assert len(rows) >= 30
+    sparse = smith_normal_form(rows, n_cols)
+    monkeypatch.setattr(abelian, "mat_mul", dense_mat_mul)
+    dense = smith_normal_form(rows, n_cols)
+    for field in ("diag", "u", "v", "u_inv", "v_inv"):
+        assert getattr(sparse, field) == getattr(dense, field), field
 
 
 def test_smith_small_example():

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from imqlink import arcquandle
 from imqlink.abelian import subgroup_type
 from imqlink.arcquandle import (
+    ReindexingReport,
     build_arc_quandle,
     characteristic_compatibility,
     compare_with_characteristic,
@@ -17,7 +19,14 @@ from imqlink.arcquandle import (
 from imqlink.diagram import parse_diagram
 from imqlink.fixtures import fixture_text
 from imqlink.linkmodule import build_link_module, link_determinant, weight_kernel
-from imqlink.quandle import check_axioms, is_isomorphic, is_semiregular, orbits
+from imqlink.quandle import (
+    UnionFind,
+    automorphisms,
+    check_axioms,
+    is_isomorphic,
+    is_semiregular,
+    orbits,
+)
 
 FINITE = ("hopf2", "sixthree", "trefoil", "fig8", "t22t24")
 INFINITE = ("fig5l", "figt", "lprime", "ldprime")
@@ -197,6 +206,32 @@ def test_reindexing_classes(modules):
     assert report.status == "ok"
     assert report.classes == [(0, 1), (2,)]
     assert reindexing_sensitivity(modules["lprime"]).status == "unknown"
+
+
+def test_reindexing_skips_the_automorphism_search_for_knots(modules, monkeypatch):
+    def no_search(q):
+        raise AssertionError("automorphism search run for a knot")
+
+    monkeypatch.setattr(arcquandle, "automorphisms", no_search)
+    knots = [mod for mod in modules.values() if mod.mu == 1]
+    assert len(knots) == 2
+    for mod in knots:
+        assert reindexing_sensitivity(mod) == ReindexingReport("ok", [(0,)])
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_reindexing_classes_match_every_automorphism(name, modules):
+    mod = modules[name]
+    qa = build_arc_quandle(mod)
+    orbs = orbits(qa.quandle)
+    orbit_of = {x: oi for oi, orb in enumerate(orbs) for x in orb}
+    classes = UnionFind(mod.mu)
+    for f in automorphisms(qa.quandle):
+        for oi, orb in enumerate(orbs):
+            classes.union(qa.orbit_component[oi], qa.orbit_component[orbit_of[f[orb[0]]]])
+    assert reindexing_sensitivity(mod) == ReindexingReport(
+        "ok", [tuple(c) for c in classes.classes()]
+    )
 
 
 def test_t22t24_distinguished_component_has_small_doubling_fiber(arc_quandles):

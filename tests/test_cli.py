@@ -288,6 +288,44 @@ def test_cache_write_does_not_use_a_fixed_temp_name(tmp_path, capsys):
     ]
 
 
+def _cold_run(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("hopf2", "trefoil"):
+        (corpus / f"{name}.json").write_text(fixture_text(name))
+    cache = tmp_path / "run.cache"
+    code, _, _ = run(capsys, "corpus", str(corpus), "--cache", str(cache))
+    assert code == 0
+    assert len(cache.read_text().splitlines()) == 2
+    return corpus, cache
+
+
+def _warm_run(capsys, corpus, cache):
+    code, out, _ = run(
+        capsys, "--format", "machine", "corpus", str(corpus), "--cache", str(cache)
+    )
+    assert code == 0
+    assert json.loads(out)["summary"]["cache_hits"] == 2
+
+
+def test_warm_corpus_leaves_the_cache_file_alone(tmp_path, capsys):
+    corpus, cache = _cold_run(tmp_path, capsys)
+    before = cache.stat()
+    _warm_run(capsys, corpus, cache)
+    after = cache.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_warm_corpus_rewrites_a_cache_with_a_corrupt_line(tmp_path, capsys):
+    corpus, cache = _cold_run(tmp_path, capsys)
+    records = cache.read_text().splitlines()
+    cache.write_text("\n".join([records[0], "{not json", records[1]]) + "\n")
+    before = cache.stat()
+    _warm_run(capsys, corpus, cache)
+    assert cache.read_text().splitlines() == records
+    assert cache.stat().st_ino != before.st_ino
+
+
 def test_corpus_rejects_missing_dir(tmp_path, capsys):
     code, _, err = run(capsys, "corpus", str(tmp_path / "nope"))
     assert code == 1
