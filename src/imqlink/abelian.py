@@ -7,6 +7,10 @@ rows have at most three nonzeros, and the witnesses stay mostly sparse.
 The Smith normal form routine keeps unimodular witnesses U, V together with
 their inverses, which is what lets a :class:`Presentation` translate between
 generator coordinates and canonical coordinates of the quotient group.
+A tall relation matrix whose quotient is needed only up to isomorphism can
+first go through `row_lattice_basis`, which reduces its rows by unimodular
+steps to a Hermite basis of at most one row per column; its certificate is
+that every input row ends as a basis row or reduces to zero.
 """
 
 from __future__ import annotations
@@ -100,6 +104,78 @@ def _nearest_quotient(x: int, p: int) -> int:
     quotient leaves remainders up to |p| - 1, and on some row orders the
     entries of the working matrix and witnesses then grow without bound."""
     return (2 * x + p) // (2 * p)
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _reduce_above_pivots(basis: dict[int, list[int]], upto: int) -> None:
+    """Bring every row of basis with pivot column <= upto to Hermite form:
+    each entry in another row's pivot column k is reduced to at most
+    basis[k][k]/2 in absolute value.  Rows are reduced from the last pivot
+    up, so each subtracts rows that are already reduced."""
+    pivots = sorted(basis)
+    for i in reversed(pivots):
+        if i > upto:
+            continue
+        row = basis[i]
+        for k in pivots:
+            if k > i and row[k]:
+                q = _nearest_quotient(row[k], basis[k][k])
+                if q:
+                    row = [x - q * y for x, y in zip(row, basis[k])]
+        basis[i] = row
+
+
+def row_lattice_basis(rows: Matrix, n_cols: int) -> Matrix:
+    """A basis of the lattice the rows span, in Hermite normal form: one row
+    per pivot column, in column order, each pivot positive, every entry in a
+    pivot column above its pivot at most half the pivot in absolute value.
+
+    The rows are inserted one at a time.  A row meeting a pivot it is a
+    multiple of subtracts that basis row; otherwise one unimodular 2x2
+    extended-gcd step makes the basis row's pivot the gcd and the new
+    row's entry zero.  The reduction above the pivots after every change
+    keeps the entries small; without it they grow without bound.  Every
+    step is unimodular, so the basis spans exactly the rows' lattice, with
+    certificate: each row ends as a new basis row or as the zero vector.
+    """
+    basis: dict[int, list[int]] = {}
+    for row in rows:
+        if len(row) != n_cols:
+            raise ValueError("ragged matrix")
+        r = list(row)
+        for j in range(n_cols):
+            x = r[j]
+            if not x:
+                continue
+            b = basis.get(j)
+            if b is None:
+                basis[j] = r if x > 0 else [-y for y in r]
+                _reduce_above_pivots(basis, j)
+                break
+            p = b[j]
+            if x % p == 0:
+                q = x // p
+                r = [y - q * z for y, z in zip(r, b)]
+                continue
+            g, s, t = _ext_gcd(p, x)
+            pg, xg = p // g, x // g
+            basis[j] = [s * z + t * y for y, z in zip(r, b)]
+            r = [pg * y - xg * z for y, z in zip(r, b)]
+            _reduce_above_pivots(basis, j)
+        else:
+            if any(r):
+                raise AssertionError("row_lattice_basis: a row did not reduce to zero")
+    return [basis[j] for j in sorted(basis)]
 
 
 def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:

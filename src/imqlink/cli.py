@@ -289,7 +289,8 @@ def _cache_key(d: LinkDiagram, no_imq: bool, imq_cap: int | None) -> str:
 def _load_cache(path: Path) -> tuple[dict[str, dict], bool]:
     """The cached reports by key, and whether the file exists with every
     non-blank line a record, so that rewriting it would give it back the
-    same dict."""
+    same dict.  A record is an object with a string "key" and an object
+    "report"; any other line is corrupt."""
     cache: dict[str, dict] = {}
     clean = path.exists()
     if clean:
@@ -298,8 +299,15 @@ def _load_cache(path: Path) -> tuple[dict[str, dict], bool]:
                 continue
             try:
                 entry = json.loads(line)
+            except ValueError:
+                entry = None
+            if (
+                isinstance(entry, dict)
+                and isinstance(entry.get("key"), str)
+                and isinstance(entry.get("report"), dict)
+            ):
                 cache[entry["key"]] = entry["report"]
-            except (ValueError, KeyError):
+            else:
                 clean = False  # skip the corrupt record; the rewrite drops it
     return cache, clean
 

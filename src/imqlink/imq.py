@@ -11,8 +11,8 @@ initial model of the presentation.
 
 Deductions follow the deduction-stack discipline of coset enumeration.
 Every new product goes on a queue.  A popped product joins per-element
-indexes of processed products (rows, columns and preimages) and is replayed
-against processed products only, once in each role it can play in a
+indexes of processed products (rows and columns) and is replayed against
+processed products only, once in each inner role it can play in a
 mediality instance.  So each instance is examined when its last premise
 arrives, and no deduction rescans the table.  A merge re-queues only the
 products that named the absorbed class.  A step, as counted by
@@ -41,10 +41,9 @@ class _Saturator:
 
     `table` maps (x, y) to x|>y on class representatives.  `uses[e]` holds
     the keys of the table whose key or value names e.  Processed products
-    are indexed by element: `row[x]` maps y to x|>y, `col[y]` maps x to
-    x|>y, and `pre[z]` holds the keys whose value is z.  `queue` holds
-    products defined but not yet processed, and `pending_unions` the
-    equalities forced but not yet merged.
+    are indexed by element: `row[x]` maps y to x|>y and `col[y]` maps x to
+    x|>y.  `queue` holds products defined but not yet processed, and
+    `pending_unions` the equalities forced but not yet merged.
     """
 
     def __init__(self, max_elements: int, rng: random.Random | None):
@@ -54,7 +53,6 @@ class _Saturator:
         self.uses: list[set[tuple[int, int]]] = []
         self.row: list[dict[int, int]] = []
         self.col: list[dict[int, int]] = []
-        self.pre: list[set[tuple[int, int]]] = []
         self.queue: list[tuple[int, int]] = []
         self.pending_unions: list[tuple[int, int]] = []
         self.rng = rng
@@ -69,7 +67,6 @@ class _Saturator:
         self.uses.append(set())
         self.row.append({})
         self.col.append({})
-        self.pre.append(set())
         self.set_op(e, e, e)
         return e
 
@@ -107,7 +104,6 @@ class _Saturator:
             if y in self.row[x]:
                 del self.row[x][y]
                 del self.col[y][x]
-                self.pre[z].discard(key)
             self.set_op(x, y, z)
 
     def reps(self) -> list[int]:
@@ -134,19 +130,30 @@ class _Saturator:
     def replay(self, p: int, q: int, r: int) -> None:
         """Index the product p|>q = r as processed, then apply mediality,
         (w|>x)|>(y|>z) = (w|>y)|>(x|>z), to every instance in which it is
-        the inner product w|>x, the inner product y|>z or the outer product
-        on the left and every other premise is processed.  Swapping x and y
-        exchanges the two sides, so this covers its other three roles.
+        the inner product w|>x or the inner product y|>z and every other
+        premise is processed.  Swapping x and y exchanges the two sides, so
+        this covers the inner products w|>y and x|>z too.
+
+        An instance whose last processed premise is an outer product needs
+        no role of its own.  Say a = w|>x, b = y|>z, c = w|>y, d = x|>z and
+        e = a|>b are processed, e last of the five.  The table is closed
+        under involution, so a|>x = w and b|>z = y are in it too, and are
+        processed before the closure is quiet.  The instance (a, b, x, z)
+        reads (a|>b)|>(x|>z) = (a|>x)|>(b|>z), that is e|>d = w|>y = c.
+        Its inner products are a|>b, x|>z, a|>x and b|>z, and its outer
+        w|>y = c was processed before e.  So the last of its premises to
+        be processed is an inner one, that replay concludes e|>d = c, and
+        involution then gives c|>d = e, the outer role's conclusion.  The
+        same holds with the sides exchanged.
 
         Right distributivity, (x|>y)|>z = (x|>z)|>(y|>z), needs no rule of
         its own: it is the mediality instance with (y, z) := (z, z), and
         `fresh` puts z|>z = z into the table for every element (merges keep
         it).
         """
-        row, col, pre, table = self.row, self.col, self.pre, self.table
+        row, col, table = self.row, self.col, self.table
         row[p][q] = r
         col[q][p] = r
-        pre[r].add((p, q))
 
         # merges wait until the replay ends, so every name here is a
         # representative and a fact already in the table needs no set_op
@@ -180,14 +187,6 @@ class _Saturator:
                 a = row_w.get(x)
                 if a is not None:
                     relate(a, r, c, d)
-        # as (w|>x)|>(y|>z): w|>x runs over the preimages of p, y|>z of q
-        for w, x in pre[p]:
-            row_w, row_x = row[w], row[x]
-            for y, z in pre[q]:
-                c = row_w.get(y)
-                d = row_x.get(z)
-                if c is not None and d is not None:
-                    conclude(c, d, r)
 
 
 @dataclass

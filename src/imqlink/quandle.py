@@ -15,7 +15,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from .abelian import FgAbGroup, GroupElt, cokernel
+from .abelian import FgAbGroup, GroupElt, cokernel, row_lattice_basis
 
 
 class CapExceeded(RuntimeError):
@@ -401,7 +401,11 @@ def automorphisms(q: FiniteQuandle) -> list[list[int]]:
 
 def group_from_quandle(q: FiniteQuandle) -> FgAbGroup:
     """The abelian group on one generator per element, modulo
-    2g(y) - g(x) - g(x|>y) for every ordered pair."""
+    2g(y) - g(x) - g(x|>y) for every ordered pair.
+
+    Up to n^2 relation rows span a lattice of rank at most n, so they are
+    first reduced to a Hermite basis of at most n rows, and the Smith form
+    runs on that."""
     rows = set()
     for x, y in itertools.product(range(q.n), repeat=2):
         row = [0] * q.n
@@ -410,7 +414,8 @@ def group_from_quandle(q: FiniteQuandle) -> FgAbGroup:
         row[q.op[x][y]] -= 1
         if any(row):
             rows.add(tuple(row))
-    return cokernel([list(r) for r in sorted(rows)], q.n).group
+    basis = row_lattice_basis([list(r) for r in sorted(rows)], q.n)
+    return cokernel(basis, q.n).group
 
 
 def build_partition_quandle(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 
+from imqlink.abelian import FgAbGroup, cokernel
 from imqlink.quandle import FiniteQuandle
 
 
@@ -62,3 +63,23 @@ def dense_mat_mul(a: list[list[int]], b: list[list[int]], n_cols_b: int | None =
             out_row.append(total)
         out.append(out_row)
     return out
+
+
+def group_relation_rows(q: FiniteQuandle) -> list[list[int]]:
+    """The relation rows 2g(y) - g(x) - g(x|>y) of the quandle's abelian
+    group, one per ordered pair, nonzero and distinct, in sorted order."""
+    rows = set()
+    for x, y in itertools.product(range(q.n), repeat=2):
+        row = [0] * q.n
+        row[y] += 2
+        row[x] -= 1
+        row[q.op[x][y]] -= 1
+        if any(row):
+            rows.add(tuple(row))
+    return [list(r) for r in sorted(rows)]
+
+
+def literal_group_from_quandle(q: FiniteQuandle) -> FgAbGroup:
+    """The quandle's abelian group as the cokernel of every relation row,
+    with no reduction before the Smith form."""
+    return cokernel(group_relation_rows(q), q.n).group

@@ -22,6 +22,7 @@ from imqlink.abelian import (
     mat_mul,
     minor_gcds,
     quotient_by_subgroup,
+    row_lattice_basis,
     smith_normal_form,
     solve_in_row_space,
     subgroup_contains,
@@ -32,7 +33,8 @@ from imqlink.abelian import (
 from imqlink.diagram import parse_diagram
 from imqlink.imq import compute_imq
 from imqlink.linkmodule import build_link_module, relation_matrix
-from oracles import dense_mat_mul
+from conftest import FINITE
+from oracles import dense_mat_mul, group_relation_rows, literal_group_from_quandle
 
 DIAGRAMS = Path(__file__).with_name("diagrams")
 
@@ -105,18 +107,10 @@ def test_mat_mul_rejects_bad_shapes():
 
 
 def _group_from_quandle_matrix():
+    # the full relation matrix, before the reduction to a Hermite basis
     d = parse_diagram((DIAGRAMS / "t2_13.json").read_text())
     q = compute_imq(build_link_module(d)).quandle
-    seen = []
-
-    def spy(rows, n_gens):
-        seen.append((rows, n_gens))
-        return abelian.cokernel(rows, n_gens)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quandle, "cokernel", spy)
-        quandle.group_from_quandle(q)
-    return seen[0]
+    return group_relation_rows(q), q.n
 
 
 def _pad30_matrix(with_unit_row):
@@ -214,6 +208,55 @@ def test_smith_entries_stay_small_in_every_row_order():
     assert diags[0] == diags[1]
     want = [abs(x) for x in sympy_snf(sympy.Matrix(rows)).diagonal()]
     assert [d for d in diags[0] if d] == [d for d in want if d] == [1] * 22 + [42]
+
+
+GATE_DIAGRAMS = ("t2_13", "chain_2_2_2", "chain_2_6", "chain_2_3_pad30")
+
+
+@pytest.mark.parametrize("name", GATE_DIAGRAMS + FINITE)
+def test_row_lattice_basis_spans_the_relation_lattice_in_every_row_order(
+    name, modules, imq_results
+):
+    if name in GATE_DIAGRAMS:
+        d = parse_diagram((DIAGRAMS / f"{name}.json").read_text())
+        mod = build_link_module(d)
+        q = compute_imq(mod).quandle
+    else:
+        mod, q = modules[name], imq_results[name].quandle
+    rows = group_relation_rows(q)
+    orders = [rows, rows[::-1]]
+    for seed in (1, 2, 3):
+        shuffled = rows[:]
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    try:
+        signal.alarm(5)
+        assert quandle.group_from_quandle(q) == literal_group_from_quandle(q) == mod.group
+        bases = [row_lattice_basis(order, q.n) for order in orders]
+        for basis in bases:
+            assert len(basis) <= q.n
+            assert all(abs(x) <= q.n**2 for row in basis for x in row)
+        # a lattice has one Hermite basis, whatever the row order
+        assert all(basis == bases[0] for basis in bases)
+        basis = bases[0]
+        assert cokernel(basis, q.n).group == mod.group
+        assert all(solve_in_row_space(basis, q.n, row) is not None for row in rows)
+        assert all(solve_in_row_space(rows, q.n, row) is not None for row in basis)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_row_lattice_basis_small_cases():
+    assert row_lattice_basis([], 3) == []
+    assert row_lattice_basis([[0, 0]], 2) == []
+    # 4 and 6 meet in one pivot: the gcd step leaves 2 there and [0, -3]
+    # in the new row; -1 above the pivot 3 is already reduced
+    assert row_lattice_basis([[4, 1], [6, 0]], 2) == [[2, -1], [0, 3]]
+    assert row_lattice_basis([[-3, 5, 0]], 3) == [[3, -5, 0]]
+    with pytest.raises(ValueError):
+        row_lattice_basis([[1, 2], [3]], 2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -326,6 +326,24 @@ def test_warm_corpus_rewrites_a_cache_with_a_corrupt_line(tmp_path, capsys):
     assert cache.stat().st_ino != before.st_ino
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '[1]',
+        '"x"',
+        '{"key": [1], "report": {}}',
+        '{"key": 1, "report": {}}',
+        '{"key": "k", "report": 5}',
+    ],
+)
+def test_warm_corpus_drops_a_record_that_is_json_but_not_a_record(tmp_path, capsys, bad):
+    corpus, cache = _cold_run(tmp_path, capsys)
+    records = cache.read_text().splitlines()
+    cache.write_text("\n".join(records + [bad]) + "\n")
+    _warm_run(capsys, corpus, cache)
+    assert cache.read_text().splitlines() == records
+
+
 def test_corpus_rejects_missing_dir(tmp_path, capsys):
     code, _, err = run(capsys, "corpus", str(tmp_path / "nope"))
     assert code == 1
