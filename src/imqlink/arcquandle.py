@@ -25,8 +25,7 @@ from .abelian import (
 from .linkmodule import InternalCheckError, LinkModule, torsion_parity_profile
 from .quandle import (
     FiniteQuandle,
-    UnionFind,
-    automorphisms,
+    automorphism_classes,
     characteristic_subquandle,
     displacement_group,
     is_isomorphic,
@@ -725,24 +724,27 @@ class ReindexingReport:
 def reindexing_sensitivity(mod: LinkModule) -> ReindexingReport:
     """Partition of the components by interchangeability under coset
     quandle automorphisms; a singleton class marks a component that every
-    automorphism pins down."""
+    automorphism pins down.
+
+    No automorphism is listed.  Each translation R_y is an automorphism,
+    and the orbits of Q_A are the orbits of Inn(Q_A) = <R_y>.  So if some
+    automorphism maps orbit i into orbit j, composing it with an inner one
+    gives an automorphism that sends any one element of orbit i to any one
+    element of orbit j.  The orbits are the component cosets (checked when
+    Q_A is built), so the components' classes are the classes of one
+    element per coset under Aut(Q_A), found by at most mu(mu-1)/2 searches
+    that each stop at their first witness."""
     if mod.determinant == 0:
         return ReindexingReport(status="unknown", classes=[])
     if mod.mu == 1:
         # one component is one class, whatever the automorphisms are
         return ReindexingReport(status="ok", classes=[(0,)])
     qa = build_arc_quandle(mod)
-    orbs = orbits(qa.quandle)
-    comp_of_orbit = qa.orbit_component
-    interchangeable = UnionFind(mod.mu)
-    elem_orbit = {}
-    for oi, orb in enumerate(orbs):
-        for x in orb:
-            elem_orbit[x] = oi
-    for f in automorphisms(qa.quandle):
-        for oi, orb in enumerate(orbs):
-            target = elem_orbit[f[orb[0]]]
-            interchangeable.union(comp_of_orbit[oi], comp_of_orbit[target])
+    reps = [qa.component_of.index(c) for c in range(mod.mu)]
     return ReindexingReport(
-        status="ok", classes=[tuple(c) for c in interchangeable.classes()]
+        status="ok",
+        classes=[
+            tuple(qa.component_of[x] for x in cls)
+            for cls in automorphism_classes(qa.quandle, reps)
+        ],
     )

@@ -48,6 +48,7 @@ from .quandle import (
     CapExceeded,
     group_from_quandle,
     is_isomorphic,
+    is_isomorphism,
     orbits,
     serialize_quandle,
 )
@@ -226,10 +227,14 @@ def cmd_compare(args) -> int:
         "h1_isomorphic": m1.kernel == m2.kernel,
     }
     if det1 != 0 and det2 != 0:
-        qa1, qa2 = build_arc_quandle(m1), build_arc_quandle(m2)
-        record["arc_quandle_isomorphic"] = (
-            is_isomorphic(qa1.quandle, qa2.quandle) is not None
-        )
+        q1, q2 = build_arc_quandle(m1).quandle, build_arc_quandle(m2).quandle
+        # an equivalent marking carries the coset-quandle isomorphism it
+        # found; check that bijection rather than search again
+        witness = (marking.witness or {}).get("bijection")
+        if marking.status == "equivalent" and witness is not None:
+            record["arc_quandle_isomorphic"] = is_isomorphism(q1, q2, witness)
+        else:
+            record["arc_quandle_isomorphic"] = is_isomorphic(q1, q2) is not None
         if args.no_imq:
             record["imq_isomorphic"] = None
         else:
@@ -337,11 +342,12 @@ def _corpus_worker(path_str: str, no_imq: bool, imq_cap: int | None) -> dict:
         )[0]
     except DiagramValidationError as e:
         return {"name": Path(path_str).stem, "error": str(e), "exit": EXIT_VALIDATION}
-    except (DiagramSyntaxError, ValueError) as e:
+    except DiagramSyntaxError as e:
         return {"name": Path(path_str).stem, "error": str(e), "exit": EXIT_USAGE}
     except CapExceeded as e:
         return {"name": Path(path_str).stem, "error": str(e), "exit": EXIT_CAP}
-    except (InternalCheckError, AssertionError) as e:
+    except (InternalCheckError, AssertionError, ValueError) as e:
+        # any other ValueError comes from the engine, not from the input
         return {"name": Path(path_str).stem, "error": str(e), "exit": EXIT_INTERNAL}
 
 
@@ -506,6 +512,9 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except (InternalCheckError, AssertionError) as e:
         print(f"internal consistency failure: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as e:  # after the Diagram* errors, which subclass it
+        print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

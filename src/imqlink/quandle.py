@@ -328,31 +328,42 @@ def _fingerprints(q: FiniteQuandle, orbs: list[list[int]]) -> list[int]:
     return color
 
 
-def _iso_search(
-    q1: FiniteQuandle, q2: FiniteQuandle, want_all: bool
-) -> list[list[int]]:
-    # automorphisms pass q1 is q2: each invariant is then computed once
+def _iso_candidates(
+    q1: FiniteQuandle, q2: FiniteQuandle
+) -> list[list[int]] | None:
+    """Per element x of q1, the elements of q2 with the fingerprint of x;
+    None when orbit sizes, fingerprints or displacement groups already
+    tell q1 and q2 apart.  Automorphism searches pass q1 is q2: each
+    invariant is then computed once, and the displacement groups, equal
+    by construction, are not compared."""
     if q1.n != q2.n:
-        return []
+        return None
     o1 = orbits(q1)
     o2 = o1 if q2 is q1 else orbits(q2)
     if sorted(len(o) for o in o1) != sorted(len(o) for o in o2):
-        return []
+        return None
     c1 = _fingerprints(q1, o1)
     c2 = c1 if q2 is q1 else _fingerprints(q2, o2)
     if sorted(c1) != sorted(c2):
-        return []
-    if q1.n > 1:
+        return None
+    if q1.n > 1 and q2 is not q1:
         try:
-            d1 = displacement_group(q1)
-            d2 = d1 if q2 is q1 else displacement_group(q2)
-            if d1.group != d2.group:
-                return []
+            if displacement_group(q1).group != displacement_group(q2).group:
+                return None
         except CapExceeded:
             pass
+    return [[y for y in range(q2.n) if c2[y] == c] for c in c1]
 
+
+def _iso_search(
+    q1: FiniteQuandle,
+    q2: FiniteQuandle,
+    candidates: list[list[int]],
+    want_all: bool,
+) -> list[list[int]]:
+    """Isomorphisms f: q1 -> q2 with every f(x) in candidates[x], by
+    backtracking: all of them, or the first."""
     n = q1.n
-    candidates = {x: [y for y in range(n) if c2[y] == c1[x]] for x in range(n)}
     order = sorted(range(n), key=lambda x: len(candidates[x]))
     found: list[list[int]] = []
     fwd = [-1] * n
@@ -391,12 +402,47 @@ def _iso_search(
 def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> list[int] | None:
     """A witness bijection f with f(x |> y) = f(x) |> f(y), or None; the
     search is exhaustive, so None disproves isomorphism."""
-    res = _iso_search(q1, q2, want_all=False)
+    candidates = _iso_candidates(q1, q2)
+    if candidates is None:
+        return None
+    res = _iso_search(q1, q2, candidates, want_all=False)
     return res[0] if res else None
 
 
+def is_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle, f: list[int]) -> bool:
+    """Checked literally: f is a bijection q1 -> q2 with
+    f(x |> y) = f(x) |> f(y) for every pair."""
+    n = q1.n
+    if q2.n != n or sorted(f) != list(range(n)):
+        return False
+    return all(
+        f[q1.op[x][y]] == q2.op[f[x]][f[y]]
+        for x, y in itertools.product(range(n), repeat=2)
+    )
+
+
 def automorphisms(q: FiniteQuandle) -> list[list[int]]:
-    return _iso_search(q, q, want_all=True)
+    """Every automorphism of q, by exhaustive search."""
+    return _iso_search(q, q, _iso_candidates(q, q), want_all=True)
+
+
+def automorphism_classes(q: FiniteQuandle, points: list[int]) -> list[list[int]]:
+    """The classes of `points` under Aut(q): x and y share a class when
+    some automorphism sends x to y.  Aut(q) is a group, so this is an
+    equivalence relation: a pair already joined through others is skipped,
+    and every other pair gets one search with f(x) = y fixed, stopping at
+    its first witness.  The invariants are computed once for all pairs."""
+    candidates = _iso_candidates(q, q)
+    classes = UnionFind(len(points))
+    for i, j in itertools.combinations(range(len(points)), 2):
+        if classes.find(i) == classes.find(j):
+            continue
+        x, y = points[i], points[j]
+        fixed = candidates[:]
+        fixed[x] = [y] if y in candidates[x] else []
+        if _iso_search(q, q, fixed, want_all=False):
+            classes.union(i, j)
+    return [[points[i] for i in c] for c in classes.classes()]
 
 
 def group_from_quandle(q: FiniteQuandle) -> FgAbGroup:

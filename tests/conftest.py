@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from imqlink.arcquandle import build_arc_quandle
@@ -12,6 +16,28 @@ from imqlink.linkmodule import build_link_module, link_determinant
 
 FINITE = ("hopf2", "sixthree", "trefoil", "fig8", "t22t24")
 INFINITE = ("fig5l", "figt", "lprime", "ldprime")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def perfbench_module():
+    """Loader of a benchmark script by name (`gen`, `trace`, ...): the
+    benchmark directory is not a package, so each is imported by path."""
+    loaded = {}
+
+    def load(name: str):
+        if name not in loaded:
+            spec = importlib.util.spec_from_file_location(
+                f"perfbench_{name}", PERFBENCH / f"{name}.py"
+            )
+            module = importlib.util.module_from_spec(spec)
+            # dataclasses look their module up in sys.modules
+            sys.modules[spec.name] = module
+            spec.loader.exec_module(module)
+            loaded[name] = module
+        return loaded[name]
+
+    return load
 
 
 @pytest.fixture(scope="session")

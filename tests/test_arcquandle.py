@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from imqlink import arcquandle
+from imqlink import arcquandle, quandle
 from imqlink.abelian import subgroup_type
 from imqlink.arcquandle import (
     ReindexingReport,
@@ -209,29 +211,74 @@ def test_reindexing_classes(modules):
 
 
 def test_reindexing_skips_the_automorphism_search_for_knots(modules, monkeypatch):
-    def no_search(q):
+    def no_search(q, points):
         raise AssertionError("automorphism search run for a knot")
 
-    monkeypatch.setattr(arcquandle, "automorphisms", no_search)
+    monkeypatch.setattr(arcquandle, "automorphism_classes", no_search)
     knots = [mod for mod in modules.values() if mod.mu == 1]
     assert len(knots) == 2
     for mod in knots:
         assert reindexing_sensitivity(mod) == ReindexingReport("ok", [(0,)])
 
 
-@pytest.mark.parametrize("name", FINITE)
-def test_reindexing_classes_match_every_automorphism(name, modules):
-    mod = modules[name]
+# twist chains generated as the benchmark does: the closure of
+# chain_word(regions, Random(1)) on len(regions) + 1 strands.  (4,10) and
+# (2,20) have a singleton class beside a merged one; the rest have one class
+CHAINS = ((4, 10), (2, 20), (3, 6), (3, 3, 2), (2, 2, 9))
+CHAIN_NAMES = tuple("chain_" + "_".join(map(str, r)) for r in CHAINS)
+
+
+@pytest.fixture(scope="module")
+def chain_modules(perfbench_module):
+    gen = perfbench_module("gen")
+    out = {}
+    for name, regions in zip(CHAIN_NAMES, CHAINS):
+        word = gen.chain_word(list(regions), random.Random(1))
+        text = gen.to_text(gen.closure(word, len(regions) + 1))
+        out[name] = build_link_module(parse_diagram(text))
+    return out
+
+
+@pytest.mark.parametrize("name", FINITE + CHAIN_NAMES)
+def test_reindexing_classes_match_every_automorphism(name, modules, chain_modules):
+    mod = modules[name] if name in modules else chain_modules[name]
     qa = build_arc_quandle(mod)
     orbs = orbits(qa.quandle)
     orbit_of = {x: oi for oi, orb in enumerate(orbs) for x in orb}
+    component = qa.orbit_component
     classes = UnionFind(mod.mu)
     for f in automorphisms(qa.quandle):
         for oi, orb in enumerate(orbs):
-            classes.union(qa.orbit_component[oi], qa.orbit_component[orbit_of[f[orb[0]]]])
+            classes.union(component[oi], component[orbit_of[f[orb[0]]]])
     assert reindexing_sensitivity(mod) == ReindexingReport(
         "ok", [tuple(c) for c in classes.classes()]
     )
+
+
+@pytest.mark.parametrize("name", ("hopf2", "sixthree", "t22t24") + CHAIN_NAMES)
+def test_reindexing_runs_one_search_per_unjoined_pair(
+    name, modules, chain_modules, monkeypatch
+):
+    mod = modules[name] if name in modules else chain_modules[name]
+    found = []
+    real_search = quandle._iso_search
+
+    def counted(q1, q2, candidates, want_all):
+        assert q1 is q2 and not want_all
+        out = real_search(q1, q2, candidates, want_all)
+        found.append(bool(out))
+        return out
+
+    def no_listing(q):
+        raise AssertionError("every automorphism listed")
+
+    monkeypatch.setattr(quandle, "_iso_search", counted)
+    monkeypatch.setattr(quandle, "automorphisms", no_listing)
+    report = reindexing_sensitivity(mod)
+    assert mod.mu >= 2 and report.status == "ok"
+    assert 1 <= len(found) <= mod.mu * (mod.mu - 1) // 2
+    # every witness joins two classes: no pair already joined is searched
+    assert sum(found) == mod.mu - len(report.classes)
 
 
 def test_t22t24_distinguished_component_has_small_doubling_fiber(arc_quandles):

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from imqlink import arcquandle, imq, linkmodule
+from imqlink import arcquandle, cli, imq, linkmodule, quandle
 from imqlink.cli import main
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.quandle import parse_quandle
@@ -421,3 +421,76 @@ def test_compare_computes_each_invariant_once(tmp_path, capsys, engine_calls):
         "_coset_table": 2,
         "_Saturator": 2,
     }
+
+
+def test_compare_checks_the_marking_witness_instead_of_searching_again(
+    tmp_path, capsys, monkeypatch
+):
+    calls = Counter()
+    count_calls(monkeypatch, calls, quandle, "is_isomorphic")
+    a = write_fixture(tmp_path, "hopf2")
+    b = write_fixture(tmp_path, "sixthree")
+    code, out, _ = run(capsys, "--format", "machine", "compare", a, b)
+    assert code == 0 and json.loads(out)["arc_quandle_isomorphic"] is True
+    # one coset-quandle search, inside marking_equivalent; one IMQ search
+    assert calls == {"is_isomorphic": 2}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    (
+        lambda f: [f[0]] * len(f),  # respects the operation, not a bijection
+        lambda f: [f[1], f[0], *f[2:]],  # a bijection that breaks it
+    ),
+    ids=("constant", "transposed"),
+)
+def test_compare_exits_4_on_a_corrupted_marking_witness(
+    corrupt, tmp_path, capsys, monkeypatch
+):
+    real = cli.marking_equivalent
+
+    def corrupted(m1, m2):
+        out = real(m1, m2)
+        assert out.status == "equivalent"
+        return arcquandle.MarkingComparison(
+            out.status, out.reason, {"bijection": corrupt(out.witness["bijection"])}
+        )
+
+    monkeypatch.setattr(cli, "marking_equivalent", corrupted)
+    a = write_fixture(tmp_path, "fig8")
+    code, out, err = run(capsys, "--format", "machine", "--no-imq", "compare", a, a)
+    assert code == 4
+    rec = json.loads(out)
+    assert rec["marking_equivalent"] == "equivalent"
+    assert rec["arc_quandle_isomorphic"] is False
+    assert rec["implication_chain_ok"] is False
+    assert "implication chain violated" in err
+
+
+def _engine_value_error(*args, **kwargs):
+    raise ValueError("engine fault")
+
+
+def test_report_exits_4_on_an_engine_value_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_report", _engine_value_error)
+    code, out, err = run(capsys, "report", write_fixture(tmp_path, "trefoil"))
+    assert code == 4
+    assert out == "" and "engine fault" in err
+
+
+def test_corpus_exits_4_on_an_engine_value_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_report", _engine_value_error)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "trefoil.json").write_text(fixture_text("trefoil"))
+    (corpus / "zzz-broken.json").write_text("[1, 2]")
+    code, out, _ = run(
+        capsys, "--format", "machine", "corpus", str(corpus),
+        "--cache", str(tmp_path / "cache"),
+    )
+    assert code == 4
+    rows = {r["name"]: r for r in json.loads(out)["rows"]}
+    assert rows["trefoil"]["exit"] == 4
+    assert rows["trefoil"]["error"] == "engine fault"
+    # a file that does not parse is still a usage error
+    assert rows["zzz-broken"]["exit"] == 1

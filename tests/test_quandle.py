@@ -10,10 +10,13 @@ import pytest
 from oracles import literal_axiom_violations
 from sympy import factorint
 
+from imqlink import quandle
 from imqlink.abelian import FgAbGroup, quotient_by_subgroup
 from imqlink.quandle import (
     CapExceeded,
     FiniteQuandle,
+    UnionFind,
+    automorphism_classes,
     automorphisms,
     build_partition_quandle,
     characteristic_subquandle,
@@ -21,6 +24,7 @@ from imqlink.quandle import (
     core_quandle,
     displacement_group,
     is_isomorphic,
+    is_isomorphism,
     is_semiregular,
     orbit_of,
     orbits,
@@ -229,6 +233,52 @@ def test_subquandle_requires_closure():
 
 def test_automorphisms_of_dihedral_three():
     assert len(automorphisms(_core_of([3]))) == 6
+
+
+@pytest.mark.parametrize("torsion", ([3], [2, 4], [8], [2, 2, 2], [3, 3]))
+def test_automorphism_classes_match_every_automorphism(torsion):
+    q = _core_of(torsion)
+    listed = UnionFind(q.n)
+    for f in automorphisms(q):
+        for x in range(q.n):
+            listed.union(x, f[x])
+    assert automorphism_classes(q, list(range(q.n))) == listed.classes()
+    # a subset of points gets the classes restricted to it
+    points = list(range(0, q.n, 3))
+    assert automorphism_classes(q, points) == [
+        [x for x in c if x in points]
+        for c in listed.classes()
+        if any(x in points for x in c)
+    ]
+
+
+def test_self_search_compares_no_displacement_groups(monkeypatch):
+    q = _core_of([2, 4])
+    calls = []
+    real = quandle.displacement_group
+
+    def counted(q1, *args, **kwargs):
+        calls.append(q1)
+        return real(q1, *args, **kwargs)
+
+    monkeypatch.setattr(quandle, "displacement_group", counted)
+    assert len(automorphisms(q)) > 1
+    assert len(automorphism_classes(q, [0, 1])) >= 1
+    assert calls == []
+    # two distinct tables still compare their displacement groups
+    assert is_isomorphic(q, FiniteQuandle(q.op)) is not None
+    assert len(calls) == 2
+
+
+def test_is_isomorphism_checks_bijection_and_operation():
+    q = _core_of([5])
+    assert is_isomorphism(q, q, list(range(5)))
+    assert is_isomorphism(q, q, [(2 * x) % 5 for x in range(5)])
+    # a constant map respects the operation but is no bijection
+    assert not is_isomorphism(q, q, [0] * 5)
+    # a transposition is a bijection that breaks the operation
+    assert not is_isomorphism(q, q, [1, 0, 2, 3, 4])
+    assert not is_isomorphism(q, _core_of([3]), [0, 1, 2])
 
 
 def test_isomorphic_after_relabeling():
