@@ -4,8 +4,8 @@ All arithmetic uses plain Python ints, so arbitrary precision is automatic.
 Matrices are dense lists of row lists.  A product skips the zero entries of
 its left factor, so it costs O(nnz(a) * cols(b)) multiply-adds: relation
 rows have at most three nonzeros, and the witnesses stay mostly sparse.
-The Smith normal form routine keeps unimodular witnesses U, V together with
-their inverses, which is what lets a :class:`Presentation` translate between
+The Smith normal form routine keeps unimodular witnesses U, V and V's
+inverse, which is what lets a :class:`Presentation` translate between
 generator coordinates and canonical coordinates of the quotient group.
 A tall relation matrix whose quotient is needed only up to isomorphism can
 first go through `row_lattice_basis`, which reduces its rows by unimodular
@@ -91,7 +91,6 @@ class SmithForm:
     diag: list[int]
     u: Matrix
     v: Matrix
-    u_inv: Matrix
     v_inv: Matrix
 
     @property
@@ -192,7 +191,6 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
         raise ValueError("ragged matrix")
     a = [row[:] for row in rows]
     u = identity_matrix(m)
-    u_inv = identity_matrix(m)
     v = identity_matrix(n)
     v_inv = identity_matrix(n)
 
@@ -200,8 +198,6 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
         if i != j:
             a[i], a[j] = a[j], a[i]
             u[i], u[j] = u[j], u[i]
-            for row in u_inv:
-                row[i], row[j] = row[j], row[i]
 
     def swap_cols(i: int, j: int) -> None:
         if i != j:
@@ -212,13 +208,10 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
             v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(dst: int, src: int, q: int) -> None:
-        # row[dst] += q * row[src]; inverse op recorded in u_inv columns
         if q == 0:
             return
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-        for row in u_inv:
-            row[src] -= q * row[dst]
 
     def add_col(dst: int, src: int, q: int) -> None:
         if q == 0:
@@ -232,8 +225,6 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
     def negate_row(i: int) -> None:
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for row in u_inv:
-            row[i] = -row[i]
 
     def find_pivot(t: int) -> tuple[int, int] | None:
         best = None
@@ -299,7 +290,7 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
             want = diag[i] if i == j and i < len(diag) else 0
             if check[i][j] != want:
                 raise AssertionError("smith_normal_form witness check failed")
-    return SmithForm(m=m, n=n, diag=diag, u=u, v=v, u_inv=u_inv, v_inv=v_inv)
+    return SmithForm(m=m, n=n, diag=diag, u=u, v=v, v_inv=v_inv)
 
 
 @dataclass(frozen=True)
@@ -362,12 +353,6 @@ class FgAbGroup:
         """All elements of finite order (free coordinates zero)."""
         r = self.free_rank
         for combo in itertools.product(*(range(t) for t in self.torsion)):
-            yield GroupElt(self, (0,) * r + combo)
-
-    def elements_of_order_dividing_2(self):
-        r = self.free_rank
-        choices = [(0, t // 2) if t % 2 == 0 else (0,) for t in self.torsion]
-        for combo in itertools.product(*choices):
             yield GroupElt(self, (0,) * r + combo)
 
     def describe(self) -> str:
@@ -531,34 +516,9 @@ def subgroup_contains(group: FgAbGroup, gens: list[GroupElt], target: GroupElt) 
     return sol is not None
 
 
-def subgroups_equal(group: FgAbGroup, gens_a: list[GroupElt], gens_b: list[GroupElt]) -> bool:
-    return all(subgroup_contains(group, gens_b, g) for g in gens_a) and all(
-        subgroup_contains(group, gens_a, g) for g in gens_b
-    )
-
-
-def quotient_by_subgroup(group: FgAbGroup, gens: list[GroupElt]) -> FgAbGroup:
-    """Isomorphism type of group / <gens>."""
-    return cokernel(_stacked_relations(group, gens), group.n_coords).group
-
-
 def subgroup_type(group: FgAbGroup, gens: list[GroupElt]) -> FgAbGroup:
     """Isomorphism type of the subgroup generated by gens."""
     stacked = _stacked_relations(group, gens)
     kernel = left_kernel_basis(stacked, group.n_coords)
     coeff_rows = [row[: len(gens)] for row in kernel]
     return cokernel(coeff_rows, len(gens)).group
-
-
-def minor_gcds(rows: Matrix, n_cols: int) -> list[int]:
-    """gcd of all k x k minors for k = 1..min(m, n), by brute force."""
-    m = len(rows)
-    out = []
-    for k in range(1, min(m, n_cols) + 1):
-        g = 0
-        for rsel in itertools.combinations(range(m), k):
-            for csel in itertools.combinations(range(n_cols), k):
-                sub = [[rows[i][j] for j in csel] for i in rsel]
-                g = gcd(g, int_det(sub))
-        out.append(g)
-    return out

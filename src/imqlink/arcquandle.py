@@ -3,10 +3,9 @@
 When the determinant is nonzero the arc classes of a diagram sweep out,
 inside Core(M), exactly one coset of ker(marking) per component; the
 operation x |> y = 2y - x restricts to these cosets.  This module builds
-that quandle, relates its displacement group back to the kernel, and
-decides the two comparison questions: is the marking obtainable from a
-direct-sum decomposition (characteristic compatibility), and are two
-markings equivalent under a component re-indexing.
+that quandle and decides the two comparison questions: is the marking
+obtainable from a direct-sum decomposition (characteristic compatibility),
+and are two markings equivalent under a component re-indexing.
 """
 
 from __future__ import annotations
@@ -20,14 +19,11 @@ from .abelian import (
     left_kernel_basis,
     smith_normal_form,
     subgroup_contains,
-    subgroup_type,
 )
 from .linkmodule import InternalCheckError, LinkModule, torsion_parity_profile
 from .quandle import (
     FiniteQuandle,
     automorphism_classes,
-    characteristic_subquandle,
-    displacement_group,
     is_isomorphic,
     is_semiregular,
     orbits,
@@ -120,16 +116,6 @@ class ArcQuandle:
     component_of: list[int]
     kernel: list[GroupElt]
 
-    @property
-    def orbit_component(self) -> dict[int, int]:
-        out = {}
-        for idx, orb in enumerate(orbits(self.quandle)):
-            comps = {self.component_of[x] for x in orb}
-            if len(comps) != 1:
-                raise InternalCheckError("orbit mixes components")
-            out[idx] = comps.pop()
-        return out
-
 
 def marking_kernel(mod: LinkModule) -> list[GroupElt]:
     """Finite-order elements killed by both weight and parity; equals the
@@ -202,41 +188,6 @@ def _coset_table(
     if not is_semiregular(q):
         raise InternalCheckError("arc quandle not semiregular")
     return q, elems, comp_of, kernel
-
-
-@dataclass
-class DisKernelReport:
-    ok: bool
-    group_matches: bool
-    all_translations: bool
-    dis_group: FgAbGroup
-    kernel_group: FgAbGroup
-
-
-def displacement_matches_kernel(qa: ArcQuandle) -> DisKernelReport:
-    """Every displacement of the coset quandle must be x -> x + k for a
-    kernel element k, and the displacement group must be isomorphic to
-    the kernel."""
-    dis = displacement_group(qa.quandle)
-    kernel_group = subgroup_type(qa.module.group, qa.kernel)
-    group_matches = dis.group == kernel_group
-    kernel_set = set(qa.kernel)
-    index = {e: i for i, e in enumerate(qa.elements)}
-    all_translations = True
-    for p in dis.perms:
-        k = qa.elements[p[0]] - qa.elements[0]
-        if k not in kernel_set or any(
-            p[i] != index[e + k] for i, e in enumerate(qa.elements)
-        ):
-            all_translations = False
-            break
-    return DisKernelReport(
-        ok=group_matches and all_translations,
-        group_matches=group_matches,
-        all_translations=all_translations,
-        dis_group=dis.group,
-        kernel_group=kernel_group,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -587,26 +538,6 @@ def characteristic_compatibility(
         indexings_tried=tried,
         detail="no component ordering admits unit-vector generators",
     )
-
-
-def compare_with_characteristic(mod: LinkModule) -> bool:
-    """Is the coset quandle isomorphic to the characteristic subquandle
-    of ker(weight)?  Cross-checked against characteristic_compatibility,
-    which decides the same question structurally."""
-    if mod.determinant == 0:
-        raise ValueError("determinant zero; comparison needs a finite quandle")
-    qa = build_arc_quandle(mod)
-    core_prime = characteristic_subquandle(mod.kernel)
-    if core_prime.n != qa.quandle.n:
-        raise InternalCheckError("cardinality equality violated")
-    iso = is_isomorphic(qa.quandle, core_prime) is not None
-    compat = characteristic_compatibility(mod)
-    if compat.status != ("yes" if iso else "no"):
-        raise InternalCheckError(
-            f"characteristic compatibility ({compat.status}) disagrees with "
-            f"quandle comparison ({iso})"
-        )
-    return iso
 
 
 # ---------------------------------------------------------------------------

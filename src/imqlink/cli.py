@@ -27,7 +27,6 @@ from .diagram import (
     DiagramSyntaxError,
     DiagramValidationError,
     LinkDiagram,
-    make_even,
     parse_diagram,
     serialize_diagram,
 )
@@ -38,7 +37,6 @@ from .imq import (
     surjection_to_arc_quandle,
 )
 from .linkmodule import (
-    InternalCheckError,
     build_link_module,
     longitude_zero_subset,
     longitudes,
@@ -78,7 +76,30 @@ def _load(path: str) -> LinkDiagram:
         text = Path(path).read_text()
     except OSError as e:
         raise DiagramSyntaxError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DiagramSyntaxError(f"cannot decode {path}: {e}") from e
     return parse_diagram(text)
+
+
+# exit code and stderr label per exception kind, first match wins; the
+# Diagram* errors subclass ValueError, and any other ValueError comes from
+# the engine, not from the input.  InternalCheckError is an AssertionError.
+_EXIT_CODES = (
+    (UsageError, EXIT_USAGE, "usage error"),
+    (DiagramSyntaxError, EXIT_USAGE, "parse error"),
+    (DiagramValidationError, EXIT_VALIDATION, "validation error"),
+    (CapExceeded, EXIT_CAP, "resource cap"),
+    (AssertionError, EXIT_INTERNAL, "internal consistency failure"),
+    (ValueError, EXIT_INTERNAL, "internal error"),
+)
+_MAPPED = tuple(kind for kind, _, _ in _EXIT_CODES)
+
+
+def _exit_code(e: Exception) -> tuple[int, str]:
+    """The exit code and label of an exception of a _MAPPED kind."""
+    return next(
+        (code, label) for kind, code, label in _EXIT_CODES if isinstance(e, kind)
+    )
 
 
 def build_report(
@@ -91,11 +112,9 @@ def build_report(
     presented quandle when it was computed."""
     mod = build_link_module(d)
     det = mod.determinant
-    even = make_even(d)
-    even_mod = mod if even is d else build_link_module(even)
-    longs = longitudes(even_mod)
+    longs = longitudes(mod)
     zero_subset = (
-        list(longitude_zero_subset(even_mod, longs) or ()) if d.mu >= 2 else None
+        list(longitude_zero_subset(mod, longs) or ()) if d.mu >= 2 else None
     )
     report: dict = {
         "name": name,
@@ -103,7 +122,8 @@ def build_report(
         "components": d.mu,
         "arcs": d.n_arcs,
         "crossings": len(d.crossings),
-        "evenized": even is not d,
+        # an odd component's longitude is read as if make_even had kinked it
+        "evenized": not d.is_even(),
         "determinant": det,
         "module": _group_dict(mod.group),
         "weight_kernel": _group_dict(mod.kernel),
@@ -334,21 +354,18 @@ def _write_cache(path: Path, cache: dict[str, dict]) -> None:
         raise
 
 
-def _corpus_worker(path_str: str, no_imq: bool, imq_cap: int | None) -> dict:
+def _error_row(name: str, e: Exception) -> dict:
+    return {"name": name, "error": str(e), "exit": _exit_code(e)[0]}
+
+
+def _corpus_worker(
+    d: LinkDiagram, name: str, no_imq: bool, imq_cap: int | None
+) -> dict:
+    """The report row of one parsed diagram, or its error row."""
     try:
-        d = _load(path_str)
-        return build_report(
-            d, Path(path_str).stem, run_imq=not no_imq, imq_cap=imq_cap
-        )[0]
-    except DiagramValidationError as e:
-        return {"name": Path(path_str).stem, "error": str(e), "exit": EXIT_VALIDATION}
-    except DiagramSyntaxError as e:
-        return {"name": Path(path_str).stem, "error": str(e), "exit": EXIT_USAGE}
-    except CapExceeded as e:
-        return {"name": Path(path_str).stem, "error": str(e), "exit": EXIT_CAP}
-    except (InternalCheckError, AssertionError, ValueError) as e:
-        # any other ValueError comes from the engine, not from the input
-        return {"name": Path(path_str).stem, "error": str(e), "exit": EXIT_INTERNAL}
+        return build_report(d, name, run_imq=not no_imq, imq_cap=imq_cap)[0]
+    except _MAPPED as e:
+        return _error_row(name, e)
 
 
 def cmd_corpus(args) -> int:
@@ -364,27 +381,22 @@ def cmd_corpus(args) -> int:
     rows: list[dict] = []
     hits = 0
     worst = EXIT_OK
-    to_compute: list[tuple[int, Path]] = []
+    to_compute: list[tuple[int, LinkDiagram, str]] = []
     added = False
     for p in files:
         try:
             d = _load(str(p))
-        except (DiagramSyntaxError, DiagramValidationError, ValueError) as e:
-            code = (
-                EXIT_VALIDATION
-                if isinstance(e, DiagramValidationError)
-                else EXIT_USAGE
-            )
-            rows.append({"name": p.stem, "error": str(e), "exit": code})
-            worst = max(worst, code)
+        except (DiagramSyntaxError, DiagramValidationError) as e:
+            rows.append(_error_row(p.stem, e))
+            worst = max(worst, rows[-1]["exit"])
             continue
         key = _cache_key(d, args.no_imq, args.imq_cap)
         if key in cache:
             hits += 1
             rows.append({**cache[key], "cached": True})
         else:
-            rows.append({"pending": key, "path": p})
-            to_compute.append((len(rows) - 1, p))
+            rows.append({"pending": key})
+            to_compute.append((len(rows) - 1, d, p.stem))
 
     if to_compute:
         if args.jobs > 1:
@@ -395,17 +407,18 @@ def cmd_corpus(args) -> int:
                 computed = list(
                     pool.map(
                         _corpus_worker,
-                        [str(p) for _, p in to_compute],
+                        [d for _, d, _ in to_compute],
+                        [name for _, _, name in to_compute],
                         [args.no_imq] * len(to_compute),
                         [args.imq_cap] * len(to_compute),
                     )
                 )
         else:
             computed = [
-                _corpus_worker(str(p), args.no_imq, args.imq_cap)
-                for _, p in to_compute
+                _corpus_worker(d, name, args.no_imq, args.imq_cap)
+                for _, d, name in to_compute
             ]
-        for (idx, p), rep in zip(to_compute, computed):
+        for (idx, _, _), rep in zip(to_compute, computed):
             if "error" in rep:
                 worst = max(worst, rep["exit"])
                 rows[idx] = rep
@@ -435,7 +448,6 @@ def cmd_corpus(args) -> int:
                 {"rows": rows, "summary": summary},
                 sort_keys=True,
                 separators=(",", ":"),
-                default=str,
             )
         )
     else:
@@ -496,26 +508,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except DiagramSyntaxError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except DiagramValidationError as e:
-        print("validation error:", file=sys.stderr)
-        for v in e.violations:
-            print(f"  {v}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CapExceeded as e:
-        print(f"resource cap: {e}", file=sys.stderr)
-        return EXIT_CAP
-    except (InternalCheckError, AssertionError) as e:
-        print(f"internal consistency failure: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as e:  # after the Diagram* errors, which subclass it
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except _MAPPED as e:
+        code, label = _exit_code(e)
+        if isinstance(e, DiagramValidationError):
+            print(f"{label}:", file=sys.stderr)
+            for v in e.violations:
+                print(f"  {v}", file=sys.stderr)
+        else:
+            print(f"{label}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -145,6 +145,10 @@ def parse_diagram(text: str) -> LinkDiagram:
         raise DiagramSyntaxError(
             f"syntax error at line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
+    except (ValueError, RecursionError) as e:
+        # JSON the decoder refuses: an integer past the digit limit, or
+        # nesting deeper than the recursion limit
+        raise DiagramSyntaxError(f"undecodable JSON: {e}") from e
     if not isinstance(obj, dict):
         raise DiagramSyntaxError("top level must be a map")
     unknown = set(obj) - {"arcs", "crossings", "components"}

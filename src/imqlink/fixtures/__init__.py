@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from importlib import resources
 
-from ..diagram import LinkDiagram, parse_diagram
-
 FIXTURE_NAMES = (
     "hopf2",
     "sixthree",
@@ -23,7 +21,3 @@ def fixture_text(name: str) -> str:
     if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}")
     return (resources.files(__package__) / f"{name}.json").read_text("utf-8")
-
-
-def load_fixture(name: str) -> LinkDiagram:
-    return parse_diagram(fixture_text(name))

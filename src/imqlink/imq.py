@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 
 from .arcquandle import ArcQuandle
-from .diagram import LinkDiagram, component_walk
+from .diagram import LinkDiagram
 from .linkmodule import InternalCheckError, LinkModule
 from .quandle import CapExceeded, FiniteQuandle, UnionFind, check_axioms, orbits
 
@@ -334,23 +334,3 @@ def check_size_bounds(q: FiniteQuandle, det: int, mu: int) -> bool:
     if 2 * q.n > mu * det or q.n * (1 << (mu - 1)) < mu * det:
         return False
     return all(2 * len(orb) <= det for orb in orbits(q))
-
-
-def longitude_fixes_orbit(res: ImqResult) -> bool:
-    """On an even diagram, the walk product of over-arc translations of
-    each component fixes that component's orbit pointwise."""
-    d = res.diagram
-    if not d.is_even():
-        raise ValueError("diagram not even")
-    orbs = orbits(res.quandle)
-    for i in range(d.mu):
-        perm = list(range(res.quandle.n))
-        for _, over in component_walk(d, i):
-            beta = res.quandle.translation(res.arc_element[over])
-            perm = [beta[v] for v in perm]
-        home = next(
-            orb for orb in orbs if res.arc_element[d.components[i].arcs[0]] in orb
-        )
-        if any(perm[x] != x for x in home):
-            return False
-    return True

@@ -4,8 +4,7 @@ Every crossing (over a, unders b, b') contributes the relation
 2*a - b - b' over the free abelian group on the arcs; coinciding arcs
 coalesce.  The cokernel carries two extra structures: the weight map w
 (every arc class has weight 1) and the component-parity map p into
-(Z/2)^mu.  The pair (w, p) drives all re-indexing and equivalence logic;
-their asymmetric combined form (w, p_2..p_mu) is available as `marking`.
+(Z/2)^mu.  The pair (w, p) drives all re-indexing and equivalence logic.
 
 Since w is onto Z, the module splits as M = Z (+) ker(w).  So ker(w), the
 first homology of the double branched cover, is M with one free factor
@@ -20,16 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
 
-from .abelian import (
-    FgAbGroup,
-    GroupElt,
-    Matrix,
-    Presentation,
-    cokernel,
-    int_det,
-)
+from .abelian import FgAbGroup, GroupElt, Matrix, Presentation, cokernel
 from .diagram import LinkDiagram, component_walk
 
 
@@ -77,11 +68,6 @@ class LinkModule:
             out[self.diagram.kappa[arc]] += coeff
         return tuple(v % 2 for v in out)
 
-    def marking(self, x: GroupElt) -> tuple[int, ...]:
-        """(weight, parity_2..parity_mu): the combined map whose first
-        parity coordinate is dropped as redundant."""
-        return (self.weight(x), *self.parity(x)[1:])
-
 
 class InternalCheckError(AssertionError):
     """A structural fact guaranteed by the construction failed to hold."""
@@ -120,32 +106,22 @@ def build_link_module(d: LinkDiagram) -> LinkModule:
         want = tuple(1 if i == d.kappa[a] else 0 for i in range(d.mu))
         if mod.parity(mod.arc_class[a]) != want:
             raise InternalCheckError(f"arc {a} has wrong parity vector")
-    if weight_kernel(mod).group != kernel:
+    if weight_kernel(mod) != kernel:
         raise InternalCheckError("presented weight kernel differs from the split")
     return mod
 
 
-@dataclass
-class WeightKernel:
-    """ker(weight) presented by the crossing rows plus a unit row at
+def weight_kernel(mod: LinkModule, base_arc: int = 0) -> FgAbGroup:
+    """ker(weight), presented by the crossing rows plus a unit row at
     base_arc; isomorphic to the first homology of the double branched
     cover."""
-
-    group: FgAbGroup
-    pres: Presentation
-    base_arc: int
-    module: LinkModule
-
-
-def weight_kernel(mod: LinkModule, base_arc: int = 0) -> WeightKernel:
     if not 0 <= base_arc < mod.diagram.n_arcs:
         raise ValueError("base_arc out of range")
     rows = [row[:] for row in mod.pres.relations]
     unit = [0] * mod.diagram.n_arcs
     unit[base_arc] = 1
     rows.append(unit)
-    pres = cokernel(rows, mod.diagram.n_arcs)
-    return WeightKernel(group=pres.group, pres=pres, base_arc=base_arc, module=mod)
+    return cokernel(rows, mod.diagram.n_arcs).group
 
 
 def link_determinant(mod: LinkModule) -> int:
@@ -153,36 +129,36 @@ def link_determinant(mod: LinkModule) -> int:
     return mod.determinant
 
 
-def determinant_by_minors(d: LinkDiagram, base_arc: int = 0) -> int:
-    """Independent determinant computation: gcd of all maximal minors of
-    the relation matrix avoiding the base arc's column."""
-    rows = relation_matrix(d)
-    n = d.n_arcs
-    if len(rows) < n - 1:
-        return 0
-    cols = [j for j in range(n) if j != base_arc]
-    g = 0
-    for rsel in itertools.combinations(range(len(rows)), n - 1):
-        sub = [[rows[i][j] for j in cols] for i in rsel]
-        g = gcd(g, int_det(sub))
-    return g
-
-
 def longitudes(mod: LinkModule) -> list[GroupElt]:
-    """Alternating over-arc sums along each component walk.
+    """One longitude per component, read off the module of any diagram.
+
+    Let a_0..a_{k-1} be a component's arcs in walk order, o_j the
+    over-arc of the crossing that ends a_j, and S = sum_j (-1)^j o_j.  On
+    an even component (k even) the longitude is the alternating over-arc
+    sum S.  An odd component is read as `make_even` would kink it: the
+    kink splits a_0 into a_0, a_0' with the self-crossing over a_0, so the
+    kinked walk's over-arcs are a_0, o_0, .., o_{k-1} and its alternating
+    sum is a_0 - S.  A component with no crossings gets two kinks, whose
+    sum a - a' is 0.  This is exact: each kink relation forces the new
+    half equal to the old arc and the other relations are unchanged up to
+    that identification, so M(make_even(d)) is isomorphic to M(d) arc
+    class by arc class, and the isomorphism carries the kinked diagram's
+    longitudes to these.  Element orders and zero sums are invariant
+    under it.
 
     Each result is 2-torsion, so the starting point and direction of the
     walk do not matter.
     """
     d = mod.diagram
-    if not d.is_even():
-        raise ValueError("diagram not even")
     out = []
-    for i in range(d.mu):
+    for i, comp in enumerate(d.components):
         total = mod.group.zero()
-        for j, (_, over) in enumerate(component_walk(d, i)):
-            term = mod.arc_class[over]
-            total = total + (term if j % 2 == 0 else -term)
+        if comp.crossings:
+            for j, (_, over) in enumerate(component_walk(d, i)):
+                term = mod.arc_class[over]
+                total = total + (term if j % 2 == 0 else -term)
+            if len(comp.arcs) % 2:
+                total = mod.arc_class[comp.arcs[0]] - total
         out.append(total)
     return out
 
@@ -218,14 +194,3 @@ def torsion_parity_profile(mod: LinkModule) -> tuple[tuple[int, ...], ...]:
         if best is None or cand < best:
             best = cand
     return best if best is not None else ()
-
-
-def double_kernel_subgroup_check(mod: LinkModule) -> bool:
-    """{x : weight 0, parity 0} equals 2 * {x : weight 0}; needs finite
-    ker(weight)."""
-    kw_elements = [t for t in mod.group.torsion_elements() if mod.weight(t) == 0]
-    if mod.kernel.free_rank:
-        raise ValueError("ker(weight) is infinite")
-    joint = [t for t in kw_elements if not any(mod.parity(t))]
-    doubled = [t.smul(2) for t in kw_elements]
-    return set(joint) == set(doubled)

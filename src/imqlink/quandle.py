@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .abelian import FgAbGroup, GroupElt, cokernel, row_lattice_basis
 
@@ -134,13 +134,6 @@ def orbits(q: FiniteQuandle) -> list[list[int]]:
     return uf.classes()
 
 
-def orbit_of(q: FiniteQuandle, x: int) -> list[int]:
-    for orb in orbits(q):
-        if x in orb:
-            return orb
-    raise ValueError("element out of range")
-
-
 @dataclass
 class DisGroup:
     """The displacement group: all products of evenly many translations,
@@ -148,12 +141,6 @@ class DisGroup:
 
     perms: list[Perm]
     group: FgAbGroup
-    elt_of_perm: dict[Perm, GroupElt]
-    gen_of_translation: dict[int, GroupElt] = field(default_factory=dict)
-
-    @property
-    def identity(self) -> Perm:
-        return next(p for p, e in self.elt_of_perm.items() if e.is_zero())
 
 
 def _perm_inverse(g: Perm) -> Perm:
@@ -173,11 +160,9 @@ def displacement_group(q: FiniteQuandle, cap: int = 10**6) -> DisGroup:
     betas = [q.translation(y) for y in range(n)]
     base = betas[0]
     candidates: list[Perm] = []
-    candidate_of: dict[int, Perm] = {}
     seen: set[Perm] = set()
     for y in range(n):
         g = _compose(betas[y], base)
-        candidate_of[y] = g
         if g not in seen:
             seen.add(g)
             candidates.append(g)
@@ -227,18 +212,10 @@ def displacement_group(q: FiniteQuandle, cap: int = 10**6) -> DisGroup:
             diff = tuple(a - b for a, b in zip(nvec, word[nxt]))
             if any(diff):
                 relations.add(diff)
-    pres = cokernel([list(r) for r in sorted(relations)], len(gens))
-    elt_of_perm = {p: pres.to_canonical(list(v)) for p, v in word.items()}
-    if pres.group.order() != len(word):
+    group = cokernel([list(r) for r in sorted(relations)], len(gens)).group
+    if group.order() != len(word):
         raise ValueError("displacement presentation does not match closure size")
-    return DisGroup(
-        perms=list(word),
-        group=pres.group,
-        elt_of_perm=elt_of_perm,
-        gen_of_translation={
-            y: elt_of_perm[g] for y, g in candidate_of.items()
-        },
-    )
+    return DisGroup(perms=list(word), group=group)
 
 
 def is_semiregular(q: FiniteQuandle, dis: DisGroup | None = None) -> bool:
@@ -462,51 +439,6 @@ def group_from_quandle(q: FiniteQuandle) -> FgAbGroup:
             rows.add(tuple(row))
     basis = row_lattice_basis([list(r) for r in sorted(rows)], q.n)
     return cokernel(basis, q.n).group
-
-
-def build_partition_quandle(
-    n: int,
-    partition: list[tuple[int, ...]],
-    translations: dict[int, Perm],
-) -> FiniteQuandle:
-    """Quandle from a partition of {0..n-1} into pairs and singletons
-    plus one involution per element, each a product of pair swaps.
-
-    Required: every translation fixes its own element, moves elements
-    only within their pair, and paired elements share a translation.
-    """
-    seen: set[int] = set()
-    pair_of: dict[int, tuple[int, ...]] = {}
-    for block in partition:
-        if len(block) not in (1, 2) or any(not 0 <= v < n for v in block):
-            raise ValueError(f"bad block {block}")
-        for v in block:
-            if v in seen:
-                raise ValueError(f"element {v} in two blocks")
-            seen.add(v)
-            pair_of[v] = tuple(block)
-    if seen != set(range(n)):
-        raise ValueError("partition does not cover all elements")
-
-    for y in range(n):
-        t = translations[y]
-        if len(t) != n:
-            raise ValueError(f"translation of {y} has wrong size")
-        if t[y] != y:
-            raise ValueError(f"translation of {y} moves {y}")
-        for x in range(n):
-            if t[x] not in pair_of[x]:
-                raise ValueError(f"translation of {y} breaks the partition at {x}")
-        for mate in pair_of[y]:
-            if translations[mate] != t:
-                raise ValueError(f"paired elements {y},{mate} differ in translation")
-
-    op = [[translations[y][x] for y in range(n)] for x in range(n)]
-    q = FiniteQuandle(op)
-    bad = check_axioms(q)
-    if bad:
-        raise ValueError(f"axioms violated: {bad[0]}")
-    return q
 
 
 def serialize_quandle(q: FiniteQuandle) -> str:

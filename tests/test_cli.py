@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from imqlink import arcquandle, cli, imq, linkmodule, quandle
+from imqlink import arcquandle, cli, diagram, imq, linkmodule, quandle
 from imqlink.cli import main
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.quandle import parse_quandle
@@ -109,6 +109,29 @@ def test_parse_error_exit(tmp_path, capsys):
     code, _, err = run(capsys, "report", str(p))
     assert code == 1
     assert "parse error" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    (
+        b"\xff{",
+        b'{"arcs": [' + b"1" * 5000 + b"]}",
+        b"[" * 100000 + b"]" * 100000,
+    ),
+    ids=("not-utf8", "long-integer", "deep-nesting"),
+)
+def test_undecodable_diagram_exits_1_under_every_command(content, tmp_path, capsys):
+    p = tmp_path / "b.json"
+    p.write_bytes(content)
+    for argv in (("report", str(p)), ("compare", str(p), str(p))):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "parse error" in err, argv
+    code, out, _ = run(
+        capsys, "--format", "machine", "corpus", str(tmp_path),
+        "--cache", str(tmp_path / "cache"),
+    )
+    assert code == 1
+    assert [(r["name"], r["exit"]) for r in json.loads(out)["rows"]] == [("b", 1)]
 
 
 def test_missing_file_exit(tmp_path, capsys):
@@ -241,6 +264,16 @@ def test_corpus_survives_one_bad_file(tmp_path, capsys, monkeypatch):
     assert data["summary"]["errors"] == 1
     errors = [r for r in data["rows"] if "error" in r]
     assert len(errors) == 1 and errors[0]["name"] == "zzz-broken"
+
+
+def test_cold_corpus_parses_each_file_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    corpus = _corpus_dir(tmp_path)
+    calls = Counter()
+    count_calls(monkeypatch, calls, diagram, "parse_diagram")
+    code, out, _ = run(capsys, "--format", "machine", "corpus", str(corpus))
+    assert code == 0 and json.loads(out)["summary"]["cache_hits"] == 0
+    assert calls == {"parse_diagram": len(FIXTURE_NAMES)}
 
 
 def test_corpus_parallel_jobs(tmp_path, capsys, monkeypatch):
@@ -393,18 +426,20 @@ def engine_calls(monkeypatch):
 @pytest.mark.parametrize("name", ("hopf2", "t22t24"))
 @pytest.mark.parametrize("dump", (False, True), ids=("plain", "dump"))
 def test_report_computes_each_invariant_once(
-    name, dump, tmp_path, capsys, engine_calls
+    name, dump, tmp_path, capsys, monkeypatch, engine_calls
 ):
     args = ["report", write_fixture(tmp_path, name)]
     if dump:
         args += ["--dump-quandle", str(tmp_path / "q")]
+    count_calls(monkeypatch, engine_calls, diagram, "make_even")
     code, out, _ = run(capsys, "--format", "machine", *args)
     assert code == 0 and json.loads(out)["evenized"] is True
-    # the drawn and the evenized module, each presenting its weight
-    # kernel once; one coset-quandle table and one saturation
+    # one module, read for the longitudes of the odd components too, and
+    # presenting its weight kernel once; no make_even; one coset-quandle
+    # table and one saturation
     assert engine_calls == {
-        "build_link_module": 2,
-        "weight_kernel": 2,
+        "build_link_module": 1,
+        "weight_kernel": 1,
         "_coset_table": 1,
         "_Saturator": 1,
     }

@@ -7,7 +7,12 @@ from pathlib import Path
 import pytest
 
 from conftest import FINITE
-from oracles import literal_axiom_violations, open_deduction
+from oracles import (
+    build_partition_quandle,
+    literal_axiom_violations,
+    longitude_fixes_orbit,
+    open_deduction,
+)
 
 from imqlink import imq
 from imqlink.arcquandle import build_arc_quandle
@@ -15,13 +20,11 @@ from imqlink.diagram import make_even, parse_diagram
 from imqlink.imq import (
     check_size_bounds,
     compute_imq,
-    longitude_fixes_orbit,
     surjection_to_arc_quandle,
 )
 from imqlink.linkmodule import build_link_module, link_determinant, weight_kernel
 from imqlink.quandle import (
     CapExceeded,
-    build_partition_quandle,
     check_axioms,
     core_quandle,
     displacement_group,
@@ -120,7 +123,7 @@ def test_hopf2_and_sixthree_not_isomorphic(imq_results):
 @pytest.mark.parametrize("name", ("trefoil", "fig8"))
 def test_knot_quandle_is_core_of_kernel(name, imq_results, modules):
     q = imq_results[name].quandle
-    core = core_quandle(weight_kernel(modules[name]).group)
+    core = core_quandle(weight_kernel(modules[name]))
     assert is_isomorphic(q, core) is not None
     assert is_semiregular(q)
 
