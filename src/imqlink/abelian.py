@@ -16,7 +16,7 @@ that every input row ends as a basis row or reduces to zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm, prod
 
 Matrix = list[list[int]]
@@ -300,10 +300,15 @@ class FgAbGroup:
     torsion is an ascending divisibility chain with every entry >= 2, so
     equal dataclasses mean isomorphic groups.  Element coordinates list the
     free coordinates first, then the torsion coordinates in chain order.
+    moduli holds, per coordinate, what it is reduced by: 0 for a free
+    coordinate, which is not reduced, and t for a torsion coordinate of
+    order t.  Code doing arithmetic on raw coordinate tuples reduces them
+    by moduli, as `_reduce` does.
     """
 
     free_rank: int
     torsion: tuple[int, ...]
+    moduli: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:
@@ -313,6 +318,7 @@ class FgAbGroup:
                 raise ValueError("torsion factors must be >= 2")
             if i and t % self.torsion[i - 1] != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
+        object.__setattr__(self, "moduli", (0,) * self.free_rank + self.torsion)
 
     @property
     def n_coords(self) -> int:
@@ -329,10 +335,7 @@ class FgAbGroup:
         return GroupElt(self, self._reduce(coords))
 
     def _reduce(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        r = self.free_rank
-        return coords[:r] + tuple(
-            c % t for c, t in zip(coords[r:], self.torsion)
-        )
+        return tuple([c % m if m else c for c, m in zip(coords, self.moduli)])
 
     def zero(self) -> "GroupElt":
         return GroupElt(self, (0,) * self.n_coords)

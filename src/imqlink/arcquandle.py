@@ -150,14 +150,14 @@ def _coset_table(
     kernel = marking_kernel(mod)
     elems: list[GroupElt] = []
     comp_of: list[int] = []
-    index: dict[GroupElt, int] = {}
+    index: dict[tuple[int, ...], int] = {}  # by coordinates in mod.group
     for i, comp in enumerate(mod.diagram.components):
         rep = mod.arc_class[comp.arcs[0]]
         for k in kernel:
             e = rep + k
-            if e in index:
+            if e.coords in index:
                 raise InternalCheckError("coset representatives collide")
-            index[e] = len(elems)
+            index[e.coords] = len(elems)
             elems.append(e)
             comp_of.append(i)
     mu = mod.mu
@@ -167,15 +167,25 @@ def _coset_table(
     if len(elems) != expected // (1 << (mu - 1)):
         raise InternalCheckError("coset count disagrees with size formula")
 
-    op = []
-    for x in elems:
-        row = []
-        for y in elems:
-            z = y.smul(2) - x
-            if z not in index:
-                raise InternalCheckError("cosets not closed under the operation")
-            row.append(index[z])
-        op.append(row)
+    # 2y - x on coordinate tuples, reduced by the group's moduli exactly as
+    # GroupElt arithmetic reduces them; no GroupElt is built per product
+    moduli = mod.group.moduli
+    doubled = [tuple([2 * c for c in y.coords]) for y in elems]
+    try:
+        op = [
+            [
+                index[
+                    tuple([
+                        (d - c) % m if m else d - c
+                        for c, d, m in zip(x.coords, y2, moduli)
+                    ])
+                ]
+                for y2 in doubled
+            ]
+            for x in elems
+        ]
+    except KeyError:
+        raise InternalCheckError("cosets not closed under the operation") from None
     labels = {i: (comp_of[i], e) for i, e in enumerate(elems)}
     q = FiniteQuandle(op, labels=labels)
 

@@ -216,13 +216,9 @@ def _emit(rep: dict, fmt: str, out=None) -> None:
 def cmd_report(args) -> int:
     d = _load(args.path)
     code = EXIT_OK
-    try:
-        rep, res = build_report(
-            d, Path(args.path).stem, run_imq=not args.no_imq, imq_cap=args.imq_cap
-        )
-    except CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
+    rep, res = build_report(
+        d, Path(args.path).stem, run_imq=not args.no_imq, imq_cap=args.imq_cap
+    )
     _emit(rep, args.format)
     if args.dump_quandle:
         if res is not None:
@@ -304,8 +300,14 @@ def cmd_compare(args) -> int:
 # corpus runs with a content-addressed cache
 
 
+# Part of every cache key.  Bump it with any engine change that alters a
+# report, so that a cache written before the change is not served after it;
+# tests/test_machine_output.py pins it to the recorded gate files.
+CACHE_SCHEMA = 1
+
+
 def _cache_key(d: LinkDiagram, no_imq: bool, imq_cap: int | None) -> str:
-    material = serialize_diagram(d) + "\n" + __version__
+    material = f"{serialize_diagram(d)}\n{__version__}\nschema:{CACHE_SCHEMA}"
     if no_imq or imq_cap is not None:
         material += f"\nflags:no_imq={no_imq},imq_cap={imq_cap}"
     return hashlib.sha256(material.encode()).hexdigest()
@@ -515,7 +517,11 @@ def main(argv=None) -> int:
             for v in e.violations:
                 print(f"  {v}", file=sys.stderr)
         else:
-            print(f"{label}: {e}", file=sys.stderr)
+            # some messages already start with their label
+            msg = str(e)
+            if not msg.startswith(f"{label}:"):
+                msg = f"{label}: {msg}"
+            print(msg, file=sys.stderr)
         return code
 
 

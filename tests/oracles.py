@@ -252,6 +252,14 @@ def build_partition_quandle(
 # the coset quandle and the presented quandle
 
 
+def literal_coset_table(qa: ArcQuandle) -> list[list[int]]:
+    """Q_A's table built the literal way: x |> y = 2y - x in GroupElt
+    arithmetic, looked up by element.  The package computes the same
+    products on reduced coordinate tuples."""
+    index = {e: i for i, e in enumerate(qa.elements)}
+    return [[index[y.smul(2) - x] for y in qa.elements] for x in qa.elements]
+
+
 def orbit_component(qa: ArcQuandle) -> dict[int, int]:
     """The component of each orbit of the coset quandle, by orbit index."""
     out = {}

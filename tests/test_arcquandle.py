@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,12 @@ from imqlink.arcquandle import (
 )
 from imqlink.diagram import parse_diagram
 from imqlink.fixtures import fixture_text
-from imqlink.linkmodule import build_link_module, link_determinant, weight_kernel
+from imqlink.linkmodule import (
+    InternalCheckError,
+    build_link_module,
+    link_determinant,
+    weight_kernel,
+)
 from imqlink.quandle import (
     UnionFind,
     automorphisms,
@@ -30,6 +36,7 @@ from imqlink.quandle import (
 from oracles import (
     compare_with_characteristic,
     displacement_matches_kernel,
+    literal_coset_table,
     orbit_component,
 )
 
@@ -72,6 +79,23 @@ def test_orbits_are_components(name, arc_quandles):
         comp, elt = qa.quandle.labels[i]
         assert qa.component_of[i] == comp
         assert qa.module.parity(elt)[comp] == 1
+
+
+@pytest.mark.parametrize("name", ("trefoil", "fig8", "t22t24"))
+def test_coset_table_closure_check_fires(name, diagrams, monkeypatch):
+    # shifting one kernel element by a free unit makes the sets the table
+    # is built on cosets of no subgroup, so some 2y - x falls outside them
+    real = arcquandle.marking_kernel
+
+    def shifted(mod):
+        kernel = real(mod)
+        return [kernel[0] + mod.group.unit(0)] + kernel[1:]
+
+    monkeypatch.setattr(arcquandle, "marking_kernel", shifted)
+    with pytest.raises(
+        InternalCheckError, match="cosets not closed under the operation"
+    ):
+        build_arc_quandle(build_link_module(diagrams[name]))
 
 
 @pytest.mark.parametrize("name", INFINITE)
@@ -282,6 +306,24 @@ def test_reindexing_runs_one_search_per_unjoined_pair(
     assert 1 <= len(found) <= mod.mu * (mod.mu - 1) // 2
     # every witness joins two classes: no pair already joined is searched
     assert sum(found) == mod.mu - len(report.classes)
+
+
+GATE_DIAGRAMS = Path(__file__).with_name("diagrams")
+GATE_NAMES = tuple(sorted(p.stem for p in GATE_DIAGRAMS.glob("*.json")))
+
+
+@pytest.mark.parametrize("name", FINITE + CHAIN_NAMES + GATE_NAMES)
+def test_coset_table_matches_literal_oracle(name, modules, chain_modules):
+    if name in modules:
+        mod = modules[name]
+    elif name in chain_modules:
+        mod = chain_modules[name]
+    else:
+        text = (GATE_DIAGRAMS / f"{name}.json").read_text()
+        mod = build_link_module(parse_diagram(text))
+    qa = build_arc_quandle(mod)
+    assert [list(row) for row in qa.quandle.op] == literal_coset_table(qa)
+    assert [qa.quandle.labels[i][1] for i in range(qa.quandle.n)] == qa.elements
 
 
 def test_t22t24_distinguished_component_has_small_doubling_fiber(arc_quandles):

@@ -85,6 +85,14 @@ def test_report_cap_exit(tmp_path, capsys):
     assert "resource cap" in err
 
 
+def test_cap_error_is_labelled_once_by_every_command(tmp_path, capsys):
+    path = write_fixture(tmp_path, "trefoil")
+    for argv in (("report", path), ("compare", path, path)):
+        code, _, err = run(capsys, "--imq-cap", "2", *argv)
+        assert code == 3
+        assert err == "resource cap: element limit reached\n"
+
+
 def test_dump_quandle(tmp_path, capsys):
     path = write_fixture(tmp_path, "trefoil")
     out_path = tmp_path / "trefoil.quandle"
@@ -251,6 +259,14 @@ def test_corpus_flags_change_cache_key(tmp_path, capsys, monkeypatch):
     assert data["summary"]["cache_hits"] == 0
     for r in data["rows"]:
         assert r["imq"] == ("infinite" if r["determinant"] == 0 else "skipped")
+
+
+def test_cache_schema_is_part_of_the_cache_key(diagrams, monkeypatch):
+    d = diagrams["trefoil"]
+    keys = {cli._cache_key(d, False, None)}
+    monkeypatch.setattr(cli, "CACHE_SCHEMA", cli.CACHE_SCHEMA + 1)
+    keys.add(cli._cache_key(d, False, None))
+    assert len(keys) == 2
 
 
 def test_corpus_survives_one_bad_file(tmp_path, capsys, monkeypatch):

@@ -15,10 +15,12 @@ byte of this output changes behaviour: it re-records the file from
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
 
+from imqlink import cli
 from imqlink.cli import main
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 
@@ -29,6 +31,16 @@ DIAGRAMS = Path(__file__).with_name("diagrams")
 # and [2, 6]; chain_2_3_pad30 is chain_word [2, 3] then pad_r2 to 30 letters
 # on one Random(1)
 LARGE = ("t2_13", "chain_2_2_2", "chain_2_6", "chain_2_3_pad30")
+# SHA-256 of the two recorded files under each cache schema, oldest first.
+# Re-recording them means reports changed, so a corpus cache written before
+# is stale: bump `cli.CACHE_SCHEMA` and add its entry here; never edit an
+# old one.
+RECORDED_BY_SCHEMA = {
+    1: (
+        "d73fbf80bb657e08abd9e8f38660eca1c71b7405b3542b2ae19bf9787cfa0b98",
+        "aff1e5f5b1c2d55a510351633ccf40b2d10bdf1f8cb720be960d702f3fcc29ca",
+    ),
+}
 
 
 def _run(capsys, *argv) -> dict:
@@ -83,3 +95,12 @@ def test_machine_output_is_byte_identical(tmp_path, capsys, monkeypatch):
 def test_larger_tables_are_byte_identical(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("QUANDLE_CACHE", raising=False)
     _assert_recorded(large_outputs(tmp_path, capsys), RECORDED_LARGE)
+
+
+def test_cache_schema_is_bumped_with_the_recorded_outputs():
+    digests = tuple(
+        hashlib.sha256(p.read_bytes()).hexdigest() for p in (RECORDED, RECORDED_LARGE)
+    )
+    assert cli.CACHE_SCHEMA == max(RECORDED_BY_SCHEMA)
+    assert RECORDED_BY_SCHEMA[cli.CACHE_SCHEMA] == digests
+    assert len(set(RECORDED_BY_SCHEMA.values())) == len(RECORDED_BY_SCHEMA)
