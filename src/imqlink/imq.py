@@ -2,12 +2,21 @@
 diagram.
 
 One generator per arc, relations under |> over = other under at each
-crossing.  The finite quandle these present is found by saturation: a
-union-find tracks forced equalities, a partial table holds forced
-products, and deductions run until the table is quiet; only then is the
-oldest undefined product given a fresh element.  Elements are created only
-when forced and merged only when forced, so the closed table is the
-initial model of the presentation.
+crossing.  `compute_imq` finds the finite quandle these present in one of
+two ways, by the number of components mu.
+
+For mu <= 2 it is the arc-coset quandle Q_A, which every report builds
+anyway: Q_A satisfies the relations and is generated by the arcs, and its
+size |det| bounds the presented quandle's from above, so the two are
+equal (`compute_imq` gives the argument).  Its table is renumbered, not
+saturated.
+
+For mu >= 3 it is found by saturation: a union-find tracks forced
+equalities, a partial table holds forced products, and deductions run
+until the table is quiet; only then is the oldest undefined product given
+a fresh element.  Elements are created only when forced and merged only
+when forced, so the closed table is the initial model of the
+presentation.
 
 Deductions follow the deduction-stack discipline of coset enumeration.
 Every new product goes on a queue.  A popped product joins per-element
@@ -22,6 +31,9 @@ A quiet table is the least congruence-closed partial table holding the
 facts so far, and that does not depend on the order of deductions.  So
 fresh elements are created in the same order whatever that order, and the
 final table is identical for every `seed`.
+
+Both ways end in `_finish`, which checks the quandle axioms, every
+crossing relation and the orbit count on the table.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .arcquandle import ArcQuandle
+from .arcquandle import ArcQuandle, build_arc_quandle
 from .diagram import LinkDiagram
 from .linkmodule import InternalCheckError, LinkModule
 from .quandle import CapExceeded, FiniteQuandle, UnionFind, check_axioms, orbits
@@ -209,20 +221,87 @@ def compute_imq(
     Rejects determinant-zero diagrams (the presented quandle is then
     infinite).  `max_elements` defaults to 64 times the size bound
     mu*det/2, floor 10000; exceeding it raises CapExceeded, which is
-    distinct from the infinite case.  `max_steps` caps the number of
-    steps, each one closure to quiet plus one fresh element, raising
-    CapExceeded too.  `seed` shuffles the order in which deductions are
-    popped; the table comes out identical for every seed.
+    distinct from the infinite case.
+
+    For mu <= 2 the table is the arc-coset quandle Q_A's, relabelled, and
+    nothing is saturated.  This is exact:
+    - Q_A satisfies the presentation: `_finish` checks the quandle axioms
+      and every crossing relation on the arc elements.
+    - Q_A is generated by the arc elements: listing its elements from them
+      by products reaches every element, or raises.
+    - So IMQ(L) surjects onto Q_A.
+    - |IMQ(L)| <= |det| = |Q_A|: by Joyce for mu = 1, and by the bound
+      mu*det/2 for mu = 2; |Q_A| = mu*det/2^(mu-1) = |det| in both cases.
+    - So the surjection is a bijection, and Q_A is IMQ(L).
+    On this path `elements_created` is |Q_A|, and the cap applies to it.
+
+    For mu >= 3 the table is found by saturation.  `max_steps` caps the
+    number of steps, each one closure to quiet plus one fresh element,
+    raising CapExceeded too.  `seed` shuffles the order in which
+    deductions are popped; the table comes out identical for every seed.
+    Neither is read for mu <= 2.
+
+    For mu <= 2 the elements are numbered thus: first the arc elements, in
+    order of their least arc; then, one at a time, the first product
+    x |> y not numbered yet, over the pairs of elements numbered so far in
+    lexicographic order.  Saturation numbers them in order of creation,
+    and on every diagram the tests try that is the same order.
     """
     d = mod.diagram
     det = mod.determinant
     if det == 0:
         raise ValueError("infinite quandle: determinant is zero")
-    bound = d.mu * det // 2
     if max_elements is None:
-        max_elements = max(64 * bound, 10_000)
-    rng = random.Random(seed) if seed is not None else None
+        max_elements = max(64 * (d.mu * det // 2), 10_000)
+    if d.mu <= 2:
+        return _from_arc_quandle(mod, max_elements)
+    return _saturate(mod, max_elements, max_steps, seed)
 
+
+def _from_arc_quandle(mod: LinkModule, max_elements: int) -> ImqResult:
+    """Q_A's table, renumbered in the order `compute_imq` states."""
+    d = mod.diagram
+    qa = build_arc_quandle(mod)
+    table = qa.quandle.op
+    n = len(table)
+    if n > max_elements:
+        raise CapExceeded("resource cap: element limit reached")
+    index = {e.coords: i for i, e in enumerate(qa.elements)}
+    arcs = [index[mod.arc_class[a].coords] for a in range(d.n_arcs)]
+    # order lists Q_A elements by new number; number inverts it
+    order: list[int] = []
+    number = [-1] * n
+    for i in arcs:
+        if number[i] < 0:
+            number[i] = len(order)
+            order.append(i)
+    # numbered[x]: how many leading products x |> y, y in order, are
+    # numbered; numbering only grows, so the scan of a row resumes there
+    numbered = [0] * n
+    while len(order) < n:
+        for x in range(len(order)):
+            row = table[order[x]]
+            k = numbered[x]
+            while k < len(order) and number[row[order[k]]] >= 0:
+                k += 1
+            numbered[x] = k
+            if k < len(order):
+                z = row[order[k]]
+                number[z] = len(order)
+                order.append(z)
+                break
+        else:
+            raise InternalCheckError("quandle not generated by its arc elements")
+    op = [[number[table[x][y]] for y in order] for x in order]
+    return _finish(d, op, [number[i] for i in arcs], n)
+
+
+def _saturate(
+    mod: LinkModule, max_elements: int, max_steps: int, seed: int | None
+) -> ImqResult:
+    """The presented quandle by saturation; see the module docstring."""
+    d = mod.diagram
+    rng = random.Random(seed) if seed is not None else None
     s = _Saturator(max_elements, rng)
     gen = [s.fresh() for _ in range(d.n_arcs)]
     for c in d.crossings:
@@ -253,25 +332,31 @@ def compute_imq(
     op = [[0] * n for _ in range(n)]
     for (x, y), z in s.table.items():
         op[relabel[x]][relabel[y]] = relabel[z]
-    labels: dict[int, object] = {i: () for i in range(n)}
-    arc_element = []
-    for a in range(d.n_arcs):
-        e = relabel[s.find(gen[a])]
-        arc_element.append(e)
+    arc_element = [relabel[s.find(gen[a])] for a in range(d.n_arcs)]
+    return _finish(d, op, arc_element, s.created)
+
+
+def _finish(
+    d: LinkDiagram, op: list[list[int]], arc_element: list[int], created: int
+) -> ImqResult:
+    """Label each element by its arcs and check the table: the quandle
+    axioms, every crossing relation, and one orbit per component."""
+    labels: dict[int, object] = {i: () for i in range(len(op))}
+    for a, e in enumerate(arc_element):
         labels[e] = (*labels[e], d.arc_names[a])
     q = FiniteQuandle(op, labels=labels)
 
     bad = check_axioms(q)
     if bad:
-        raise InternalCheckError(f"saturation closed on a non-quandle: {bad[0]}")
+        raise InternalCheckError(f"presented table is not a quandle: {bad[0]}")
     for c in d.crossings:
         u, v = c.under
         if q.op[arc_element[u]][arc_element[c.over]] != arc_element[v]:
-            raise InternalCheckError("crossing relation lost in saturation")
+            raise InternalCheckError("crossing relation fails in the presented table")
     if len(orbits(q)) != d.mu:
         raise InternalCheckError("orbit count differs from component count")
     return ImqResult(
-        quandle=q, arc_element=arc_element, diagram=d, elements_created=s.created
+        quandle=q, arc_element=arc_element, diagram=d, elements_created=created
     )
 
 

@@ -80,6 +80,30 @@ def open_deduction(table: dict[tuple[int, int], int]) -> str | None:
     return None
 
 
+def stated_element_order(q: FiniteQuandle, arc_element: list[int]) -> list[int]:
+    """The elements of q in the order `compute_imq` numbers them: the arc
+    elements by least arc, then, one at a time, the first product x|>y
+    not yet listed, rescanning the pairs of listed elements in
+    lexicographic order from the start after every addition."""
+    order: list[int] = []
+    for e in arc_element:
+        if e not in order:
+            order.append(e)
+    while len(order) < q.n:
+        new = next(
+            (
+                q.op[x][y]
+                for x, y in itertools.product(order, repeat=2)
+                if q.op[x][y] not in order
+            ),
+            None,
+        )
+        if new is None:
+            raise InternalCheckError("quandle not generated by its arc elements")
+        order.append(new)
+    return order
+
+
 def dense_mat_mul(a: list[list[int]], b: list[list[int]], n_cols_b: int | None = None) -> list[list[int]]:
     """Product a*b by the literal triple loop over every entry, zeros
     included.  n_cols_b gives the width of an empty b."""

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,15 @@ def test_cap_error_is_labelled_once_by_every_command(tmp_path, capsys):
         code, _, err = run(capsys, "--imq-cap", "2", *argv)
         assert code == 3
         assert err == "resource cap: element limit reached\n"
+
+
+@pytest.mark.parametrize("cap,code", ((5, 3), (6, 0)))
+def test_cap_counts_the_arc_quandle_for_two_components(cap, code, capsys):
+    # |Q_A| = 6 for this mu = 2 diagram; saturation created 32 elements
+    path = Path(__file__).with_name("diagrams") / "chain_2_3_pad30.json"
+    got, _, err = run(capsys, "--imq-cap", str(cap), "report", str(path))
+    assert got == code
+    assert err == ("resource cap: element limit reached\n" if code else "")
 
 
 def test_dump_quandle(tmp_path, capsys):

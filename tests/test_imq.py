@@ -1,7 +1,9 @@
-"""Saturation of the presented quandle, its size bounds, and the
-surjection onto the arc-class quandle."""
+"""The presented quandle, read off the arc-coset quandle for one or two
+components and saturated otherwise; its size bounds, and the surjection
+onto the arc-class quandle."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from oracles import (
     literal_axiom_violations,
     longitude_fixes_orbit,
     open_deduction,
+    stated_element_order,
 )
 
 from imqlink import imq
@@ -46,6 +49,12 @@ def _recorded_table(name):
 def _large_module(name):
     text = (RECORDED_LARGE.parent / "diagrams" / f"{name}.json").read_text()
     return build_link_module(parse_diagram(text))
+
+
+def _saturate(mod, seed=None):
+    # the saturation path, which compute_imq takes only for mu >= 3
+    return imq._saturate(mod, 10_000, 100_000, seed)
+
 
 EXPECTED = {
     "hopf2": (6, [2, 2, 2]),
@@ -225,7 +234,7 @@ def test_seeded_runs_agree_up_to_isomorphism(name, modules, imq_results):
     # even the element numbering unchanged
     base = imq_results[name].quandle
     for seed in (0, 1, 2):
-        r = compute_imq(modules[name], seed=seed)
+        r = _saturate(modules[name], seed=seed)
         assert r.quandle.n == base.n
         assert is_isomorphic(r.quandle, base) is not None
         assert serialize_quandle(r.quandle) == serialize_quandle(base)
@@ -301,7 +310,7 @@ def test_seeded_runs_match_recorded_larger_tables(name):
     want = _recorded_table(name)
     mod = _large_module(name)
     for seed in (None, 0, 1, 2):
-        res = compute_imq(mod, seed=seed)
+        res = _saturate(mod, seed=seed)
         assert serialize_quandle(res.quandle) == want
         assert res.elements_created == CREATED_LARGE[name]
 
@@ -325,5 +334,82 @@ def test_every_closure_is_quiet(name, modules, monkeypatch):
     monkeypatch.setattr(imq._Saturator, "close", checked_close)
     for seed in (None, 0, 1):
         closures.clear()
-        res = compute_imq(mod, seed=seed)
+        res = _saturate(mod, seed=seed)
         assert closures[-1] == res.quandle.n ** 2
+
+
+# twist-chain regions with mu <= 2 and det <= 36; each is drawn plain,
+# R2-padded, and R2-padded then redrawn
+MU_LE_2_CHAINS = (
+    (3,), (9,), (15,), (21,), (3, 3), (3, 5), (3, 7), (3, 3, 3),
+    (2,), (4,), (2, 3), (4, 3), (2, 9), (3, 6), (3, 2, 3), (4, 9),
+)
+
+
+@pytest.fixture(scope="module")
+def mu_le_2_chains(perfbench_module):
+    gen = perfbench_module("gen")
+    rng = random.Random(1)
+    out = []
+    for regions in MU_LE_2_CHAINS:
+        strands = len(regions) + 1
+        word = gen.chain_word(list(regions), rng)
+        padded = gen.pad_r2(word, strands, len(word) + 8, rng)
+        for obj in (
+            gen.closure(word, strands),
+            gen.closure(padded, strands),
+            gen.redraw(gen.closure(padded, strands), rng),
+        ):
+            mod = build_link_module(parse_diagram(gen.to_text(obj)))
+            assert mod.mu <= 2 and 0 < mod.determinant <= 36
+            out.append((regions, mod))
+    return out
+
+
+@pytest.mark.parametrize("name", ("trefoil", "fig8", "t2_13", "chain_2_3_pad30"))
+def test_arc_quandle_path_equals_saturation(name, modules):
+    mod = modules[name] if name in modules else _large_module(name)
+    res, sat = compute_imq(mod), _saturate(mod)
+    assert serialize_quandle(res.quandle) == serialize_quandle(sat.quandle)
+    assert res.arc_element == sat.arc_element
+    assert res.quandle.labels == sat.quandle.labels
+
+
+def test_arc_quandle_path_equals_saturation_on_twist_chains(mu_le_2_chains):
+    with_armless_element = 0
+    for regions, mod in mu_le_2_chains:
+        res, sat = compute_imq(mod), _saturate(mod)
+        assert serialize_quandle(res.quandle) == serialize_quandle(sat.quandle), regions
+        assert res.arc_element == sat.arc_element, regions
+        with_armless_element += len(set(res.arc_element)) < res.quandle.n
+    # elements that contain no arc are numbered by the product loop, not
+    # by the arcs, so the loop's order is compared too
+    assert with_armless_element > 0
+
+
+def test_knot_imq_is_core_of_kernel_on_twist_chains(mu_le_2_chains):
+    # Joyce: IMQ(K) is the core quandle of H_1 of the double branched cover
+    knots = [(r, mod) for r, mod in mu_le_2_chains if mod.mu == 1]
+    assert knots
+    for regions, mod in knots:
+        q = compute_imq(mod).quandle
+        assert is_isomorphic(q, core_quandle(mod.kernel)) is not None, regions
+
+
+def test_mu_le_2_never_saturates(modules, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("saturation started for mu <= 2")
+
+    monkeypatch.setattr(imq, "_Saturator", refuse)
+    for name in ("trefoil", "fig8", "t2_13", "chain_2_3_pad30"):
+        mod = modules[name] if name in modules else _large_module(name)
+        res = compute_imq(mod)
+        assert res.quandle.n == res.elements_created == mod.determinant
+
+
+@pytest.mark.parametrize("name", FINITE + tuple(sorted(CREATED_LARGE)))
+def test_elements_are_numbered_in_the_stated_order(name, modules, imq_results):
+    # the order --dump-quandle writes, on both paths
+    res = imq_results[name] if name in imq_results else compute_imq(_large_module(name))
+    q = res.quandle
+    assert stated_element_order(q, res.arc_element) == list(range(q.n))
