@@ -11,6 +11,9 @@ A tall relation matrix whose quotient is needed only up to isomorphism can
 first go through `row_lattice_basis`, which reduces its rows by unimodular
 steps to a Hermite basis of at most one row per column; its certificate is
 that every input row ends as a basis row or reduces to zero.
+`_gf2_echelon` and `_gf2_reduce` are the package's one eliminator over
+GF(2); the coset quandle's marking questions and the parity part of the
+IMQ's displacement mesh both use them.
 """
 
 from __future__ import annotations
@@ -175,6 +178,40 @@ def row_lattice_basis(rows: Matrix, n_cols: int) -> Matrix:
             if any(r):
                 raise AssertionError("row_lattice_basis: a row did not reduce to zero")
     return [basis[j] for j in sorted(basis)]
+
+
+def _gf2_reduce(basis: list[int], v: int) -> int:
+    """v with the pivot (lowest set bit) of each row cleared in turn; for
+    the rows of `_gf2_echelon` this clears every pivot.  That residue is
+    the one vector of v's coset vanishing at every pivot, so it is linear
+    in v.  Vectors over GF(2) are bitmasks: bit k is coordinate k."""
+    for b in basis:
+        if v & b & -b:
+            v ^= b
+    return v
+
+
+def _gf2_echelon(vectors: list[int]) -> tuple[list[int], list[int]]:
+    """Forward elimination over GF(2), in input order.
+
+    Returns an echelon basis of the span and a basis of the null space:
+    bitmasks c over the inputs with the XOR of vectors[i] over the bits i
+    of c equal to 0.  Each row vanishes at the pivots of the rows before
+    it, so `_gf2_reduce` by the rows gives the same residue for every
+    echelon basis of one span.
+    """
+    width = max((v.bit_length() for v in vectors), default=0)
+    low = (1 << width) - 1
+    rows: list[int] = []
+    null: list[int] = []
+    for idx, v in enumerate(vectors):
+        # a tail above the coordinates records which inputs were combined
+        v = _gf2_reduce(rows, v | 1 << (width + idx))
+        if v & low:
+            rows.append(v)
+        else:
+            null.append(v >> width)
+    return [r & low for r in rows], null
 
 
 def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:

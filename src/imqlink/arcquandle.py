@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from .abelian import (
     FgAbGroup,
     GroupElt,
+    _gf2_echelon,
+    _gf2_reduce,
     left_kernel_basis,
     smith_normal_form,
     subgroup_contains,
@@ -33,51 +35,26 @@ Bits = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# small GF(2) helpers on tuple vectors
+# small GF(2) helpers on tuple vectors; the eliminator in `abelian` takes
+# them as bitmasks
 
 
-def _gf2_reduce(basis: list[Bits], v: Bits) -> Bits:
-    """v with the pivot (first nonzero coordinate) of each row cleared in
-    turn; for the rows of `_gf2_echelon` this clears every pivot."""
-    for b in basis:
-        if v[b.index(1)]:
-            v = tuple((a + c) % 2 for a, c in zip(v, b))
-    return v
-
-
-def _gf2_echelon(vectors: list[Bits]) -> tuple[list[Bits], list[list[int]]]:
-    """Forward elimination over GF(2), in input order.
-
-    Returns an echelon basis of the span and a basis of the null space:
-    0/1 coefficient vectors c with sum(c_i * vectors[i]) == 0.  Each row
-    vanishes at the pivots of the rows before it, so `_gf2_reduce` by the
-    rows gives the same residue for every echelon basis of one span.
-    """
-    n = len(vectors)
-    width = len(vectors[0]) if vectors else 0
-    rows: list[Bits] = []
-    null: list[list[int]] = []
-    for idx, v in enumerate(vectors):
-        # an identity tail records which inputs were combined
-        v = _gf2_reduce(rows, v + tuple(int(i == idx) for i in range(n)))
-        if any(v[:width]):
-            rows.append(v)
-        else:
-            null.append(list(v[width:]))
-    return [r[:width] for r in rows], null
+def _mask(bits: Bits) -> int:
+    return sum(b << k for k, b in enumerate(bits))
 
 
 def _gf2_solve(cols: list[Bits], target: Bits) -> list[int] | None:
     """0/1 coefficients with sum(c_i * cols[i]) == target, or None.  They
     are read off the null vector of cols + [target] that uses the target;
     only the last input's null vector can."""
-    null = _gf2_echelon(cols + [target])[1]
-    return null[-1][:-1] if null and null[-1][-1] else None
+    n = len(cols)
+    null = _gf2_echelon([_mask(v) for v in cols + [target]])[1]
+    return [null[-1] >> i & 1 for i in range(n)] if null and null[-1] >> n & 1 else None
 
 
-def _gf2_same_span(a: list[Bits], b: list[Bits]) -> bool:
+def _gf2_same_span(a: list[int], b: list[int]) -> bool:
     ba, bb = _gf2_echelon(a)[0], _gf2_echelon(b)[0]
-    return len(ba) == len(bb) and all(not any(_gf2_reduce(ba, v)) for v in bb)
+    return len(ba) == len(bb) and not any(_gf2_reduce(ba, v) for v in bb)
 
 
 def _gf2_unimodular_lift(rows: list[Bits]) -> list[list[int]]:
@@ -346,8 +323,8 @@ def _explicit_free_generators(
     # invertible over GF(2); row choices differ by the kernel of the
     # block map modulo torsion parities
     kernel_span: set[Bits] = {tuple([0] * m)}
-    for vec in _gf2_echelon(cols_tail + cols_tg)[1]:
-        head = tuple(v % 2 for v in vec[:m])
+    for vec in _gf2_echelon([_mask(v) for v in cols_tail + cols_tg])[1]:
+        head = tuple(vec >> i & 1 for i in range(m))
         kernel_span |= {
             tuple((a + b) % 2 for a, b in zip(s, head)) for s in kernel_span
         }
@@ -365,7 +342,7 @@ def _explicit_free_generators(
             return True
         for k in kernel_span:
             cand = tuple((a + b) % 2 for a, b in zip(particular[j], k))
-            if len(_gf2_echelon(chosen + [cand])[0]) == j + 1:
+            if len(_gf2_echelon([_mask(v) for v in chosen + [cand]])[0]) == j + 1:
                 chosen.append(cand)
                 if extend(j + 1):
                     return True
@@ -488,7 +465,9 @@ def characteristic_compatibility(
         def block(x: GroupElt) -> Bits:
             return _parity_block(mod, x, ordering)
 
-        p_torsion = _gf2_echelon([block(t) for t in mod.group.torsion_elements()])[0]
+        p_torsion = _gf2_echelon(
+            [_mask(block(t)) for t in mod.group.torsion_elements()]
+        )[0]
 
         unit = {
             j: tuple(1 if i == j else 0 for i in range(mu - 1))
@@ -517,14 +496,14 @@ def characteristic_compatibility(
         used = set(found_slots or ())
         remaining = [unit[j] for j in range(mu - 1) if j not in used]
 
-        v1 = block(adapted[0])
-        rest = [block(c) for c in adapted[1:]]
+        v1 = _mask(block(adapted[0]))
+        rest = [_mask(block(c)) for c in adapted[1:]]
         reduced_rest = [_gf2_reduce(p_torsion, v) for v in rest]
-        reduced_units = [_gf2_reduce(p_torsion, u) for u in remaining]
+        reduced_units = [_gf2_reduce(p_torsion, _mask(u)) for u in remaining]
         if not _gf2_same_span(reduced_rest, reduced_units):
             continue
         basis_rest = _gf2_echelon(reduced_rest)[0]
-        if any(_gf2_reduce(basis_rest, _gf2_reduce(p_torsion, v1))):
+        if _gf2_reduce(basis_rest, _gf2_reduce(p_torsion, v1)):
             continue
         torsion_gens = found_gens or []
         torsion_slots = list(found_slots or ())
@@ -606,8 +585,10 @@ def _marking_search_det0(m1: LinkModule, m2: LinkModule) -> MarkingComparison:
     torsion_order = len(list(m1.group.torsion_elements()))
     adapted1 = _weight_adapted_basis(m1)
     adapted2 = _weight_adapted_basis(m2)
-    p_torsion2 = _gf2_echelon([m2.parity(t) for t in m2.group.torsion_elements()])[0]
-    sources = [m2.parity(c) for c in adapted2]
+    p_torsion2 = _gf2_echelon(
+        [_mask(m2.parity(t)) for t in m2.group.torsion_elements()]
+    )[0]
+    sources = [_mask(m2.parity(c)) for c in adapted2]
     red_s = [_gf2_reduce(p_torsion2, v) for v in sources[1:]]
     basis_s = _gf2_echelon(red_s)[0]
     s0 = _gf2_reduce(basis_s, _gf2_reduce(p_torsion2, sources[0]))
@@ -631,7 +612,7 @@ def _marking_search_det0(m1: LinkModule, m2: LinkModule) -> MarkingComparison:
             # free part: m2's weight-adapted basis must realize the
             # tau-mapped parities of m1's, modulo torsion parities and an
             # invertible mod-2 change of basis
-            targets = [shuffle(m1.parity(c)) for c in adapted1]
+            targets = [_mask(shuffle(m1.parity(c))) for c in adapted1]
             red_t = [_gf2_reduce(p_torsion2, v) for v in targets[1:]]
             if not _gf2_same_span(red_s, red_t):
                 continue

@@ -2,203 +2,267 @@
 diagram.
 
 One generator per arc, relations under |> over = other under at each
-crossing.  `compute_imq` finds the finite quandle these present in one of
-two ways, by the number of components mu.
+crossing.  `compute_imq` lists the finite quandle IMQ(L) these present from
+the arc elements, inside a quandle known to contain it, and numbers the
+elements in the order it states.  Which quandle depends on the number of
+components mu.
 
 For mu <= 2 it is the arc-coset quandle Q_A, which every report builds
-anyway: Q_A satisfies the relations and is generated by the arcs, and its
-size |det| bounds the presented quandle's from above, so the two are
-equal (`compute_imq` gives the argument).  Its table is renumbered, not
-saturated.
+anyway; `compute_imq` gives the argument that Q_A is IMQ(L).
 
-For mu >= 3 it is found by saturation: a union-find tracks forced
-equalities, a partial table holds forced products, and deductions run
-until the table is quiet; only then is the oldest undefined product given
-a fresh element.  Elements are created only when forced and merged only
-when forced, so the closed table is the initial model of the
-presentation.
+For mu >= 3 it is an affine displacement mesh M.  Let a_i be the first arc
+of component i and kappa(a) the component of arc a.
+- D is the free abelian group on g_a, one per arc, with g_{a_i} = 0, and
+  on d_ij for i < j.  Set d_ji = -d_ij and d_ii = 0.
+- R_i holds, per crossing with over arc o and under arcs u, u' on
+  component i, the row 2g_o - g_u - g_u' + d_{i,kappa(o)}.
+- C_k holds the rows d_ij - d_kj + d_ki for all i, j.
+- T = R + C, with R the sum of all R_k and C of all C_k, and
+  S_i = R_i + C_i + 2T.
+- M is the disjoint union of the D/S_i, with
+  (g, i) |> (h, j) = (2h - g + d_ij, i).  Arc a is (g_a, kappa(a)).
 
-Deductions follow the deduction-stack discipline of coset enumeration.
-Every new product goes on a queue.  A popped product joins per-element
-indexes of processed products (rows and columns) and is replayed against
-processed products only, once in each inner role it can play in a
-mediality instance.  So each instance is examined when its last premise
-arrives, and no deduction rescans the table.  A merge re-queues only the
-products that named the absorbed class.  A step, as counted by
-`max_steps`, is one closure to quiet plus one fresh element.
+IMQ(L) is the subquandle of M that the arcs generate.  This is exact:
+- M is an involutory medial quandle.  |> is well defined, as 2S_j lies in
+  2T, inside S_i.  d_ii = 0 gives idempotence, and applying (h, j) twice
+  gives 2h - (2h - g + d_ij) + d_ij = g.  For w, x, y, z in components i,
+  j, k, l the two sides of mediality differ by
+  2(d_kl - d_jl + d_ik - d_ij) = 2(c_i + c_j), with c_i in C_i and c_j in
+  C_j, which lies in 2T, inside S_i.
+- M satisfies every crossing relation: u |> o and u' differ by a row of
+  R_i.
+- Take any involutory medial quandle Q that the arcs generate and that
+  satisfies the crossing relations.  Dis(Q) is abelian, and each R_x acts
+  on it by inversion.  Then x |> y = (2h - g + d_ij).a_i, where x = g.a_i,
+  y = h.a_j and d_ij = R_{a_j} R_{a_i}.  The preimages P_i in D of the
+  stabilisers contain R_i and C_i, and 2P_j lies in P_i.  So M maps onto
+  Q, arcs to arcs.
+- So the arc-generated part of M and IMQ(L) map onto each other, fixing
+  the arcs.  They are equal.
+For affine meshes of medial quandles see P. Jedlicka, A. Pilitowska,
+D. Stanovsky and A. Zamojska-Dzienio, "The structure of medial quandles",
+J. Algebra 443 (2015).
 
-A quiet table is the least congruence-closed partial table holding the
-facts so far, and that does not depend on the order of deductions.  So
-fresh elements are created in the same order whatever that order, and the
-final table is identical for every `seed`.
-
-Both ways end in `_finish`, which checks the quandle axioms, every
-crossing relation and the orbit count on the table.
+Both ways list the elements with `_list_closure` and end in `_finish`,
+which checks the quandle axioms, every crossing relation and the orbit
+count on the table.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
+from .abelian import _gf2_echelon, _gf2_reduce, row_lattice_basis
 from .arcquandle import ArcQuandle, build_arc_quandle
 from .diagram import LinkDiagram
 from .linkmodule import InternalCheckError, LinkModule
-from .quandle import CapExceeded, FiniteQuandle, UnionFind, check_axioms, orbits
+from .quandle import CapExceeded, FiniteQuandle, check_axioms, orbits
 
 
-class _Saturator:
-    """Congruence closure of a partial table of products.
+def _sparse(terms) -> dict[int, int]:
+    """The sum of x*e_c over the terms (c, x), as {c: x} without zeros; a
+    term with c None is zero."""
+    v: dict[int, int] = {}
+    for c, x in terms:
+        if c is not None:
+            v[c] = v.get(c, 0) + x
+    return {c: x for c, x in v.items() if x}
 
-    `table` maps (x, y) to x|>y on class representatives.  `uses[e]` holds
-    the keys of the table whose key or value names e.  Processed products
-    are indexed by element: `row[x]` maps y to x|>y and `col[y]` maps x to
-    x|>y.  `queue` holds products defined but not yet processed, and
-    `pending_unions` the equalities forced but not yet merged.
+
+class _Mesh:
+    """The displacement mesh of a diagram, with a canonical key for each
+    element; see the module docstring for the mesh.
+
+    The keys come from one basis of T.  Every crossing row has -1 on its
+    under arcs, so most rows of T, reduced by the rows before them, keep a
+    unit entry and eliminate its column c.  `image[c]` is g_c written over
+    the free columns, those no row eliminated, modulo the rows so far; it
+    names no eliminated column.  With u_c = e_c - image[c], every v in D is
+    the sum of v[c] u_c over the eliminated columns c plus its projection
+    p(v), which lives on the free columns.  The rows left with no unit
+    entry are projected, and `row_lattice_basis` gives a Hermite basis H of
+    their span.  The u_c and the rows of H form a basis of T.
+
+    Reducing p(v) by H gives v's canonical residue mod T and v's
+    coordinates on H; its coordinates on the u_c are the v[c].  As
+    2T <= S_i <= T, v mod S_i is that residue together with those
+    coordinates mod 2, taken modulo the image of R_i + C_i in T/2T.
+    `_gf2_reduce` by an echelon basis of that image makes the parity
+    canonical, and is linear.  The key of (v, i) is (i, parity, *residue),
+    with the parity as a bitmask: bit c for an eliminated column c, and
+    bit n + k for row k of H, n being the number of columns.  So a product
+    reduces only its residue, and adds parities that were reduced once,
+    when the mesh was built.
     """
 
-    def __init__(self, max_elements: int, rng: random.Random | None):
-        self.uf = UnionFind(0)
-        self.find = self.uf.find
-        self.table: dict[tuple[int, int], int] = {}
-        self.uses: list[set[tuple[int, int]]] = []
-        self.row: list[dict[int, int]] = []
-        self.col: list[dict[int, int]] = []
-        self.queue: list[tuple[int, int]] = []
-        self.pending_unions: list[tuple[int, int]] = []
-        self.rng = rng
-        self.max_elements = max_elements
-        self.created = 0
+    def __init__(self, d: LinkDiagram):
+        mu, kappa = d.mu, d.kappa
+        # columns: the d_ij, then the arcs but each component's first
+        pairs = itertools.combinations(range(mu), 2)
+        delta_col = {ij: k for k, ij in enumerate(pairs)}
+        first = {comp.arcs[0] for comp in d.components}
+        kept = [a for a in range(d.n_arcs) if a not in first]
+        arc_col = {a: len(delta_col) + k for k, a in enumerate(kept)}
 
-    def fresh(self) -> int:
-        if self.created >= self.max_elements:
-            raise CapExceeded("resource cap: element limit reached")
-        e = self.uf.add()
-        self.created += 1
-        self.uses.append(set())
-        self.row.append({})
-        self.col.append({})
-        self.set_op(e, e, e)
-        return e
+        def delta(i: int, j: int, x: int = 1) -> tuple[int | None, int]:
+            # the term x*d_ij
+            if i == j:
+                return None, 0
+            return (delta_col[i, j], x) if i < j else (delta_col[j, i], -x)
 
-    def set_op(self, x: int, y: int, z: int) -> None:
-        x, y, z = self.find(x), self.find(y), self.find(z)
-        key = (x, y)
-        cur = self.table.get(key)
-        if cur is None:
-            self.table[key] = z
-            self.uses[x].add(key)
-            self.uses[y].add(key)
-            self.uses[z].add(key)
-            self.queue.append(key)
-            # translations are involutions, so the reverse fact is forced
-            if self.table.get((z, y)) != x:
-                self.set_op(z, y, x)
-        elif cur != z:
-            self.pending_unions.append((cur, z))
+        rows: list[tuple[int, dict[int, int]]] = []  # (k, a row of R_k or C_k)
+        for c in d.crossings:
+            u, w = c.under
+            i = kappa[u]
+            rows.append((i, _sparse([
+                (arc_col.get(c.over), 2), (arc_col.get(u), -1), (arc_col.get(w), -1),
+                delta(i, kappa[c.over]),
+            ])))
+        for k in range(mu):
+            for i, j in itertools.combinations(range(mu), 2):
+                if k not in (i, j):
+                    rows.append((k, _sparse([delta(i, j), delta(k, j, -1), delta(k, i)])))
 
-    def merge(self, a: int, b: int) -> None:
-        """Merge the classes of a and b, then rename and re-queue the
-        products that named the absorbed class."""
-        a, b = self.find(a), self.find(b)
-        if not self.uf.union(a, b):
-            return
-        # the older (lower-numbered) class stays canonical
-        gone = max(a, b)
-        keys, self.uses[gone] = self.uses[gone], set()
-        for key in keys:
-            x, y = key
-            z = self.table.pop(key)
-            self.uses[x].discard(key)
-            self.uses[y].discard(key)
-            self.uses[z].discard(key)
-            if y in self.row[x]:
-                del self.row[x][y]
-                del self.col[y][x]
-            self.set_op(x, y, z)
+        self.image: dict[int, dict[int, int]] = {}
+        rest = self._eliminate_units([row for _, row in rows])
+        n_cols = len(arc_col) + len(delta_col)
+        free = [c for c in range(n_cols) if c not in self.image]
+        self.free_pos = {c: k for k, c in enumerate(free)}
+        self.basis = row_lattice_basis([self._project(r) for r in rest], len(free))
+        self.basis_pivot = [next(j for j, x in enumerate(h) if x) for h in self.basis]
 
-    def reps(self) -> list[int]:
-        return sorted({self.find(i) for i in range(self.created)})
+        raw_h_bits = [1 << (n_cols + k) for k in range(len(self.basis))]
 
-    def close(self) -> None:
-        """Deduce until the queue and the pending merges are empty."""
-        queue, rng = self.queue, self.rng
-        while True:
-            if self.pending_unions:
-                self.merge(*self.pending_unions.pop())
+        def coords(v: dict[int, int]) -> tuple[list[int], int]:
+            # v's residue mod T, and its coordinates in T's basis mod 2
+            residue, mask = self._reduce(self._project(v), raw_h_bits)
+            odd = sum(1 << c for c, x in v.items() if x % 2 and c in self.image)
+            return residue, mask | odd
+
+        spans: list[list[int]] = [[] for _ in range(mu)]
+        for k, row in rows:
+            residue, mask = coords(row)
+            if any(residue):
+                raise InternalCheckError("a row of T does not reduce to zero")
+            spans[k].append(mask)
+        spans = [_gf2_echelon(masks)[0] for masks in spans]
+
+        def key(v: dict[int, int], i: int) -> tuple[int, ...]:
+            residue, mask = coords(v)
+            return (i, _gf2_reduce(spans[i], mask), *residue)
+
+        # a product in component i adds h_bits[i][k] to the parity per row
+        # k of H it subtracts an odd number of times
+        self.h_bits = [[_gf2_reduce(span, b) for b in raw_h_bits] for span in spans]
+        self.delta_key = [
+            [key(_sparse([delta(i, j)]), i) for j in range(mu)] for i in range(mu)
+        ]
+        self.arcs = [
+            key(_sparse([(arc_col.get(a), 1)]), kappa[a]) for a in range(d.n_arcs)
+        ]
+
+    def _substitute(self, v: dict[int, int]) -> dict[int, int]:
+        """v with each eliminated column c replaced by image[c]."""
+        image = self.image
+        return _sparse(
+            (f, x * y) for c, x in v.items() for f, y in image.get(c, {c: 1}).items()
+        )
+
+    def _eliminate_units(self, rows: list[dict[int, int]]) -> list[dict[int, int]]:
+        """Fill `image` from the rows that keep a unit entry when reduced by
+        the rows before them, and return the others, reduced.  A row
+        eliminates its last unit column.  On a braid closure whose arcs are
+        numbered in order of first appearance along the crossings, that is
+        the arc the crossing starts, which no image names yet."""
+        image = self.image
+        rest = []
+        for row in rows:
+            r = self._substitute(row)
+            units = [c for c, x in r.items() if x in (1, -1)]
+            if not units:
+                rest.append(r)
                 continue
-            if not queue:
-                return
-            if rng is not None:
-                i = rng.randrange(len(queue))
-                queue[i], queue[-1] = queue[-1], queue[i]
-            x, y = key = queue.pop()
-            z = self.table.get(key)
-            # a renamed key is gone from the table; a processed one is done
-            if z is not None and y not in self.row[x]:
-                self.replay(x, y, z)
+            c = max(units)
+            sign = r.pop(c)
+            for e, img in image.items():
+                if c in img:
+                    y = img.pop(c)
+                    image[e] = _sparse(
+                        [*img.items(), *((f, -sign * y * x) for f, x in r.items())]
+                    )
+            image[c] = {f: -sign * x for f, x in r.items()}
+        return rest
 
-    def replay(self, p: int, q: int, r: int) -> None:
-        """Index the product p|>q = r as processed, then apply mediality,
-        (w|>x)|>(y|>z) = (w|>y)|>(x|>z), to every instance in which it is
-        the inner product w|>x or the inner product y|>z and every other
-        premise is processed.  Swapping x and y exchanges the two sides, so
-        this covers the inner products w|>y and x|>z too.
+    def _project(self, v: dict[int, int]) -> list[int]:
+        """p(v), dense over the free columns."""
+        out = [0] * len(self.free_pos)
+        for c, x in self._substitute(v).items():
+            out[self.free_pos[c]] = x
+        return out
 
-        An instance whose last processed premise is an outer product needs
-        no role of its own.  Say a = w|>x, b = y|>z, c = w|>y, d = x|>z and
-        e = a|>b are processed, e last of the five.  The table is closed
-        under involution, so a|>x = w and b|>z = y are in it too, and are
-        processed before the closure is quiet.  The instance (a, b, x, z)
-        reads (a|>b)|>(x|>z) = (a|>x)|>(b|>z), that is e|>d = w|>y = c.
-        Its inner products are a|>b, x|>z, a|>x and b|>z, and its outer
-        w|>y = c was processed before e.  So the last of its premises to
-        be processed is an inner one, that replay concludes e|>d = c, and
-        involution then gives c|>d = e, the outer role's conclusion.  The
-        same holds with the sides exchanged.
+    def _reduce(self, w: list[int], bits: list[int]) -> tuple[list[int], int]:
+        """w reduced by H, each pivot entry into [0, pivot): the canonical
+        residue of w mod the span of H.  Also the XOR of bits[k] over the
+        rows k of H subtracted an odd number of times."""
+        mask = 0
+        for h, j, b in zip(self.basis, self.basis_pivot, bits):
+            q = w[j] // h[j]
+            if q:
+                w = [x - q * y for x, y in zip(w, h)]
+                if q % 2:
+                    mask ^= b
+        return w, mask
 
-        Right distributivity, (x|>y)|>z = (x|>z)|>(y|>z), needs no rule of
-        its own: it is the mediality instance with (y, z) := (z, z), and
-        `fresh` puts z|>z = z into the table for every element (merges keep
-        it).
-        """
-        row, col, table = self.row, self.col, self.table
-        row[p][q] = r
-        col[q][p] = r
+    def product(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        """The key of x |> y = (2h - g + d_ij, i), for x = (g, i) and
+        y = (h, j) given by their keys."""
+        i, px, *rx = x
+        _, pd, *rd = self.delta_key[i][y[0]]
+        w = [2 * b - a + c for a, b, c in zip(rx, y[2:], rd)]
+        residue, mask = self._reduce(w, self.h_bits[i])
+        return (i, px ^ pd ^ mask, *residue)
 
-        # merges wait until the replay ends, so every name here is a
-        # representative and a fact already in the table needs no set_op
-        def conclude(x: int, y: int, z: int) -> None:
-            if table.get((x, y)) != z:
-                self.set_op(x, y, z)
 
-        def relate(a: int, b: int, c: int, d: int) -> None:
-            # the inner products a = w|>x, b = y|>z, c = w|>y, d = x|>z
-            e = row[a].get(b)
-            if e is not None:
-                conclude(c, d, e)
-                return
-            e = row[c].get(d)
-            if e is not None:
-                conclude(a, b, e)
+def _list_closure(
+    arcs: list[Hashable],
+    product: Callable[[Hashable, Hashable], Hashable],
+    max_elements: int,
+) -> tuple[list[list[int]], list[int]]:
+    """The closure of the arc elements under `product`, numbered in the
+    order `compute_imq` states: its table, and each arc's element.
 
-        # as w|>x = a: y runs over row w, z over row x
-        row_x = row[q]
-        for y, c in row[p].items():
-            row_y = row[y]
-            for z, d in row_x.items():
-                b = row_y.get(z)
-                if b is not None:
-                    relate(r, b, c, d)
-        # as y|>z = b: w runs over column y, x over column z
-        col_z = col[q]
-        for w, c in col[p].items():
-            row_w = row[w]
-            for x, d in col_z.items():
-                a = row_w.get(x)
-                if a is not None:
-                    relate(a, r, c, d)
+    Each product is computed once, when the listing reaches it.  Listing
+    more than `max_elements` elements raises CapExceeded."""
+    order: list[Hashable] = []  # elements by number
+    number: dict[Hashable, int] = {}
+    # op[x] holds x |> y for the leading y of the order; every product
+    # computed is numbered, so the scan of a row resumes at its end
+    op: list[list[int]] = []
+
+    def listed(e: Hashable) -> int:
+        if e not in number:
+            if len(order) >= max_elements:
+                raise CapExceeded("resource cap: element limit reached")
+            number[e] = len(order)
+            order.append(e)
+            op.append([])
+        return number[e]
+
+    arc_element = [listed(e) for e in arcs]
+    x = 0
+    while x < len(order):
+        row = op[x]
+        while len(row) < len(order):
+            n = len(order)
+            row.append(listed(product(order[x], order[len(row)])))
+            if len(order) > n:
+                # a new element: the first product not numbered is now in row 0
+                x = -1
+                break
+        x += 1
+    return op, arc_element
 
 
 @dataclass
@@ -209,22 +273,18 @@ class ImqResult:
     elements_created: int
 
 
-def compute_imq(
-    mod: LinkModule,
-    max_elements: int | None = None,
-    max_steps: int = 100_000,
-    seed: int | None = None,
-) -> ImqResult:
+def compute_imq(mod: LinkModule, max_elements: int | None = None) -> ImqResult:
     """The quandle presented by the crossing relations of the module's
     diagram.
 
     Rejects determinant-zero diagrams (the presented quandle is then
     infinite).  `max_elements` defaults to 64 times the size bound
-    mu*det/2, floor 10000; exceeding it raises CapExceeded, which is
-    distinct from the infinite case.
+    mu*det/2, floor 10000.  Listing more elements than that raises
+    CapExceeded, which is distinct from the infinite case.
+    `elements_created` is the number of elements listed.
 
-    For mu <= 2 the table is the arc-coset quandle Q_A's, relabelled, and
-    nothing is saturated.  This is exact:
+    For mu <= 2 the elements are listed in the arc-coset quandle Q_A.  This
+    is exact:
     - Q_A satisfies the presentation: `_finish` checks the quandle axioms
       and every crossing relation on the arc elements.
     - Q_A is generated by the arc elements: listing its elements from them
@@ -233,19 +293,14 @@ def compute_imq(
     - |IMQ(L)| <= |det| = |Q_A|: by Joyce for mu = 1, and by the bound
       mu*det/2 for mu = 2; |Q_A| = mu*det/2^(mu-1) = |det| in both cases.
     - So the surjection is a bijection, and Q_A is IMQ(L).
-    On this path `elements_created` is |Q_A|, and the cap applies to it.
+    For mu >= 3 they are listed in the displacement mesh of the module
+    docstring.  The mesh would give the same table for mu <= 2 too, but
+    there Q_A is already built and is faster to read.
 
-    For mu >= 3 the table is found by saturation.  `max_steps` caps the
-    number of steps, each one closure to quiet plus one fresh element,
-    raising CapExceeded too.  `seed` shuffles the order in which
-    deductions are popped; the table comes out identical for every seed.
-    Neither is read for mu <= 2.
-
-    For mu <= 2 the elements are numbered thus: first the arc elements, in
-    order of their least arc; then, one at a time, the first product
-    x |> y not numbered yet, over the pairs of elements numbered so far in
-    lexicographic order.  Saturation numbers them in order of creation,
-    and on every diagram the tests try that is the same order.
+    The elements are numbered thus: first the arc elements, in order of
+    their least arc; then, one at a time, the first product x |> y not
+    numbered yet, over the pairs of elements numbered so far in
+    lexicographic order.
     """
     d = mod.diagram
     det = mod.determinant
@@ -254,86 +309,17 @@ def compute_imq(
     if max_elements is None:
         max_elements = max(64 * (d.mu * det // 2), 10_000)
     if d.mu <= 2:
-        return _from_arc_quandle(mod, max_elements)
-    return _saturate(mod, max_elements, max_steps, seed)
-
-
-def _from_arc_quandle(mod: LinkModule, max_elements: int) -> ImqResult:
-    """Q_A's table, renumbered in the order `compute_imq` states."""
-    d = mod.diagram
-    qa = build_arc_quandle(mod)
-    table = qa.quandle.op
-    n = len(table)
-    if n > max_elements:
-        raise CapExceeded("resource cap: element limit reached")
-    index = {e.coords: i for i, e in enumerate(qa.elements)}
-    arcs = [index[mod.arc_class[a].coords] for a in range(d.n_arcs)]
-    # order lists Q_A elements by new number; number inverts it
-    order: list[int] = []
-    number = [-1] * n
-    for i in arcs:
-        if number[i] < 0:
-            number[i] = len(order)
-            order.append(i)
-    # numbered[x]: how many leading products x |> y, y in order, are
-    # numbered; numbering only grows, so the scan of a row resumes there
-    numbered = [0] * n
-    while len(order) < n:
-        for x in range(len(order)):
-            row = table[order[x]]
-            k = numbered[x]
-            while k < len(order) and number[row[order[k]]] >= 0:
-                k += 1
-            numbered[x] = k
-            if k < len(order):
-                z = row[order[k]]
-                number[z] = len(order)
-                order.append(z)
-                break
-        else:
+        qa = build_arc_quandle(mod)
+        table = qa.quandle.op
+        index = {e.coords: i for i, e in enumerate(qa.elements)}
+        arcs = [index[mod.arc_class[a].coords] for a in range(d.n_arcs)]
+        op, arc_element = _list_closure(arcs, lambda x, y: table[x][y], max_elements)
+        if len(op) < len(table):
             raise InternalCheckError("quandle not generated by its arc elements")
-    op = [[number[table[x][y]] for y in order] for x in order]
-    return _finish(d, op, [number[i] for i in arcs], n)
-
-
-def _saturate(
-    mod: LinkModule, max_elements: int, max_steps: int, seed: int | None
-) -> ImqResult:
-    """The presented quandle by saturation; see the module docstring."""
-    d = mod.diagram
-    rng = random.Random(seed) if seed is not None else None
-    s = _Saturator(max_elements, rng)
-    gen = [s.fresh() for _ in range(d.n_arcs)]
-    for c in d.crossings:
-        over = gen[c.over]
-        u, v = c.under
-        s.set_op(gen[u], over, gen[v])
-        s.set_op(gen[v], over, gen[u])
-
-    steps = 0
-    while True:
-        steps += 1
-        if steps > max_steps:
-            raise CapExceeded("resource cap: step limit reached")
-        s.close()
-        reps = s.reps()
-        missing = None
-        for x, y in itertools.product(reps, repeat=2):
-            if (x, y) not in s.table:
-                missing = (x, y)
-                break
-        if missing is None:
-            break
-        s.set_op(missing[0], missing[1], s.fresh())
-
-    reps = s.reps()
-    relabel = {r: i for i, r in enumerate(reps)}
-    n = len(reps)
-    op = [[0] * n for _ in range(n)]
-    for (x, y), z in s.table.items():
-        op[relabel[x]][relabel[y]] = relabel[z]
-    arc_element = [relabel[s.find(gen[a])] for a in range(d.n_arcs)]
-    return _finish(d, op, arc_element, s.created)
+    else:
+        mesh = _Mesh(d)
+        op, arc_element = _list_closure(mesh.arcs, mesh.product, max_elements)
+    return _finish(d, op, arc_element, len(op))
 
 
 def _finish(

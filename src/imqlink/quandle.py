@@ -97,11 +97,6 @@ class UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
 
-    def add(self) -> int:
-        """A new singleton class."""
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
     def find(self, a: int) -> int:
         parent = self.parent
         while parent[a] != a:

@@ -365,3 +365,36 @@ def test_subgroup_type_of_infinite_group():
     g = FgAbGroup(2, (2,))
     gens = [g.element([2, 0, 0]), g.element([0, 0, 1])]
     assert subgroup_type(g, gens) == FgAbGroup(1, (2,))
+
+
+def test_gf2_eliminator_is_shared_and_exact():
+    # one eliminator serves the coset quandle and the IMQ mesh; on random
+    # bitmasks its rows span the inputs, its null vectors are exactly the
+    # dependencies, and the residue it leaves is canonical and linear
+    from imqlink import arcquandle, imq
+
+    assert arcquandle._gf2_echelon is imq._gf2_echelon is abelian._gf2_echelon
+    assert arcquandle._gf2_reduce is imq._gf2_reduce is abelian._gf2_reduce
+    rng = random.Random(3)
+    for _ in range(200):
+        width = rng.randint(1, 9)
+        vectors = [rng.getrandbits(width) for _ in range(rng.randint(0, 8))]
+        rows, null = abelian._gf2_echelon(vectors)
+        assert len(rows) + len(null) == len(vectors)
+        for c in null:
+            total = 0
+            for i, v in enumerate(vectors):
+                if c >> i & 1:
+                    total ^= v
+            assert c and total == 0
+        pivots = [r & -r for r in rows]
+        assert len(set(pivots)) == len(rows)
+        for v in vectors:
+            assert abelian._gf2_reduce(rows, v) == 0
+        a, b = rng.getrandbits(width), rng.getrandbits(width)
+        ra, rb = abelian._gf2_reduce(rows, a), abelian._gf2_reduce(rows, b)
+        assert not any(ra & p for p in pivots)
+        assert abelian._gf2_reduce(rows, a ^ b) == ra ^ rb
+        # a vector and its shift by a row of the span reduce alike
+        if rows:
+            assert abelian._gf2_reduce(rows, a ^ rng.choice(rows)) == ra

@@ -103,6 +103,15 @@ def test_cap_counts_the_arc_quandle_for_two_components(cap, code, capsys):
     assert err == ("resource cap: element limit reached\n" if code else "")
 
 
+@pytest.mark.parametrize("cap,code", ((17, 3), (18, 0)))
+def test_cap_counts_the_listed_elements_for_three_components(cap, code, capsys):
+    # |IMQ| = 18 for this mu = 3 diagram, and the mesh lists no other element
+    path = Path(__file__).with_name("diagrams") / "chain_2_6.json"
+    got, _, err = run(capsys, "--imq-cap", str(cap), "report", str(path))
+    assert got == code
+    assert err == ("resource cap: element limit reached\n" if code else "")
+
+
 def test_dump_quandle(tmp_path, capsys):
     path = write_fixture(tmp_path, "trefoil")
     out_path = tmp_path / "trefoil.quandle"
@@ -443,7 +452,7 @@ def engine_calls(monkeypatch):
         (linkmodule, "build_link_module"),
         (linkmodule, "weight_kernel"),
         (arcquandle, "_coset_table"),
-        (imq, "_Saturator"),
+        (imq, "_Mesh"),
     ):
         count_calls(monkeypatch, counts, home, name)
     return counts
@@ -462,12 +471,12 @@ def test_report_computes_each_invariant_once(
     assert code == 0 and json.loads(out)["evenized"] is True
     # one module, read for the longitudes of the odd components too, and
     # presenting its weight kernel once; no make_even; one coset-quandle
-    # table and one saturation
+    # table and one displacement mesh
     assert engine_calls == {
         "build_link_module": 1,
         "weight_kernel": 1,
         "_coset_table": 1,
-        "_Saturator": 1,
+        "_Mesh": 1,
     }
 
 
@@ -480,7 +489,7 @@ def test_compare_computes_each_invariant_once(tmp_path, capsys, engine_calls):
         "build_link_module": 2,
         "weight_kernel": 2,
         "_coset_table": 2,
-        "_Saturator": 2,
+        "_Mesh": 2,
     }
 
 

@@ -1,6 +1,7 @@
 """The presented quandle, read off the arc-coset quandle for one or two
-components and saturated otherwise; its size bounds, and the surjection
-onto the arc-class quandle."""
+components and listed in the displacement mesh otherwise, against the
+saturation oracle; its size bounds, and the surjection onto the arc-class
+quandle."""
 
 import json
 import random
@@ -10,10 +11,12 @@ import pytest
 
 from conftest import FINITE
 from oracles import (
+    Saturator,
     build_partition_quandle,
     literal_axiom_violations,
     longitude_fixes_orbit,
     open_deduction,
+    saturate,
     stated_element_order,
 )
 
@@ -51,9 +54,10 @@ def _large_module(name):
     return build_link_module(parse_diagram(text))
 
 
-def _saturate(mod, seed=None):
-    # the saturation path, which compute_imq takes only for mu >= 3
-    return imq._saturate(mod, 10_000, 100_000, seed)
+def _assert_same(res, want, why=None):
+    assert serialize_quandle(res.quandle) == serialize_quandle(want.quandle), why
+    assert res.arc_element == want.arc_element, why
+    assert res.quandle.labels == want.quandle.labels, why
 
 
 EXPECTED = {
@@ -234,7 +238,7 @@ def test_seeded_runs_agree_up_to_isomorphism(name, modules, imq_results):
     # even the element numbering unchanged
     base = imq_results[name].quandle
     for seed in (0, 1, 2):
-        r = _saturate(modules[name], seed=seed)
+        r = saturate(modules[name], seed=seed)
         assert r.quandle.n == base.n
         assert is_isomorphic(r.quandle, base) is not None
         assert serialize_quandle(r.quandle) == serialize_quandle(base)
@@ -269,10 +273,10 @@ def test_step_cap_raises(modules):
     # t22t24 closes in 7 steps: each closes the table to quiet and then
     # adds one fresh element, 6 in all, and the last finds none missing
     with pytest.raises(CapExceeded, match="step limit"):
-        compute_imq(modules["t22t24"], max_steps=1)
+        saturate(modules["t22t24"], max_steps=1)
     with pytest.raises(CapExceeded, match="step limit"):
-        compute_imq(modules["t22t24"], max_steps=6)
-    assert compute_imq(modules["t22t24"], max_steps=7).quandle.n == 12
+        saturate(modules["t22t24"], max_steps=6)
+    assert saturate(modules["t22t24"], max_steps=7).quandle.n == 12
 
 
 @pytest.mark.parametrize("name", ("hopf2", "sixthree"))
@@ -310,7 +314,7 @@ def test_seeded_runs_match_recorded_larger_tables(name):
     want = _recorded_table(name)
     mod = _large_module(name)
     for seed in (None, 0, 1, 2):
-        res = _saturate(mod, seed=seed)
+        res = saturate(mod, seed=seed)
         assert serialize_quandle(res.quandle) == want
         assert res.elements_created == CREATED_LARGE[name]
 
@@ -320,7 +324,7 @@ def test_every_closure_is_quiet(name, modules, monkeypatch):
     # each step's closure must leave no deduction open, or the fresh
     # element it is followed by may be one the presentation does not force
     mod = modules[name] if name in modules else _large_module(name)
-    close = imq._Saturator.close
+    close = Saturator.close
     closures = []
 
     def checked_close(s):
@@ -331,11 +335,54 @@ def test_every_closure_is_quiet(name, modules, monkeypatch):
         assert open_deduction(s.table) is None
         closures.append(len(s.table))
 
-    monkeypatch.setattr(imq._Saturator, "close", checked_close)
+    monkeypatch.setattr(Saturator, "close", checked_close)
     for seed in (None, 0, 1):
         closures.clear()
-        res = _saturate(mod, seed=seed)
+        res = saturate(mod, seed=seed)
         assert closures[-1] == res.quandle.n ** 2
+
+
+def _mesh(mod):
+    # the displacement mesh's table, which compute_imq lists only for mu >= 3
+    mesh = imq._Mesh(mod.diagram)
+    op, arc_element = imq._list_closure(mesh.arcs, mesh.product, 10_000)
+    return imq._finish(mod.diagram, op, arc_element, len(op))
+
+
+@pytest.mark.parametrize("name", FINITE + tuple(sorted(CREATED_LARGE)))
+def test_mesh_equals_saturation(name, modules):
+    mod = modules[name] if name in modules else _large_module(name)
+    _assert_same(_mesh(mod), saturate(mod))
+
+
+@pytest.fixture(scope="module")
+def random_closures(perfbench_module):
+    # closures of random braid words on four or five strands with at least
+    # three components and, by the upper bound, at most 32 elements in the
+    # presented quandle
+    gen = perfbench_module("gen")
+    rng = random.Random(7)
+    out = []
+    while len(out) < 24:
+        strands = rng.randint(4, 5)
+        word = [
+            rng.choice((1, -1)) * rng.randint(1, strands - 1)
+            for _ in range(rng.randint(4, 14))
+        ]
+        mod = build_link_module(parse_diagram(gen.to_text(gen.closure(word, strands))))
+        if mod.mu >= 3 and 0 < mod.mu * mod.determinant <= 64:
+            out.append((word, mod))
+    return out
+
+
+def test_mesh_equals_saturation_on_random_closures(random_closures):
+    with_armless_element = 0
+    for word, mod in random_closures:
+        res = compute_imq(mod)
+        _assert_same(res, saturate(mod), word)
+        with_armless_element += len(set(res.arc_element)) < res.quandle.n
+    assert {mod.mu for _, mod in random_closures} == {3, 4}
+    assert with_armless_element > 0
 
 
 # twist-chain regions with mu <= 2 and det <= 36; each is drawn plain,
@@ -369,22 +416,23 @@ def mu_le_2_chains(perfbench_module):
 @pytest.mark.parametrize("name", ("trefoil", "fig8", "t2_13", "chain_2_3_pad30"))
 def test_arc_quandle_path_equals_saturation(name, modules):
     mod = modules[name] if name in modules else _large_module(name)
-    res, sat = compute_imq(mod), _saturate(mod)
-    assert serialize_quandle(res.quandle) == serialize_quandle(sat.quandle)
-    assert res.arc_element == sat.arc_element
-    assert res.quandle.labels == sat.quandle.labels
+    _assert_same(compute_imq(mod), saturate(mod))
 
 
 def test_arc_quandle_path_equals_saturation_on_twist_chains(mu_le_2_chains):
     with_armless_element = 0
     for regions, mod in mu_le_2_chains:
-        res, sat = compute_imq(mod), _saturate(mod)
-        assert serialize_quandle(res.quandle) == serialize_quandle(sat.quandle), regions
-        assert res.arc_element == sat.arc_element, regions
+        res = compute_imq(mod)
+        _assert_same(res, saturate(mod), regions)
         with_armless_element += len(set(res.arc_element)) < res.quandle.n
     # elements that contain no arc are numbered by the product loop, not
     # by the arcs, so the loop's order is compared too
     assert with_armless_element > 0
+
+
+def test_mesh_equals_arc_quandle_path_on_twist_chains(mu_le_2_chains):
+    for regions, mod in mu_le_2_chains:
+        _assert_same(_mesh(mod), compute_imq(mod), regions)
 
 
 def test_knot_imq_is_core_of_kernel_on_twist_chains(mu_le_2_chains):
@@ -396,11 +444,11 @@ def test_knot_imq_is_core_of_kernel_on_twist_chains(mu_le_2_chains):
         assert is_isomorphic(q, core_quandle(mod.kernel)) is not None, regions
 
 
-def test_mu_le_2_never_saturates(modules, monkeypatch):
+def test_mu_le_2_never_builds_the_mesh(modules, monkeypatch):
     def refuse(*args):
-        raise AssertionError("saturation started for mu <= 2")
+        raise AssertionError("mesh built for mu <= 2")
 
-    monkeypatch.setattr(imq, "_Saturator", refuse)
+    monkeypatch.setattr(imq, "_Mesh", refuse)
     for name in ("trefoil", "fig8", "t2_13", "chain_2_3_pad30"):
         mod = modules[name] if name in modules else _large_module(name)
         res = compute_imq(mod)
