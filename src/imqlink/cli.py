@@ -371,6 +371,8 @@ def _corpus_worker(
 
 
 def cmd_corpus(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, not {args.jobs}")
     base = Path(args.dir)
     if not base.is_dir():
         raise UsageError(f"not a directory: {args.dir}")
@@ -405,7 +407,10 @@ def cmd_corpus(args) -> int:
             # imported here: a sequential run need not load it
             from concurrent import futures
 
-            with futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # the pool forks all its workers at once: no more than there
+            # are diagrams to compute
+            workers = min(args.jobs, len(to_compute))
+            with futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 computed = list(
                     pool.map(
                         _corpus_worker,

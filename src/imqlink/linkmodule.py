@@ -11,8 +11,12 @@ first homology of the double branched cover, is M with one free factor
 dropped, and the determinant is |ker(w)| (0 when infinite); both are read
 off M's invariant factors once, in `build_link_module`.  That function
 also presents ker(w) literally, as the crossing rows plus a unit row at
-one arc (`weight_kernel`), and raises InternalCheckError unless the two
-agree.
+one arc reduced to their Hermite basis (`weight_kernel`), and raises
+InternalCheckError unless the two agree.
+
+w and p are linear in the canonical coordinates of M, so each module
+keeps their values on the unit coordinates, from the lift of each, and
+reads w(x) and p(x) off x's coordinates without lifting x.
 """
 
 from __future__ import annotations
@@ -20,7 +24,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .abelian import FgAbGroup, GroupElt, Matrix, Presentation, cokernel
+from .abelian import (
+    FgAbGroup,
+    GroupElt,
+    Matrix,
+    Presentation,
+    cokernel,
+    row_lattice_basis,
+)
 from .diagram import LinkDiagram, component_walk
 
 
@@ -50,23 +61,50 @@ class LinkModule:
     arc_quandle_parts: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # per canonical coordinate k: the weight of pres.lift(unit k), and its
+    # mod-2 coefficient sums per component as a bitmask (bit i: component i)
+    _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _parity_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        kappa = self.diagram.kappa
+        weights, masks = [], []
+        for k in range(self.group.n_coords):
+            vec = self.pres.lift(self.group.unit(k))
+            weights.append(sum(vec))
+            mask = 0
+            for arc, coeff in enumerate(vec):
+                if coeff & 1:
+                    mask ^= 1 << kappa[arc]
+            masks.append(mask)
+        self._weights = tuple(weights)
+        self._parity_masks = tuple(masks)
 
     @property
     def mu(self) -> int:
         return self.diagram.mu
 
+    def _check_group(self, x: GroupElt) -> None:
+        if x.group is not self.group and x.group != self.group:
+            raise ValueError("element of a different group")
+
     def weight(self, x: GroupElt) -> int:
-        """The homomorphism to Z sending every arc class to 1."""
-        return sum(self.pres.lift(x))
+        """The homomorphism to Z sending every arc class to 1: the sum of
+        the arc coefficients of pres.lift(x), which is linear in x's
+        coordinates, so it is read off the per-coordinate table."""
+        self._check_group(x)
+        return sum(c * w for c, w in zip(x.coords, self._weights))
 
     def parity(self, x: GroupElt) -> tuple[int, ...]:
-        """Mod-2 arc-coefficient sums per component; arc classes map to
+        """Mod-2 arc-coefficient sums of pres.lift(x) per component, read
+        off the per-coordinate table like `weight`; arc classes map to
         unit vectors."""
-        vec = self.pres.lift(x)
-        out = [0] * self.mu
-        for arc, coeff in enumerate(vec):
-            out[self.diagram.kappa[arc]] += coeff
-        return tuple(v % 2 for v in out)
+        self._check_group(x)
+        mask = 0
+        for c, m in zip(x.coords, self._parity_masks):
+            if c & 1:
+                mask ^= m
+        return tuple((mask >> i) & 1 for i in range(self.mu))
 
 
 class InternalCheckError(AssertionError):
@@ -117,11 +155,19 @@ def weight_kernel(mod: LinkModule, base_arc: int = 0) -> FgAbGroup:
     cover."""
     if not 0 <= base_arc < mod.diagram.n_arcs:
         raise ValueError("base_arc out of range")
-    rows = [row[:] for row in mod.pres.relations]
-    unit = [0] * mod.diagram.n_arcs
+    n = mod.diagram.n_arcs
+    unit = [0] * n
     unit[base_arc] = 1
-    rows.append(unit)
-    return cokernel(rows, mod.diagram.n_arcs).group
+    # a Hermite basis first: on some drawings the Smith form of the literal
+    # rows grows its entries for minutes.  The basis is the same in every
+    # row order; with the last leading column first, a new pivot seldom has
+    # basis rows above it to reduce.
+    rows = sorted(
+        mod.pres.relations + [unit],
+        key=lambda row: next((j for j, x in enumerate(row) if x), n),
+        reverse=True,
+    )
+    return cokernel(row_lattice_basis(rows, n), n).group
 
 
 def link_determinant(mod: LinkModule) -> int:

@@ -12,6 +12,10 @@ from imqlink.abelian import (
     FgAbGroup,
     GroupElt,
     Matrix,
+    Presentation,
+    SmithForm,
+    _ext_gcd,
+    _nearest_quotient,
     _stacked_relations,
     cokernel,
     int_det,
@@ -122,6 +126,191 @@ def dense_mat_mul(a: list[list[int]], b: list[list[int]], n_cols_b: int | None =
             out_row.append(total)
         out.append(out_row)
     return out
+
+
+def identity_matrix(n: int) -> Matrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def literal_smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
+    """`abelian.smith_normal_form` on dense lists: the same pivot rule and
+    the same steps, each row or column step rewriting a whole row or
+    column, and the witness check by the literal triple-loop product."""
+    m = len(rows)
+    if n_cols is None:
+        n_cols = len(rows[0]) if rows else 0
+    n = n_cols
+    if any(len(row) != n for row in rows):
+        raise ValueError("ragged matrix")
+    a = [row[:] for row in rows]
+    u = identity_matrix(m)
+    v = identity_matrix(n)
+    v_inv = identity_matrix(n)
+
+    def swap_rows(i: int, j: int) -> None:
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+            v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    def add_row(dst: int, src: int, q: int) -> None:
+        if q == 0:
+            return
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst: int, src: int, q: int) -> None:
+        if q == 0:
+            return
+        for row in a:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+        v_inv[src] = [x - q * y for x, y in zip(v_inv[src], v_inv[dst])]
+
+    def negate_row(i: int) -> None:
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def find_pivot(t: int) -> tuple[int, int] | None:
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0:
+                    key = (abs(a[i][j]), i, j)
+                    if best is None or key < best:
+                        best = key
+        return None if best is None else (best[1], best[2])
+
+    t = 0
+    while t < min(m, n):
+        pos = find_pivot(t)
+        if pos is None:
+            break
+        swap_rows(t, pos[0])
+        swap_cols(t, pos[1])
+        while True:
+            # clear column t, re-pivoting on any nonzero remainder
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t] != 0:
+                    q = _nearest_quotient(a[i][t], a[t][t])
+                    add_row(i, t, -q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    q = _nearest_quotient(a[t][j], a[t][t])
+                    add_col(j, t, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            if any(a[i][t] != 0 for i in range(t + 1, m)):
+                continue
+            # pivot must divide every remaining entry to build the chain;
+            # otherwise fold the offending row in and clear again
+            d = a[t][t]
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % d != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    diag = [a[i][i] for i in range(min(m, n))]
+    # internal consistency: witnesses really do transform A to diag
+    check = dense_mat_mul(dense_mat_mul(u, rows, n), v, n)
+    for i in range(m):
+        for j in range(n):
+            want = diag[i] if i == j and i < len(diag) else 0
+            if check[i][j] != want:
+                raise AssertionError("smith_normal_form witness check failed")
+    return SmithForm(m=m, n=n, diag=diag, u=u, v=v, v_inv=v_inv)
+
+
+def _literal_reduce_above_pivots(basis: dict[int, list[int]], upto: int) -> None:
+    """`abelian._reduce_above_pivots` on dense rows."""
+    pivots = sorted(basis)
+    for i in reversed(pivots):
+        if i > upto:
+            continue
+        row = basis[i]
+        for k in pivots:
+            if k > i and row[k]:
+                q = _nearest_quotient(row[k], basis[k][k])
+                if q:
+                    row = [x - q * y for x, y in zip(row, basis[k])]
+        basis[i] = row
+
+
+def literal_row_lattice_basis(rows: Matrix, n_cols: int) -> Matrix:
+    """`abelian.row_lattice_basis` on dense lists: the same steps in the
+    same order, each rewriting a whole row, and every pivot column after a
+    row's pivot scanned when the row is reduced."""
+    basis: dict[int, list[int]] = {}
+    for row in rows:
+        if len(row) != n_cols:
+            raise ValueError("ragged matrix")
+        r = list(row)
+        for j in range(n_cols):
+            x = r[j]
+            if not x:
+                continue
+            b = basis.get(j)
+            if b is None:
+                basis[j] = r if x > 0 else [-y for y in r]
+                _literal_reduce_above_pivots(basis, j)
+                break
+            p = b[j]
+            if x % p == 0:
+                q = x // p
+                r = [y - q * z for y, z in zip(r, b)]
+                continue
+            g, s, t = _ext_gcd(p, x)
+            pg, xg = p // g, x // g
+            basis[j] = [s * z + t * y for y, z in zip(r, b)]
+            r = [pg * y - xg * z for y, z in zip(r, b)]
+            _literal_reduce_above_pivots(basis, j)
+        else:
+            if any(r):
+                raise AssertionError("row_lattice_basis: a row did not reduce to zero")
+    return [basis[j] for j in sorted(basis)]
+
+
+def literal_weight(mod: LinkModule, x: GroupElt) -> int:
+    """The arc-coefficient sum of the lift of x."""
+    return sum(mod.pres.lift(x))
+
+
+def literal_parity(mod: LinkModule, x: GroupElt) -> tuple[int, ...]:
+    """Mod-2 arc-coefficient sums of the lift of x, per component."""
+    out = [0] * mod.mu
+    for arc, coeff in enumerate(mod.pres.lift(x)):
+        out[mod.diagram.kappa[arc]] += coeff
+    return tuple(v % 2 for v in out)
+
+
+def literal_generator_image(pres: Presentation, i: int) -> GroupElt:
+    """to_canonical of the unit vector at generator i, through vec_mat."""
+    return pres.to_canonical([1 if k == i else 0 for k in range(pres.n_gens)])
 
 
 def group_relation_rows(q: FiniteQuandle) -> list[list[int]]:

@@ -16,7 +16,6 @@ from imqlink import abelian, quandle
 from imqlink.abelian import (
     FgAbGroup,
     cokernel,
-    identity_matrix,
     int_det,
     left_kernel_basis,
     mat_mul,
@@ -28,13 +27,17 @@ from imqlink.abelian import (
     vec_mat,
 )
 from imqlink.diagram import parse_diagram
+from imqlink.fixtures import FIXTURE_NAMES
 from imqlink.imq import compute_imq
 from imqlink.linkmodule import build_link_module, relation_matrix
 from conftest import FINITE
 from oracles import (
     dense_mat_mul,
     group_relation_rows,
+    identity_matrix,
     literal_group_from_quandle,
+    literal_row_lattice_basis,
+    literal_smith_normal_form,
     minor_gcds,
     quotient_by_subgroup,
     subgroups_equal,
@@ -124,22 +127,34 @@ def _pad30_matrix(with_unit_row):
     return rows, d.n_arcs
 
 
+def _pad30_weight_kernel_basis():
+    # what weight_kernel hands to the Smith form
+    rows, n = _pad30_matrix(True)
+    return row_lattice_basis(rows, n), n
+
+
 BENCH_SIZED = {
     "pad30-relations": lambda: _pad30_matrix(False),
     "pad30-weight-kernel": lambda: _pad30_matrix(True),
+    "pad30-weight-kernel-basis": _pad30_weight_kernel_basis,
     "t2_13-group-from-quandle": _group_from_quandle_matrix,
 }
 
 
+def _assert_same_smith_form(rows, n_cols):
+    sparse = smith_normal_form(rows, n_cols)
+    dense = literal_smith_normal_form(rows, n_cols)
+    for field in ("m", "n", "diag", "u", "v", "v_inv"):
+        assert getattr(sparse, field) == getattr(dense, field), field
+
+
 @pytest.mark.parametrize("name", sorted(BENCH_SIZED))
-def test_smith_on_bench_sized_matrices_matches_dense_products(name, monkeypatch):
+def test_smith_on_bench_sized_matrices_matches_dense_products(name):
+    # the sparse-row form against the dense one, whose witness check is
+    # the literal triple-loop product
     rows, n_cols = BENCH_SIZED[name]()
     assert len(rows) >= 30
-    sparse = smith_normal_form(rows, n_cols)
-    monkeypatch.setattr(abelian, "mat_mul", dense_mat_mul)
-    dense = smith_normal_form(rows, n_cols)
-    for field in ("diag", "u", "v", "v_inv"):
-        assert getattr(sparse, field) == getattr(dense, field), field
+    _assert_same_smith_form(rows, n_cols)
 
 
 def test_smith_small_example():
@@ -185,11 +200,7 @@ _REDRAWN_CROSSINGS = [
 ]
 
 
-def _out_of_time(signum, frame):
-    raise TimeoutError("smith_normal_form ran past its time limit")
-
-
-def test_smith_entries_stay_small_in_every_row_order():
+def _redrawn_weight_kernel_rows():
     n = 23
     rows = []
     for over, u, v in _REDRAWN_CROSSINGS:
@@ -198,7 +209,15 @@ def test_smith_entries_stay_small_in_every_row_order():
         row[u] -= 1
         row[v] -= 1
         rows.append(row)
-    rows.append([1] + [0] * (n - 1))  # the weight-kernel unit row on arc 0
+    return rows + [[1] + [0] * (n - 1)], n
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("smith_normal_form ran past its time limit")
+
+
+def test_smith_entries_stay_small_in_every_row_order():
+    rows, n = _redrawn_weight_kernel_rows()  # the unit row on arc 0 last
     previous = signal.signal(signal.SIGALRM, _out_of_time)
     try:
         diags = []
@@ -211,6 +230,20 @@ def test_smith_entries_stay_small_in_every_row_order():
     assert diags[0] == diags[1]
     want = [abs(x) for x in sympy_snf(sympy.Matrix(rows)).diagonal()]
     assert [d for d in diags[0] if d] == [d for d in want if d] == [1] * 22 + [42]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_smith_equals_literal_form_on_the_redrawn_drawing(reverse):
+    rows, n = _redrawn_weight_kernel_rows()
+    matrices = [rows, rows[:-1]]  # the weight kernel's rows, the module's
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    try:
+        signal.alarm(10)
+        for order in matrices:
+            _assert_same_smith_form(order[::-1] if reverse else order, n)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 GATE_DIAGRAMS = ("t2_13", "chain_2_2_2", "chain_2_6", "chain_2_3_pad30")
@@ -243,12 +276,58 @@ def test_row_lattice_basis_spans_the_relation_lattice_in_every_row_order(
         # a lattice has one Hermite basis, whatever the row order
         assert all(basis == bases[0] for basis in bases)
         basis = bases[0]
+        assert basis == literal_row_lattice_basis(rows, q.n)
         assert cokernel(basis, q.n).group == mod.group
         assert all(solve_in_row_space(basis, q.n, row) is not None for row in rows)
         assert all(solve_in_row_space(rows, q.n, row) is not None for row in basis)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _diagram_matrices(name, modules):
+    """A diagram's relation rows, its weight-kernel rows (a unit row at arc
+    0 added) and their Hermite basis, with the arc count."""
+    if name in GATE_DIAGRAMS:
+        d = parse_diagram((DIAGRAMS / f"{name}.json").read_text())
+    else:
+        d = modules[name].diagram
+    rows = relation_matrix(d)
+    kernel_rows = rows + [[1] + [0] * (d.n_arcs - 1)]
+    return rows, kernel_rows, row_lattice_basis(kernel_rows, d.n_arcs), d.n_arcs
+
+
+@pytest.mark.parametrize("name", GATE_DIAGRAMS + FIXTURE_NAMES)
+def test_smith_equals_literal_form_on_diagram_matrices(name, modules):
+    *matrices, n = _diagram_matrices(name, modules)
+    for rows in matrices:
+        _assert_same_smith_form(rows, n)
+
+
+@pytest.mark.parametrize("name", GATE_DIAGRAMS + FIXTURE_NAMES)
+def test_row_lattice_basis_equals_literal_form_on_weight_kernel_rows(name, modules):
+    _, rows, basis, n = _diagram_matrices(name, modules)
+    assert basis == literal_row_lattice_basis(rows, n)
+    assert row_lattice_basis(rows[::-1], n) == basis
+    assert cokernel(basis, n).group == cokernel(rows, n).group
+
+
+_SMALL_MATRICES = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=6
+        ),
+        st.just(n),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SMALL_MATRICES)
+def test_sparse_forms_equal_literal_forms_on_small_matrices(case):
+    rows, n = case
+    _assert_same_smith_form(rows, n)
+    assert row_lattice_basis(rows, n) == literal_row_lattice_basis(rows, n)
 
 
 def test_row_lattice_basis_small_cases():

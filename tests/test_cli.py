@@ -321,6 +321,58 @@ def test_corpus_parallel_jobs(tmp_path, capsys, monkeypatch):
     assert data["summary"]["all_property_checks_passed"] is True
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_corpus_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.chdir(tmp_path)
+    corpus = _corpus_dir(tmp_path)
+    code, out, err = run(capsys, "corpus", str(corpus), "--jobs", jobs)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: --jobs must be at least 1")
+    assert not (tmp_path / ".quandle-cache").exists()
+
+
+def test_corpus_pool_has_no_more_workers_than_uncached_diagrams(
+    tmp_path, capsys, monkeypatch
+):
+    # the pool forks every worker at once, so --jobs 5000 must not ask for
+    # 5000; a stub records max_workers and maps in this process
+    from concurrent import futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.chdir(tmp_path)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("trefoil", "hopf2", "fig8"):
+        (corpus / f"{name}.json").write_text(fixture_text(name))
+
+    def corpus_run(*flags):
+        code, out, _ = run(capsys, "--format", "machine", "corpus", str(corpus), *flags)
+        assert code == 0
+        return json.loads(out)["summary"]
+
+    assert corpus_run("--jobs", "5000")["cache_hits"] == 0 and asked == [3]
+    (corpus / "t22t24.json").write_text(fixture_text("t22t24"))
+    assert corpus_run("--jobs", "5000")["cache_hits"] == 3 and asked == [3, 1]
+    assert corpus_run("--jobs", "5000")["cache_hits"] == 4 and asked == [3, 1]
+    assert corpus_run("--jobs", "2", "--cache", "other")["reported"] == 4
+    assert asked == [3, 1, 2]
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     # only `corpus --jobs N` with N > 1 needs a process pool
     proc = subprocess.run(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 from collections import Counter
 from pathlib import Path
 
@@ -24,8 +25,14 @@ from oracles import (
     determinant_by_minors,
     double_kernel_subgroup_check,
     evenized_longitudes,
+    literal_generator_image,
+    literal_parity,
+    literal_weight,
     subgroups_equal,
 )
+
+DIAGRAMS = Path(__file__).with_name("diagrams")
+GATE_DIAGRAMS = ("t2_13", "chain_2_2_2", "chain_2_6", "chain_2_3_pad30")
 
 EXPECTED = {
     # name: (module, weight kernel, determinant)
@@ -63,6 +70,64 @@ def test_arc_classes_have_weight_one_and_unit_parity(name, modules):
         assert mod.weight(x) == 1
         parity = mod.parity(x)
         assert sum(parity) == 1 and parity[kappa[a]] == 1
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + GATE_DIAGRAMS)
+def test_tables_equal_literal_lifts(name, modules):
+    # weight and parity read off per-coordinate tables, and generator
+    # images read off V's rows, against the lift and vec_mat they replace
+    if name in GATE_DIAGRAMS:
+        mod = build_link_module(parse_diagram((DIAGRAMS / f"{name}.json").read_text()))
+    else:
+        mod = modules[name]
+    for a, x in enumerate(mod.arc_class):
+        assert x == literal_generator_image(mod.pres, a)
+    elements = list(mod.arc_class) + list(mod.group.torsion_elements())
+    # sums of arc classes mix free and torsion coordinates
+    elements += [x + y.smul(3) for x, y in zip(mod.arc_class, mod.arc_class[1:])]
+    for x in elements:
+        assert mod.weight(x) == literal_weight(mod, x)
+        assert mod.parity(x) == literal_parity(mod, x)
+
+
+# A 4-component twist chain (6,9,6,4) redrawn by perfbench/gen.py `redraw`:
+# 25 crossings, det 1296.  Its crossing rows plus the unit row at arc 0 sent
+# the Smith form into entries of 147 digits for minutes; the module's own
+# rows take milliseconds.
+STALLING_CHAIN = (
+    '{"arcs":["r15","r18","r12","r20","r16","r5","r4","r3","r9","r14","r24",'
+    '"r21","r11","r6","r23","r13","r10","r0","r19","r22","r8","r7","r2","r1",'
+    '"r17"],"components":[{"arcs":["r16","r4","r9","r24","r11","r23","r13",'
+    '"r0","r22","r3","r14","r21","r6","r18","r12"],"crossings":[4,6,8,10,12,'
+    '14,15,17,19,7,9,11,13,0,2]},{"arcs":["r1","r10","r19","r8","r7"],'
+    '"crossings":[23,16,18,20,21]},{"arcs":["r15","r20","r5"],"crossings":'
+    '[1,3,5]},{"arcs":["r2","r17"],"crossings":[22,24]}],"crossings":[["r15",'
+    '"r18","r12"],["r12","r15","r20"],["r20","r12","r16"],["r16","r20","r5"],'
+    '["r5","r16","r4"],["r4","r5","r15"],["r3","r4","r9"],["r9","r3","r14"],'
+    '["r14","r9","r24"],["r24","r14","r21"],["r21","r24","r11"],["r11","r21",'
+    '"r6"],["r6","r11","r23"],["r23","r6","r18"],["r18","r23","r13"],["r10",'
+    '"r13","r0"],["r0","r10","r19"],["r19","r0","r22"],["r22","r19","r8"],'
+    '["r8","r22","r3"],["r3","r8","r7"],["r2","r7","r1"],["r1","r2","r17"],'
+    '["r17","r1","r10"],["r10","r17","r2"]]}'
+)
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("build_link_module ran past its time limit")
+
+
+def test_weight_kernel_of_a_redrawn_chain_finishes():
+    d = parse_diagram(STALLING_CHAIN)
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    try:
+        signal.alarm(3)
+        mod = build_link_module(d)
+        kernel = weight_kernel(mod)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert mod.kernel == kernel == FgAbGroup(0, (6, 6, 36))
+    assert mod.determinant == 1296
 
 
 def test_module_shape_relation():
