@@ -6,6 +6,50 @@ operation x |> y = 2y - x restricts to these cosets.  This module builds
 that quandle and decides the two comparison questions: is the marking
 obtainable from a direct-sum decomposition (characteristic compatibility),
 and are two markings equivalent under a component re-indexing.
+
+Characteristic compatibility asks for a cyclic decomposition
+M = <f_1> + .. + <f_r> + <g_1> + .. + <g_k> + (odd torsion), with the f_i
+free, the g_i of 2-power order (k is the number of even invariant factors,
+and r + k = mu), and a dropped component o_0, such that f_1 has weight 1
+and parity 0 off o_0, and each other generator has weight 0 and parity e_j
+off o_0, for its own component j != o_0.  It is decided on M/2M, which has
+one bit per free and per even torsion coordinate.  Let p: M/2M -> F_2^mu
+be the parity map, read off the module's per-coordinate parity masks; W
+the image of the torsion; and U_a the span of the even torsion units whose
+2-part is at most 2^a.  The answer is yes iff p is invertible and, for
+some o_0, the vectors v_j = p^-1(e_j + e_o_0), j != o_0, include exactly k
+in W, and those k are adapted to the flag: for every a, as many of them
+lie in U_a as dim U_a.  Why this is exact:
+
+- Every cyclic decomposition gives a basis of M/2M, the classes of the
+  f_i and g_i; the odd part vanishes mod 2.
+- Every arc class has weight 1 and a unit parity vector, so the parities
+  sum to the weight mod 2 on all of M.  The required images thus force
+  p(f_1) = e_o_0 and p(g) = e_j + e_o_0 for every other generator g: p maps
+  a basis onto a basis, and the generators' classes are p^-1(e_o_0) and
+  the v_j.
+- The g_i lie in the torsion, so their classes are the v_j in W, and they
+  span W, of dimension k.  A g of order at most 2^a has its class in U_a,
+  and the g_i of order at most 2^a are as many as the invariant factors
+  with 2-part at most 2^a, which is dim U_a; so the flag condition holds.
+  Conversely, give each v_j in W the order 2^a of the least U_a holding
+  it, and lift it to g = sum (t_c / 2^(a_c)) e_c over its bits c, where e_c
+  is the unit of the coordinate Z/t_c and 2^(a_c) the 2-part of t_c.  By
+  the flag condition these orders are the 2-parts of the invariant
+  factors, so they multiply to |T_2|, T_2 the 2-primary torsion.  The g
+  span T_2 mod 2T_2, hence span T_2, and independent elements whose orders
+  multiply to |T_2| decompose it.
+- The free part is automatic.  Take the weight-adapted basis c_1..c_r of
+  the free coordinates (weights 1, 0, .., 0).  Any integer matrix
+  [[1, *], [0, B]] over it with det B = +-1, shifted by torsion elements,
+  gives free generators complementing the torsion with the same weights.
+  The classes p^-1(e_o_0) and the v_j outside W are independent mod W, so
+  they fix that matrix mod 2, and B is a unimodular lift of its block.
+- Only o_0 matters: permuting the other components permutes the slots.
+
+So the verdict is always "yes" or "no".  A "yes" carries the
+decomposition built above, re-verified from scratch by
+`_verify_unit_decomposition`.
 """
 
 from __future__ import annotations
@@ -35,21 +79,24 @@ Bits = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# small GF(2) helpers on tuple vectors; the eliminator in `abelian` takes
-# them as bitmasks
+# small GF(2) helpers; the eliminator in `abelian` takes vectors as
+# bitmasks
 
 
 def _mask(bits: Bits) -> int:
     return sum(b << k for k, b in enumerate(bits))
 
 
-def _gf2_solve(cols: list[Bits], target: Bits) -> list[int] | None:
-    """0/1 coefficients with sum(c_i * cols[i]) == target, or None.  They
-    are read off the null vector of cols + [target] that uses the target;
-    only the last input's null vector can."""
+def _gf2_solve(cols: list[int], target: int) -> int:
+    """The bitmask c with the XOR of cols[i] over the bits i of c equal to
+    target, for independent cols that span it.  It is read off the null
+    vector of cols + [target] that uses the target; only the last input's
+    null vector can."""
     n = len(cols)
-    null = _gf2_echelon([_mask(v) for v in cols + [target]])[1]
-    return [null[-1] >> i & 1 for i in range(n)] if null and null[-1] >> n & 1 else None
+    null = _gf2_echelon(cols + [target])[1]
+    if not (null and null[-1] >> n & 1):
+        raise InternalCheckError("GF(2) target outside the span")
+    return null[-1] ^ 1 << n
 
 
 def _gf2_same_span(a: list[int], b: list[int]) -> bool:
@@ -57,7 +104,7 @@ def _gf2_same_span(a: list[int], b: list[int]) -> bool:
     return len(ba) == len(bb) and not any(_gf2_reduce(ba, v) for v in bb)
 
 
-def _gf2_unimodular_lift(rows: list[Bits]) -> list[list[int]]:
+def _gf2_unimodular_lift(rows: list[list[int]]) -> list[list[int]]:
     """Integer matrix of determinant +-1 congruent mod 2 to the given
     invertible GF(2) matrix, by replaying elementary row operations."""
     m = len(rows)
@@ -183,89 +230,28 @@ def _coset_table(
 
 @dataclass
 class CharCompatReport:
-    status: str  # "yes" | "no" | "unknown"
-    indexings_tried: int
+    status: str  # "yes" | "no"
     witness: dict | None = None
-    detail: str = ""
 
 
 def _two_primary_shape(group: FgAbGroup) -> list[int]:
-    out = []
-    for t in group.torsion:
-        if t % 2 == 0:
-            out.append(t & -t)
-    return out
-
-
-def _two_primary_elements(mod: LinkModule) -> list[GroupElt]:
-    return [
-        t
-        for t in mod.group.torsion_elements()
-        if t.order() and t.order() & (t.order() - 1) == 0
-    ]
-
-
-def _torsion_span(gens: list[GroupElt], zero: GroupElt) -> set[GroupElt]:
-    span = {zero}
-    for g in gens:
-        if g.order() == 0:
-            raise ValueError("infinite-order generator")
-        layer = set(span)
-        for c in range(1, g.order()):
-            layer |= {e + g.smul(c) for e in span}
-        span = layer
-    return span
-
-
-def _is_pure_summand(
-    mod: LinkModule, gens: list[GroupElt], shape: list[int]
-) -> bool:
-    """gens generate an internal direct sum of the given cyclic shape
-    that is pure in the torsion subgroup (hence a direct summand)."""
-    if [g.order() for g in gens] != shape:
-        return False
-    zero = mod.group.zero()
-    span = _torsion_span(gens, zero)
-    expected = 1
-    for s in shape:
-        expected *= s
-    if len(span) != expected:
-        return False
-    torsion = set(mod.group.torsion_elements())
-    exponent = max((t.order() for t in torsion), default=1)
-    j = 2
-    while j <= exponent:
-        scaled_t = {t.smul(j) for t in torsion}
-        scaled_s = {s.smul(j) for s in span}
-        if span & scaled_t != scaled_s:
-            return False
-        j *= 2
-    return True
+    return [t & -t for t in group.torsion if t % 2 == 0]
 
 
 def _weight_adapted_basis(mod: LinkModule) -> list[GroupElt]:
-    """Free-part basis c with weight profile (1, 0, ..., 0)."""
-    r = mod.group.free_rank
-    basis = [
-        mod.group.element([1 if i == j else 0 for j in range(mod.group.n_coords)])
-        for i in range(r)
-    ]
-    col = [[mod.weight(b)] for b in basis]
-    snf = smith_normal_form(col, 1)
+    """Free-part basis c with weight profile (1, 0, ..., 0): the rows of U
+    in the Smith form of the free coordinates' weight column."""
+    group = mod.group
+    r = group.free_rank
+    snf = smith_normal_form([[w] for w in mod._weights[:r]], 1)
     if snf.diag[:1] != [1]:
         raise InternalCheckError("weight not surjective on the free part")
-    transformed = []
-    for i in range(r):
-        acc = mod.group.zero()
-        for j in range(r):
-            acc = acc + basis[j].smul(snf.u[i][j])
-        transformed.append(acc)
-    if mod.weight(transformed[0]) == -1:
-        transformed[0] = -transformed[0]
-    for i, c in enumerate(transformed):
-        if mod.weight(c) != (1 if i == 0 else 0):
-            raise InternalCheckError("weight adaptation failed")
-    return transformed
+    out = [group.element(row + [0] * len(group.torsion)) for row in snf.u]
+    if mod.weight(out[0]) == -1:
+        out[0] = -out[0]
+    if [mod.weight(c) for c in out] != [1] + [0] * (r - 1):
+        raise InternalCheckError("weight adaptation failed")
+    return out
 
 
 def _parity_block(mod: LinkModule, x: GroupElt, ordering: tuple[int, ...]) -> Bits:
@@ -275,97 +261,6 @@ def _parity_block(mod: LinkModule, x: GroupElt, ordering: tuple[int, ...]) -> Bi
 
 def _canonical_torsion_generators(group: FgAbGroup) -> list[GroupElt]:
     return [group.unit(group.free_rank + i) for i in range(len(group.torsion))]
-
-
-def _explicit_free_generators(
-    mod: LinkModule,
-    ordering: tuple[int, ...],
-    adapted: list[GroupElt],
-    torsion_slots: list[int],
-) -> tuple[list[GroupElt], list[int]]:
-    """Free generators completing the torsion ones to a full unit-image
-    decomposition: the first maps to the weight unit, the rest to the
-    parity units at the slots torsion does not cover.
-
-    The weight-adapted basis is recombined by a determinant +-1 integer
-    matrix and shifted by torsion elements; both moves preserve being a
-    complement of the torsion subgroup, so only the markings change."""
-    mu = mod.mu
-    tgens = _canonical_torsion_generators(mod.group)
-
-    def block(x: GroupElt) -> Bits:
-        return _parity_block(mod, x, ordering)
-
-    cols_tail = [block(c) for c in adapted[1:]]
-    cols_tg = [block(g) for g in tgens]
-    free_slots = [j for j in range(mu - 1) if j not in set(torsion_slots)]
-    unit = {
-        j: tuple(1 if i == j else 0 for i in range(mu - 1)) for j in range(mu - 1)
-    }
-
-    def corrected(base: GroupElt, coeffs: list[int], tail_len: int) -> GroupElt:
-        out = base
-        for l, c in enumerate(coeffs[:tail_len]):
-            if c % 2:
-                out = out + adapted[1 + l]
-        for i, c in enumerate(coeffs[tail_len:]):
-            if c % 2:
-                out = out + tgens[i]
-        return out
-
-    sol = _gf2_solve(cols_tail + cols_tg, block(adapted[0]))
-    if sol is None:
-        raise InternalCheckError("weight generator block not correctable")
-    first = corrected(adapted[0], sol, len(cols_tail))
-
-    m = len(cols_tail)
-    # tail rows: pick one coefficient vector per remaining unit, jointly
-    # invertible over GF(2); row choices differ by the kernel of the
-    # block map modulo torsion parities
-    kernel_span: set[Bits] = {tuple([0] * m)}
-    for vec in _gf2_echelon([_mask(v) for v in cols_tail + cols_tg])[1]:
-        head = tuple(vec >> i & 1 for i in range(m))
-        kernel_span |= {
-            tuple((a + b) % 2 for a, b in zip(s, head)) for s in kernel_span
-        }
-    particular: list[Bits] = []
-    for s in free_slots:
-        p = _gf2_solve(cols_tail + cols_tg, unit[s])
-        if p is None:
-            raise InternalCheckError("free unit target not reachable")
-        particular.append(tuple(v % 2 for v in p[:m]))
-
-    chosen: list[Bits] = []
-
-    def extend(j: int) -> bool:
-        if j == len(free_slots):
-            return True
-        for k in kernel_span:
-            cand = tuple((a + b) % 2 for a, b in zip(particular[j], k))
-            if len(_gf2_echelon([_mask(v) for v in chosen + [cand]])[0]) == j + 1:
-                chosen.append(cand)
-                if extend(j + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if free_slots and not extend(0):
-        raise InternalCheckError("no invertible recombination of the free tail")
-    lift = _gf2_unimodular_lift(chosen) if chosen else []
-
-    gens = [first]
-    for j, s in enumerate(free_slots):
-        acc = mod.group.zero()
-        for l in range(m):
-            acc = acc + adapted[1 + l].smul(lift[j][l])
-        fix = _gf2_solve(
-            cols_tg,
-            tuple((a + b) % 2 for a, b in zip(block(acc), unit[s])),
-        )
-        if fix is None:
-            raise InternalCheckError("torsion correction unavailable")
-        gens.append(corrected(acc, fix, 0))
-    return gens, free_slots
 
 
 def _verify_unit_decomposition(
@@ -430,103 +325,95 @@ def _verify_unit_decomposition(
     return images
 
 
-def characteristic_compatibility(
-    mod: LinkModule, torsion_cap: int = 4096
-) -> CharCompatReport:
-    """Does some component ordering admit a direct-sum decomposition of
-    the module whose designated free and 2-primary generators map to the
-    distinct unit vectors of the combined weight-and-parity form?
-
-    Torsion generators are sought with unit parity blocks spanning pure
-    summands; the free part is then a span condition over GF(2) modulo
-    torsion parities.  On success the witness carries explicit free
-    generators as well, so all mu unit images appear, and the whole
-    decomposition is re-verified from scratch.
-    """
-    mu = mod.mu
-    shape = _two_primary_shape(mod.group)
-    k = len(shape)
-    r = mod.group.free_rank
-    if r + k != mu:
+def characteristic_compatibility(mod: LinkModule) -> CharCompatReport:
+    """Is the marking that of a cyclic decomposition of the module whose
+    free and 2-primary generators map to distinct unit vectors of weight
+    and parity off one dropped component?  Decided by the criterion on
+    M/2M in the module docstring; a "yes" carries the decomposition that
+    its proof builds, verified from scratch."""
+    group = mod.group
+    mu, r = mod.mu, group.free_rank
+    shape = _two_primary_shape(group)
+    if r + len(shape) != mu:
         raise InternalCheckError("module shape off")
-    two_primary = _two_primary_elements(mod)
-    if len(two_primary) ** k > torsion_cap:
-        return CharCompatReport(
-            status="unknown",
-            indexings_tried=0,
-            detail="torsion search space exceeds cap",
-        )
+    # M/2M: bit i is canonical coordinate coord[i], the free ones and then
+    # the even torsion ones, whose 2-parts are `shape` in order
+    coord = [*range(r), *(r + i for i, t in enumerate(group.torsion) if t % 2 == 0)]
+    masks = [mod._parity_masks[c] for c in coord]
+    if _gf2_echelon(masks)[1]:
+        return CharCompatReport("no")
+    pre = [_gf2_solve(masks, 1 << j) for j in range(mu)]  # p^-1(e_j)
+    free = (1 << r) - 1  # W is where these bits vanish
+
+    def order(v: int) -> int:  # that of v's lift: the least 2^a with v in U_a
+        return max(shape[i - r] for i in range(r, mu) if v >> i & 1)
+
+    for o0 in range(mu):
+        v = {j: pre[j] ^ pre[o0] for j in range(mu) if j != o0}
+        in_w = sorted((j for j in v if not v[j] & free), key=lambda j: order(v[j]))
+        if [order(v[j]) for j in in_w] == shape:
+            witness = _witness(mod, coord, o0, pre, in_w, shape)
+            return CharCompatReport("yes", witness)
+    return CharCompatReport("no")
+
+
+def _witness(
+    mod: LinkModule,
+    coord: list[int],
+    o0: int,
+    pre: list[int],
+    in_w: list[int],
+    shape: list[int],
+) -> dict:
+    """The decomposition the criterion's proof builds, dropping o0: pre[j]
+    is the class in M/2M of parity e_j, and in_w lists the components
+    whose generator is torsion, in the order of their 2-parts."""
+    group = mod.group
+    mu, r = mod.mu, group.free_rank
+    ordering = (o0, *(j for j in range(mu) if j != o0))
+    v = {j: pre[j] ^ pre[o0] for j in ordering[1:]}
+    free_js = [j for j in v if j not in in_w]
+
+    def torsion_sum(bits: int, scale) -> GroupElt:
+        # sum of scale(t) e_c over the torsion bits i >= r of bits
+        coords = [0] * group.n_coords
+        for i in range(r, mu):
+            if bits >> i & 1:
+                coords[coord[i]] = scale(group.torsion[coord[i] - r])
+        return group.element(coords)
+
+    torsion_gens = [torsion_sum(v[j], lambda t: t // (t & -t)) for j in in_w]
+    # free generators over the weight-adapted basis c: solve each class in
+    # the basis (c_2..c_r, even torsion units) of ker w mod 2, then lift the
+    # c_2..c_r block of all but the first unimodularly
     adapted = _weight_adapted_basis(mod)
-
-    tried = 0
-    for ordering in itertools.permutations(range(mu)):
-        tried += 1
-
-        def block(x: GroupElt) -> Bits:
-            return _parity_block(mod, x, ordering)
-
-        p_torsion = _gf2_echelon(
-            [_mask(block(t)) for t in mod.group.torsion_elements()]
-        )[0]
-
-        unit = {
-            j: tuple(1 if i == j else 0 for i in range(mu - 1))
-            for j in range(mu - 1)
-        }
-        # candidate torsion generators per unit slot
-        by_unit: dict[int, list[GroupElt]] = {j: [] for j in range(mu - 1)}
-        for t in two_primary:
-            b = block(t)
-            for j in range(mu - 1):
-                if b == unit[j]:
-                    by_unit[j].append(t)
-
-        found_slots = None
-        found_gens = None
-        for slots in itertools.combinations(range(mu - 1), k):
-            pools = [by_unit[j] for j in slots]
-            for gens in itertools.product(*pools):
-                if _is_pure_summand(mod, list(gens), shape):
-                    found_slots, found_gens = slots, list(gens)
-                    break
-            if found_slots is not None:
-                break
-        if k > 0 and found_slots is None:
-            continue
-        used = set(found_slots or ())
-        remaining = [unit[j] for j in range(mu - 1) if j not in used]
-
-        v1 = _mask(block(adapted[0]))
-        rest = [_mask(block(c)) for c in adapted[1:]]
-        reduced_rest = [_gf2_reduce(p_torsion, v) for v in rest]
-        reduced_units = [_gf2_reduce(p_torsion, _mask(u)) for u in remaining]
-        if not _gf2_same_span(reduced_rest, reduced_units):
-            continue
-        basis_rest = _gf2_echelon(reduced_rest)[0]
-        if _gf2_reduce(basis_rest, _gf2_reduce(p_torsion, v1)):
-            continue
-        torsion_gens = found_gens or []
-        torsion_slots = list(found_slots or ())
-        free_gens, free_slots = _explicit_free_generators(
-            mod, ordering, adapted, torsion_slots
-        )
-        images = _verify_unit_decomposition(
-            mod, ordering, free_gens, free_slots, torsion_gens, torsion_slots, shape
-        )
-        witness = {
-            "ordering": ordering,
-            "free_generators": [list(g.coords) for g in free_gens],
-            "free_units": free_slots,
-            "torsion_generators": [list(g.coords) for g in torsion_gens],
-            "torsion_units": torsion_slots,
-            "unit_images": images,
-        }
-        return CharCompatReport(status="yes", indexings_tried=tried, witness=witness)
-    return CharCompatReport(
-        status="no",
-        indexings_tried=tried,
-        detail="no component ordering admits unit-vector generators",
+    cbar = [sum((x & 1) << i for i, x in enumerate(c.coords[:r])) for c in adapted]
+    basis = cbar[1:] + [1 << i for i in range(r, mu)]
+    targets = [pre[o0] ^ cbar[0]] + [v[j] for j in free_js]
+    sols = [_gf2_solve(basis, x) for x in targets]
+    rows = [[s >> i & 1 for i in range(r - 1)] for s in sols]
+    rows[1:] = _gf2_unimodular_lift(rows[1:])
+    free_gens = []
+    for row, s in zip(rows, sols):
+        acc = torsion_sum(s << 1, lambda t: 1)  # s's unit bits are at i - 1
+        for c, x in zip(adapted[1:], row):
+            acc = acc + c.smul(x)
+        free_gens.append(acc)
+    # over c, the free part's matrix is [[1, rows[0]], [0, lift]]: det +-1
+    free_gens[0] = free_gens[0] + adapted[0]
+    free_slots = [ordering.index(j) - 1 for j in free_js]
+    torsion_slots = [ordering.index(j) - 1 for j in in_w]
+    images = _verify_unit_decomposition(
+        mod, ordering, free_gens, free_slots, torsion_gens, torsion_slots, shape
     )
+    return {
+        "ordering": ordering,
+        "free_generators": [list(g.coords) for g in free_gens],
+        "free_units": free_slots,
+        "torsion_generators": [list(g.coords) for g in torsion_gens],
+        "torsion_units": torsion_slots,
+        "unit_images": images,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +425,18 @@ class MarkingComparison:
     status: str  # "equivalent" | "not_equivalent" | "unknown"
     reason: str
     witness: dict | None = None
+
+
+def _torsion_span(gens: list[GroupElt], zero: GroupElt) -> set[GroupElt]:
+    span = {zero}
+    for g in gens:
+        if g.order() == 0:
+            raise ValueError("infinite-order generator")
+        layer = set(span)
+        for c in range(1, g.order()):
+            layer |= {e + g.smul(c) for e in span}
+        span = layer
+    return span
 
 
 def _torsion_isos(

@@ -303,7 +303,7 @@ def cmd_compare(args) -> int:
 # Part of every cache key.  Bump it with any engine change that alters a
 # report, so that a cache written before the change is not served after it;
 # tests/test_machine_output.py pins it to the recorded gate files.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 def _cache_key(d: LinkDiagram, no_imq: bool, imq_cap: int | None) -> str:

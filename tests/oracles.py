@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from imqlink.abelian import (
     FgAbGroup,
@@ -15,6 +15,8 @@ from imqlink.abelian import (
     Presentation,
     SmithForm,
     _ext_gcd,
+    _gf2_echelon,
+    _gf2_reduce,
     _nearest_quotient,
     _stacked_relations,
     cokernel,
@@ -24,6 +26,15 @@ from imqlink.abelian import (
 )
 from imqlink.arcquandle import (
     ArcQuandle,
+    _canonical_torsion_generators,
+    _gf2_same_span,
+    _gf2_unimodular_lift,
+    _mask,
+    _parity_block,
+    _torsion_span,
+    _two_primary_shape,
+    _verify_unit_decomposition,
+    _weight_adapted_basis,
     build_arc_quandle,
     characteristic_compatibility,
 )
@@ -540,6 +551,279 @@ def compare_with_characteristic(mod: LinkModule) -> bool:
             f"quandle comparison ({iso})"
         )
     return iso
+
+
+# ---------------------------------------------------------------------------
+# characteristic compatibility by search
+
+
+@dataclass
+class LiteralCharCompat:
+    status: str  # "yes" | "no" | "unknown"
+    indexings_tried: int
+    witness: dict | None = None
+
+
+def _bits_solve(
+    cols: list[tuple[int, ...]], target: tuple[int, ...]
+) -> list[int] | None:
+    """0/1 coefficients with sum(c_i * cols[i]) == target, or None.  They
+    are read off the null vector of cols + [target] that uses the target;
+    only the last input's null vector can."""
+    n = len(cols)
+    null = _gf2_echelon([_mask(v) for v in cols + [target]])[1]
+    if null and null[-1] >> n & 1:
+        return [null[-1] >> i & 1 for i in range(n)]
+    return None
+
+
+def two_primary_elements(mod: LinkModule) -> list[GroupElt]:
+    return [
+        t
+        for t in mod.group.torsion_elements()
+        if t.order() and t.order() & (t.order() - 1) == 0
+    ]
+
+
+def is_pure_summand(mod: LinkModule, gens: list[GroupElt], shape: list[int]) -> bool:
+    """gens generate an internal direct sum of the given cyclic shape
+    that is pure in the torsion subgroup (hence a direct summand)."""
+    if [g.order() for g in gens] != shape:
+        return False
+    span = _torsion_span(gens, mod.group.zero())
+    if len(span) != prod(shape):
+        return False
+    torsion = set(mod.group.torsion_elements())
+    exponent = max((t.order() for t in torsion), default=1)
+    j = 2
+    while j <= exponent:
+        scaled_t = {t.smul(j) for t in torsion}
+        scaled_s = {s.smul(j) for s in span}
+        if span & scaled_t != scaled_s:
+            return False
+        j *= 2
+    return True
+
+
+def explicit_free_generators(
+    mod: LinkModule,
+    ordering: tuple[int, ...],
+    adapted: list[GroupElt],
+    torsion_slots: list[int],
+) -> tuple[list[GroupElt], list[int]]:
+    """Free generators completing the torsion ones to a full unit-image
+    decomposition: the first maps to the weight unit, the rest to the
+    parity units at the slots torsion does not cover.
+
+    The weight-adapted basis is recombined by a determinant +-1 integer
+    matrix and shifted by torsion elements; both moves preserve being a
+    complement of the torsion subgroup, so only the markings change.  The
+    recombination is found by backtracking over the kernel of the block
+    map."""
+    mu = mod.mu
+    tgens = _canonical_torsion_generators(mod.group)
+
+    def block(x: GroupElt) -> tuple[int, ...]:
+        return _parity_block(mod, x, ordering)
+
+    cols_tail = [block(c) for c in adapted[1:]]
+    cols_tg = [block(g) for g in tgens]
+    free_slots = [j for j in range(mu - 1) if j not in set(torsion_slots)]
+    unit = {
+        j: tuple(1 if i == j else 0 for i in range(mu - 1)) for j in range(mu - 1)
+    }
+
+    def corrected(base: GroupElt, coeffs: list[int], tail_len: int) -> GroupElt:
+        out = base
+        for l, c in enumerate(coeffs[:tail_len]):
+            if c % 2:
+                out = out + adapted[1 + l]
+        for i, c in enumerate(coeffs[tail_len:]):
+            if c % 2:
+                out = out + tgens[i]
+        return out
+
+    sol = _bits_solve(cols_tail + cols_tg, block(adapted[0]))
+    if sol is None:
+        raise InternalCheckError("weight generator block not correctable")
+    first = corrected(adapted[0], sol, len(cols_tail))
+
+    m = len(cols_tail)
+    kernel_span: set[tuple[int, ...]] = {tuple([0] * m)}
+    for vec in _gf2_echelon([_mask(v) for v in cols_tail + cols_tg])[1]:
+        head = tuple(vec >> i & 1 for i in range(m))
+        kernel_span |= {
+            tuple((a + b) % 2 for a, b in zip(s, head)) for s in kernel_span
+        }
+    particular: list[tuple[int, ...]] = []
+    for s in free_slots:
+        p = _bits_solve(cols_tail + cols_tg, unit[s])
+        if p is None:
+            raise InternalCheckError("free unit target not reachable")
+        particular.append(tuple(v % 2 for v in p[:m]))
+
+    chosen: list[tuple[int, ...]] = []
+
+    def extend(j: int) -> bool:
+        if j == len(free_slots):
+            return True
+        for k in kernel_span:
+            cand = tuple((a + b) % 2 for a, b in zip(particular[j], k))
+            if len(_gf2_echelon([_mask(v) for v in chosen + [cand]])[0]) == j + 1:
+                chosen.append(cand)
+                if extend(j + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if free_slots and not extend(0):
+        raise InternalCheckError("no invertible recombination of the free tail")
+    lift = _gf2_unimodular_lift(chosen) if chosen else []
+
+    gens = [first]
+    for j, s in enumerate(free_slots):
+        acc = mod.group.zero()
+        for l in range(m):
+            acc = acc + adapted[1 + l].smul(lift[j][l])
+        fix = _bits_solve(
+            cols_tg,
+            tuple((a + b) % 2 for a, b in zip(block(acc), unit[s])),
+        )
+        if fix is None:
+            raise InternalCheckError("torsion correction unavailable")
+        gens.append(corrected(acc, fix, 0))
+    return gens, free_slots
+
+
+def literal_characteristic_compatibility(
+    mod: LinkModule, torsion_cap: int = 4096
+) -> LiteralCharCompat:
+    """The search `characteristic_compatibility` replaced: over every
+    component ordering, every choice of unit slots and every tuple of
+    2-primary elements with unit parity blocks, test for a pure summand of
+    the 2-primary shape, then decide the free part by a span condition over
+    GF(2) modulo torsion parities.  "unknown" when the tuples outnumber
+    `torsion_cap`.  A witness goes through `_verify_unit_decomposition`."""
+    mu = mod.mu
+    shape = _two_primary_shape(mod.group)
+    k = len(shape)
+    if mod.group.free_rank + k != mu:
+        raise InternalCheckError("module shape off")
+    two_primary = two_primary_elements(mod)
+    if len(two_primary) ** k > torsion_cap:
+        return LiteralCharCompat("unknown", 0)
+    adapted = _weight_adapted_basis(mod)
+    unit = {
+        j: tuple(1 if i == j else 0 for i in range(mu - 1)) for j in range(mu - 1)
+    }
+
+    tried = 0
+    for ordering in itertools.permutations(range(mu)):
+        tried += 1
+
+        def block(x: GroupElt) -> tuple[int, ...]:
+            return _parity_block(mod, x, ordering)
+
+        p_torsion = _gf2_echelon(
+            [_mask(block(t)) for t in mod.group.torsion_elements()]
+        )[0]
+        by_unit: dict[int, list[GroupElt]] = {j: [] for j in range(mu - 1)}
+        for t in two_primary:
+            b = block(t)
+            for j in range(mu - 1):
+                if b == unit[j]:
+                    by_unit[j].append(t)
+
+        found_slots = None
+        found_gens = None
+        for slots in itertools.combinations(range(mu - 1), k):
+            pools = [by_unit[j] for j in slots]
+            for gens in itertools.product(*pools):
+                if is_pure_summand(mod, list(gens), shape):
+                    found_slots, found_gens = slots, list(gens)
+                    break
+            if found_slots is not None:
+                break
+        if k > 0 and found_slots is None:
+            continue
+        used = set(found_slots or ())
+        remaining = [unit[j] for j in range(mu - 1) if j not in used]
+
+        v1 = _mask(block(adapted[0]))
+        rest = [_mask(block(c)) for c in adapted[1:]]
+        reduced_rest = [_gf2_reduce(p_torsion, v) for v in rest]
+        reduced_units = [_gf2_reduce(p_torsion, _mask(u)) for u in remaining]
+        if not _gf2_same_span(reduced_rest, reduced_units):
+            continue
+        basis_rest = _gf2_echelon(reduced_rest)[0]
+        if _gf2_reduce(basis_rest, _gf2_reduce(p_torsion, v1)):
+            continue
+        torsion_gens = found_gens or []
+        torsion_slots = list(found_slots or ())
+        free_gens, free_slots = explicit_free_generators(
+            mod, ordering, adapted, torsion_slots
+        )
+        images = _verify_unit_decomposition(
+            mod, ordering, free_gens, free_slots, torsion_gens, torsion_slots, shape
+        )
+        witness = {
+            "ordering": ordering,
+            "free_generators": [list(g.coords) for g in free_gens],
+            "free_units": free_slots,
+            "torsion_generators": [list(g.coords) for g in torsion_gens],
+            "torsion_units": torsion_slots,
+            "unit_images": images,
+        }
+        return LiteralCharCompat("yes", tried, witness)
+    return LiteralCharCompat("no", tried)
+
+
+# ---------------------------------------------------------------------------
+# markings with no diagram behind them
+
+
+@dataclass
+class SyntheticMarking:
+    """A group with the weight of each canonical unit and its parity
+    bitmask over mu components; `weight` and `parity` are LinkModule's own,
+    read off the same tables."""
+
+    group: FgAbGroup
+    mu: int
+    _weights: tuple[int, ...]
+    _parity_masks: tuple[int, ...]
+
+    weight = LinkModule.weight
+    parity = LinkModule.parity
+    _check_group = LinkModule._check_group
+
+
+def random_marking(rng: random.Random) -> SyntheticMarking:
+    """r free and k even invariant factors with r + k = mu, the 2-parts
+    mostly mixed (Z/2 + Z/4 and the like) and now and then an odd part;
+    weights of gcd 1 on the free coordinates and 0 on the torsion; parity
+    masks whose bit count is the weight mod 2, and 0 on an odd factor."""
+    mu = rng.choice((1, 2, 3, 3, 4, 4, 4))
+    r = rng.randint(1, rng.randint(1, mu))
+    torsion = sorted(rng.choice((2, 2, 4, 4, 8)) for _ in range(mu - r))
+    if len(torsion) == 1 and rng.random() < 0.2:
+        torsion = [3, 3 * torsion[0]]
+    elif torsion and rng.random() < 0.2:
+        torsion[-1] *= 3
+    group = FgAbGroup(r, tuple(torsion))
+    weights = [0] * group.n_coords
+    while gcd(*weights[:r]) != 1:
+        weights[:r] = [rng.randint(-3, 3) for _ in range(r)]
+
+    def mask(parity: int) -> int:
+        while True:
+            m = rng.randrange(1 << mu)
+            if m.bit_count() % 2 == parity:
+                return m
+
+    masks = [mask(w % 2) for w in weights[:r]]
+    masks += [mask(0) if t % 2 == 0 else 0 for t in torsion]
+    return SyntheticMarking(group, mu, tuple(weights), tuple(masks))
 
 
 def longitude_fixes_orbit(res: ImqResult) -> bool:

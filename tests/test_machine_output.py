@@ -1,10 +1,11 @@
 """Byte-identity gate: `--format machine` output of report, compare and a
 cold corpus run on the bundled fixtures, plus the `--dump-quandle` tables,
 must match the recorded `machine_output.json` exactly.  Reports and tables
-of four larger benchmark-family diagrams (`diagrams/`: T(2,13), 13 elements;
+of five larger benchmark-family diagrams (`diagrams/`: T(2,13), 13 elements;
 the 4-component chain T(2,2) # T(2,2) # T(2,2), 16 elements; the chain
-T(2,2) # T(2,6), 18 elements; and T(2,2) # T(2,3) padded with Reidemeister II
-pairs to 31 crossings, 6 elements after 26 merges) must match
+T(2,2) # T(2,6), 18 elements; T(2,2) # T(2,3) padded with Reidemeister II
+pairs to 31 crossings, 6 elements after 26 merges; and the 5-component chain
+T(2,2) # T(2,2) # T(2,2) # T(2,2), 40 elements) must match
 `machine_output_large.json`.
 
 The recorded file holds the exit code and stdout of every run, as written
@@ -27,10 +28,10 @@ from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 RECORDED = Path(__file__).with_name("machine_output.json")
 RECORDED_LARGE = Path(__file__).with_name("machine_output_large.json")
 DIAGRAMS = Path(__file__).with_name("diagrams")
-# closures from perfbench/gen.py, seed 1: chain_word regions [13], [2, 2, 2]
-# and [2, 6]; chain_2_3_pad30 is chain_word [2, 3] then pad_r2 to 30 letters
-# on one Random(1)
-LARGE = ("t2_13", "chain_2_2_2", "chain_2_6", "chain_2_3_pad30")
+# closures from perfbench/gen.py, seed 1: chain_word regions [13], [2, 2, 2],
+# [2, 6] and [2, 2, 2, 2]; chain_2_3_pad30 is chain_word [2, 3] then pad_r2
+# to 30 letters on one Random(1)
+LARGE = ("t2_13", "chain_2_2_2", "chain_2_6", "chain_2_3_pad30", "chain_2_2_2_2")
 # SHA-256 of the two recorded files under each cache schema, oldest first.
 # Re-recording them means reports changed, so a corpus cache written before
 # is stale: bump `cli.CACHE_SCHEMA` and add its entry here; never edit an
@@ -39,6 +40,12 @@ RECORDED_BY_SCHEMA = {
     1: (
         "d73fbf80bb657e08abd9e8f38660eca1c71b7405b3542b2ae19bf9787cfa0b98",
         "aff1e5f5b1c2d55a510351633ccf40b2d10bdf1f8cb720be960d702f3fcc29ca",
+    ),
+    # chain_2_2_2_2 recorded: its characteristic compatibility was
+    # "unknown" under the capped search, and the criterion says "yes"
+    2: (
+        "d73fbf80bb657e08abd9e8f38660eca1c71b7405b3542b2ae19bf9787cfa0b98",
+        "54064d04b45a35cb5aa12a8cd403586b4c63695fb2f46480288524d4eafd2d1a",
     ),
 }
 

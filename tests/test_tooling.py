@@ -27,9 +27,9 @@ def test_every_traced_name_resolves(perfbench_module):
 
 
 def test_every_public_function_has_a_caller(perfbench_module):
-    # a top-level public function in the package is called from package
-    # code, wrapped by the tracer, or documented API; one only the tests
-    # call belongs in tests/oracles.py
+    # a top-level function in the package, public or private, is called
+    # from package code, wrapped by the tracer, or documented API; one only
+    # the tests call belongs in tests/oracles.py
     traced = {n for names in perfbench_module("trace").LAYERS.values() for n in names}
     package = Path(imqlink.__file__).parent
     trees = {p: ast.parse(p.read_text()) for p in package.rglob("*.py")}
@@ -43,7 +43,7 @@ def test_every_public_function_has_a_caller(perfbench_module):
     uncalled = []
     for path, tree in trees.items():
         for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+            if not isinstance(fn, ast.FunctionDef):
                 continue
             if fn.name in traced or fn.name in DOCUMENTED_API:
                 continue
