@@ -59,6 +59,63 @@ from imqlink.quandle import (
 )
 
 
+def literal_orbits(q: FiniteQuandle) -> list[list[int]]:
+    """Connected classes of the relation x ~ x|>y, by one union per pair:
+    the oracle for `quandle.orbits`."""
+    uf = UnionFind(q.n)
+    for x in range(q.n):
+        for y in range(q.n):
+            uf.union(x, q.op[x][y])
+    return uf.classes()
+
+
+def literal_iso_search(
+    q1: FiniteQuandle,
+    q2: FiniteQuandle,
+    candidates: list[list[int]],
+    want_all: bool,
+) -> list[list[int]]:
+    """Isomorphisms f: q1 -> q2 with every f(x) in candidates[x], by
+    backtracking: all of them, or the first.  Elements are assigned in
+    order of their candidate counts, and f(x |> y) = f(x) |> f(y) is
+    checked once both sides are assigned: the oracle for
+    `quandle._iso_search`."""
+    n = q1.n
+    order = sorted(range(n), key=lambda x: len(candidates[x]))
+    found: list[list[int]] = []
+    fwd = [-1] * n
+    used = [False] * n
+
+    def consistent(x: int, y: int) -> bool:
+        for a in range(n):
+            if fwd[a] < 0:
+                continue
+            if fwd[q1.op[x][a]] >= 0 and fwd[q1.op[x][a]] != q2.op[y][fwd[a]]:
+                return False
+            if fwd[q1.op[a][x]] >= 0 and fwd[q1.op[a][x]] != q2.op[fwd[a]][y]:
+                return False
+        return True
+
+    def rec(k: int) -> bool:
+        if k == n:
+            found.append(fwd[:])
+            return not want_all
+        x = order[k]
+        for y in candidates[x]:
+            if used[y] or not consistent(x, y):
+                continue
+            fwd[x] = y
+            used[y] = True
+            if rec(k + 1):
+                return True
+            fwd[x] = -1
+            used[y] = False
+        return False
+
+    rec(0)
+    return found
+
+
 def literal_axiom_violations(q: FiniteQuandle) -> list[str]:
     """Every violated instance of the four involutory medial quandle
     axioms, each checked literally; mediality takes O(n^4)."""

@@ -195,7 +195,11 @@ def test_compatibility_matches_quandle_comparison(name, modules):
 
 
 GATE_DIAGRAMS = Path(__file__).with_name("diagrams")
-GATE_NAMES = tuple(sorted(p.stem for p in GATE_DIAGRAMS.glob("*.json")))
+# the diagrams of the byte gate (`machine_output_large.json`); the other
+# files there are regression inputs of the isomorphism search
+GATE_NAMES = (
+    "chain_2_2_2", "chain_2_2_2_2", "chain_2_3_pad30", "chain_2_6", "t2_13"
+)
 
 
 def _check_against_search(mod):
