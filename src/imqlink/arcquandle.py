@@ -5,26 +5,33 @@ inside Core(M), exactly one coset of ker(marking) per component; the
 operation x |> y = 2y - x restricts to these cosets.  This module builds
 that quandle and decides the two comparison questions: is the marking
 obtainable from a direct-sum decomposition (characteristic compatibility),
-and are two markings equivalent under a component re-indexing.
+and are two markings equivalent under a component re-indexing.  Both are
+decided on M/2M, which has one bit per free and per even torsion
+coordinate; `_mod2_bits` reads it off the module.
+
+Let p: M/2M -> F_2^mu be the parity map, read off the module's
+per-coordinate parity masks; W the image of the torsion; and U_a the span
+of the even torsion units whose 2-part is at most 2^a.  U_a is the image
+of the elements of T whose order divides 2^a, T the torsion: in a
+coordinate Z/t with 2-part 2^b > 2^a those elements are even.  For a link
+module p is invertible: the arcs generate M, their parities are the unit
+vectors, and M/2M has dimension r + k = mu.  Every arc class has weight 1
+and a unit parity vector, so the parities sum to the weight mod 2 on all
+of M.
 
 Characteristic compatibility asks for a cyclic decomposition
 M = <f_1> + .. + <f_r> + <g_1> + .. + <g_k> + (odd torsion), with the f_i
 free, the g_i of 2-power order (k is the number of even invariant factors,
 and r + k = mu), and a dropped component o_0, such that f_1 has weight 1
 and parity 0 off o_0, and each other generator has weight 0 and parity e_j
-off o_0, for its own component j != o_0.  It is decided on M/2M, which has
-one bit per free and per even torsion coordinate.  Let p: M/2M -> F_2^mu
-be the parity map, read off the module's per-coordinate parity masks; W
-the image of the torsion; and U_a the span of the even torsion units whose
-2-part is at most 2^a.  The answer is yes iff p is invertible and, for
-some o_0, the vectors v_j = p^-1(e_j + e_o_0), j != o_0, include exactly k
-in W, and those k are adapted to the flag: for every a, as many of them
-lie in U_a as dim U_a.  Why this is exact:
+off o_0, for its own component j != o_0.  The answer is yes iff p is
+invertible and, for some o_0, the vectors v_j = p^-1(e_j + e_o_0),
+j != o_0, include exactly k in W, and those k are adapted to the flag:
+for every a, as many of them lie in U_a as dim U_a.  Why this is exact:
 
 - Every cyclic decomposition gives a basis of M/2M, the classes of the
   f_i and g_i; the odd part vanishes mod 2.
-- Every arc class has weight 1 and a unit parity vector, so the parities
-  sum to the weight mod 2 on all of M.  The required images thus force
+- The parities sum to the weight, so the required images force
   p(f_1) = e_o_0 and p(g) = e_j + e_o_0 for every other generator g: p maps
   a basis onto a basis, and the generators' classes are p^-1(e_o_0) and
   the v_j.
@@ -50,6 +57,33 @@ lie in U_a as dim U_a.  Why this is exact:
 So the verdict is always "yes" or "no".  A "yes" carries the
 decomposition built above, re-verified from scratch by
 `_verify_unit_decomposition`.
+
+Marking equivalence asks for an isomorphism phi: M_1 -> M_2 and a
+re-indexing tau in S_mu with w_2 phi = w_1 and p_2 phi = tau p_1.  Put
+P_a = p(U_a).  Two modules with equal groups (hence equal mu = r + k)
+have equivalent markings iff some tau maps P_a of the first onto P_a of
+the second at every level a.  Why this is exact:
+
+- Necessity: phi mod 2 is p_2^-1 tau p_1, and phi maps the elements of
+  order dividing 2^a onto those of M_2, so it maps U_a onto U_a.
+- Sufficiency: let psi = p_2^-1 tau p_1, which maps each U_a onto U_a.
+  Torsion part: send each even torsion unit g_c of the first module, of
+  2-part 2^(a_c), to the lift of psi(g_c) above, of order dividing
+  2^(a_c), and the odd part identically.  The images span T_2 mod 2T_2,
+  hence T_2, so this map onto a group of the same order is an isomorphism.
+  Free part: over the weight-adapted bases c of M_1 and d of M_2, psi(c_j)
+  mod W has coordinates B_j over d.  Weight mod 2 is the sum of the
+  parities and tau keeps that sum, so psi keeps the weight mod 2, and B has
+  first column e_1; psi is invertible mod W, so the lower block of B is
+  invertible.  Lift B with that first column, its first row by 0/1 and its
+  lower block by `_gf2_unimodular_lift`, and shift by torsion lifts of the
+  W parts: the free generators keep their weights and phi lifts psi.
+- Since P_a nests and dim P_a = dim U_a on both sides, it suffices that
+  tau sends the parity of each even torsion unit into P_a at that unit's
+  own level.
+
+So the verdict is always "equivalent" or "not_equivalent", for every
+determinant, found by one GF(2) reduction per torsion bit and tau.
 """
 
 from __future__ import annotations
@@ -66,25 +100,28 @@ from .abelian import (
     smith_normal_form,
     subgroup_contains,
 )
-from .linkmodule import InternalCheckError, LinkModule, torsion_parity_profile
-from .quandle import (
-    FiniteQuandle,
-    automorphism_classes,
-    is_isomorphic,
-    is_semiregular,
-    orbits,
-)
+from .linkmodule import InternalCheckError, LinkModule
+from .quandle import FiniteQuandle, automorphism_classes, is_semiregular, orbits
 
 Bits = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# small GF(2) helpers; the eliminator in `abelian` takes vectors as
-# bitmasks
+# M/2M and small GF(2) helpers; the eliminator in `abelian` takes vectors
+# as bitmasks
 
 
-def _mask(bits: Bits) -> int:
-    return sum(b << k for k, b in enumerate(bits))
+def _mod2_bits(mod: LinkModule) -> tuple[list[int], list[int], list[int]]:
+    """M/2M, one bit per free and then per even torsion coordinate: the
+    canonical coordinate of each bit, its parity mask, and the 2-parts of
+    the torsion bits in order."""
+    group = mod.group
+    r = group.free_rank
+    coord = [*range(r), *(r + i for i, t in enumerate(group.torsion) if t % 2 == 0)]
+    shape = [group.torsion[c - r] & -group.torsion[c - r] for c in coord[r:]]
+    if r + len(shape) != mod.mu:
+        raise InternalCheckError("module shape off")
+    return coord, [mod._parity_masks[c] for c in coord], shape
 
 
 def _gf2_solve(cols: list[int], target: int) -> int:
@@ -97,11 +134,6 @@ def _gf2_solve(cols: list[int], target: int) -> int:
     if not (null and null[-1] >> n & 1):
         raise InternalCheckError("GF(2) target outside the span")
     return null[-1] ^ 1 << n
-
-
-def _gf2_same_span(a: list[int], b: list[int]) -> bool:
-    ba, bb = _gf2_echelon(a)[0], _gf2_echelon(b)[0]
-    return len(ba) == len(bb) and not any(_gf2_reduce(ba, v) for v in bb)
 
 
 def _gf2_unimodular_lift(rows: list[list[int]]) -> list[list[int]]:
@@ -234,10 +266,6 @@ class CharCompatReport:
     witness: dict | None = None
 
 
-def _two_primary_shape(group: FgAbGroup) -> list[int]:
-    return [t & -t for t in group.torsion if t % 2 == 0]
-
-
 def _weight_adapted_basis(mod: LinkModule) -> list[GroupElt]:
     """Free-part basis c with weight profile (1, 0, ..., 0): the rows of U
     in the Smith form of the free coordinates' weight column."""
@@ -331,15 +359,8 @@ def characteristic_compatibility(mod: LinkModule) -> CharCompatReport:
     and parity off one dropped component?  Decided by the criterion on
     M/2M in the module docstring; a "yes" carries the decomposition that
     its proof builds, verified from scratch."""
-    group = mod.group
-    mu, r = mod.mu, group.free_rank
-    shape = _two_primary_shape(group)
-    if r + len(shape) != mu:
-        raise InternalCheckError("module shape off")
-    # M/2M: bit i is canonical coordinate coord[i], the free ones and then
-    # the even torsion ones, whose 2-parts are `shape` in order
-    coord = [*range(r), *(r + i for i, t in enumerate(group.torsion) if t % 2 == 0)]
-    masks = [mod._parity_masks[c] for c in coord]
+    mu, r = mod.mu, mod.group.free_rank
+    coord, masks, shape = _mod2_bits(mod)
     if _gf2_echelon(masks)[1]:
         return CharCompatReport("no")
     pre = [_gf2_solve(masks, 1 << j) for j in range(mu)]  # p^-1(e_j)
@@ -422,113 +443,39 @@ def _witness(
 
 @dataclass
 class MarkingComparison:
-    status: str  # "equivalent" | "not_equivalent" | "unknown"
+    status: str  # "equivalent" | "not_equivalent"
     reason: str
     witness: dict | None = None
 
 
-def _torsion_span(gens: list[GroupElt], zero: GroupElt) -> set[GroupElt]:
-    span = {zero}
-    for g in gens:
-        if g.order() == 0:
-            raise ValueError("infinite-order generator")
-        layer = set(span)
-        for c in range(1, g.order()):
-            layer |= {e + g.smul(c) for e in span}
-        span = layer
-    return span
-
-
-def _torsion_isos(
-    m1: LinkModule, m2: LinkModule
-) -> tuple[list[GroupElt], list[list[GroupElt]]]:
-    """Canonical torsion generators of m1 and, per generator, the m2
-    elements of compatible order they may map to."""
-    gens = _canonical_torsion_generators(m1.group)
-    t2 = [x for x in m2.group.torsion_elements() if not x.is_zero()]
-    pools = [[x for x in t2 if g.order() % x.order() == 0] for g in gens]
-    return gens, pools
-
-
 def marking_equivalent(m1: LinkModule, m2: LinkModule) -> MarkingComparison:
-    """Tiered decision of marking equivalence under component
-    re-indexing: invariant factors, then parity profiles, then an exact
-    coset-quandle comparison (nonzero determinants) or a bounded
-    explicit-isomorphism search (determinant zero)."""
+    """Are the markings equivalent under a component re-indexing?  Decided
+    for every determinant by the flag criterion on M/2M in the module
+    docstring.  An "equivalent" carries the re-indexing: component i of m1
+    goes to component_map[i] of m2."""
     if m1.group != m2.group:
         return MarkingComparison("not_equivalent", "module groups differ")
-    if m1.mu != m2.mu:
-        return MarkingComparison("not_equivalent", "component counts differ")
-    if torsion_parity_profile(m1) != torsion_parity_profile(m2):
-        return MarkingComparison("not_equivalent", "torsion parity profiles differ")
-    det1, det2 = m1.determinant, m2.determinant
-    if (det1 == 0) != (det2 == 0):
-        return MarkingComparison("not_equivalent", "one determinant is zero")
-    if det1 != 0:
-        if det1 != det2:
-            return MarkingComparison("not_equivalent", "determinants differ")
-        w = is_isomorphic(build_arc_quandle(m1).quandle, build_arc_quandle(m2).quandle)
-        if w is None:
-            return MarkingComparison(
-                "not_equivalent", "arc-coset quandles are not isomorphic"
-            )
-        return MarkingComparison(
-            "equivalent", "arc-coset quandles isomorphic", {"bijection": w}
-        )
-    return _marking_search_det0(m1, m2)
-
-
-def _marking_search_det0(m1: LinkModule, m2: LinkModule) -> MarkingComparison:
-    mu = m1.mu
-    gens, pools = _torsion_isos(m1, m2)
-    torsion_order = len(list(m1.group.torsion_elements()))
-    adapted1 = _weight_adapted_basis(m1)
-    adapted2 = _weight_adapted_basis(m2)
-    p_torsion2 = _gf2_echelon(
-        [_mask(m2.parity(t)) for t in m2.group.torsion_elements()]
-    )[0]
-    sources = [_mask(m2.parity(c)) for c in adapted2]
-    red_s = [_gf2_reduce(p_torsion2, v) for v in sources[1:]]
-    basis_s = _gf2_echelon(red_s)[0]
-    s0 = _gf2_reduce(basis_s, _gf2_reduce(p_torsion2, sources[0]))
-
-    for images in itertools.product(*pools):
-        if len(_torsion_span(list(images), m2.group.zero())) != torsion_order:
-            continue
-        for tau in itertools.permutations(range(mu)):
-
-            def shuffle(p: Bits) -> Bits:
-                out = [0] * mu
-                for i, v in enumerate(p):
-                    out[tau[i]] = v
-                return tuple(out)
-
-            if any(
-                shuffle(m1.parity(g)) != m2.parity(im)
-                for g, im in zip(gens, images)
-            ):
-                continue
-            # free part: m2's weight-adapted basis must realize the
-            # tau-mapped parities of m1's, modulo torsion parities and an
-            # invertible mod-2 change of basis
-            targets = [_mask(shuffle(m1.parity(c))) for c in adapted1]
-            red_t = [_gf2_reduce(p_torsion2, v) for v in targets[1:]]
-            if not _gf2_same_span(red_s, red_t):
-                continue
-            t0 = _gf2_reduce(basis_s, _gf2_reduce(p_torsion2, targets[0]))
-            if t0 != s0:
-                continue
+    r = m1.group.free_rank
+    (_, masks1, shape), (_, masks2, _) = _mod2_bits(m1), _mod2_bits(m2)
+    if _gf2_echelon(masks1)[1] or _gf2_echelon(masks2)[1]:
+        raise InternalCheckError("parity map not invertible on M/2M")
+    # per torsion bit of m1: an echelon basis of P_a of m2 at its level a
+    flag = [
+        _gf2_echelon([m for m, b in zip(masks2[r:], shape) if b <= a])[0]
+        for a in shape
+    ]
+    for tau in itertools.permutations(range(m1.mu)):
+        if not any(
+            _gf2_reduce(level, sum((m >> i & 1) << t for i, t in enumerate(tau)))
+            for m, level in zip(masks1[r:], flag)
+        ):
             return MarkingComparison(
                 "equivalent",
-                "explicit compatible isomorphism found",
-                {
-                    "component_map": list(tau),
-                    "torsion_images": [list(i.coords) for i in images],
-                },
+                "parity flags on M/2M match under a re-indexing",
+                {"component_map": list(tau)},
             )
     return MarkingComparison(
-        "unknown",
-        "groups, profiles and determinants agree; bounded search found no witness",
+        "not_equivalent", "parity flags on M/2M match under no re-indexing"
     )
 
 

@@ -46,7 +46,6 @@ from .quandle import (
     CapExceeded,
     group_from_quandle,
     is_isomorphic,
-    is_isomorphism,
     orbits,
     serialize_quandle,
 )
@@ -244,13 +243,7 @@ def cmd_compare(args) -> int:
     }
     if det1 != 0 and det2 != 0:
         q1, q2 = build_arc_quandle(m1).quandle, build_arc_quandle(m2).quandle
-        # an equivalent marking carries the coset-quandle isomorphism it
-        # found; check that bijection rather than search again
-        witness = (marking.witness or {}).get("bijection")
-        if marking.status == "equivalent" and witness is not None:
-            record["arc_quandle_isomorphic"] = is_isomorphism(q1, q2, witness)
-        else:
-            record["arc_quandle_isomorphic"] = is_isomorphic(q1, q2) is not None
+        record["arc_quandle_isomorphic"] = is_isomorphic(q1, q2) is not None
         if args.no_imq:
             record["imq_isomorphic"] = None
         else:
@@ -264,7 +257,8 @@ def cmd_compare(args) -> int:
         record["imq_isomorphic"] = None
 
     # implication chain: imq iso => markings equivalent => coset quandles
-    # iso (when defined) => double-cover homology iso
+    # iso (when defined) => double-cover homology iso.  The marking is
+    # decided on M/2M and Q_A by a search: two independent computations
     chain_ok = True
     if record["imq_isomorphic"] is True and marking.status != "equivalent":
         chain_ok = False
@@ -303,7 +297,7 @@ def cmd_compare(args) -> int:
 # Part of every cache key.  Bump it with any engine change that alters a
 # report, so that a cache written before the change is not served after it;
 # tests/test_machine_output.py pins it to the recorded gate files.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 
 def _cache_key(d: LinkDiagram, no_imq: bool, imq_cap: int | None) -> str:

@@ -230,10 +230,17 @@ def longitude_zero_subset(
 def torsion_parity_profile(mod: LinkModule) -> tuple[tuple[int, ...], ...]:
     """Sorted multiset of parity vectors of the nonzero finite-order
     elements, canonicalized to the least multiset over coordinate
-    permutations (so it is invariant under component re-indexing)."""
+    permutations (so it is invariant under component re-indexing).
+
+    With free rank 1, p(T) is the whole even-weight space: the torsion has
+    weight 0, the parities sum to the weight mod 2, and p is invertible on
+    M/2M, which T fills but for one bit.  Each vector of it is hit equally
+    often, so every coordinate permutation keeps the multiset."""
     vectors = [
         mod.parity(t) for t in mod.group.torsion_elements() if not t.is_zero()
     ]
+    if mod.group.free_rank == 1:
+        return tuple(sorted(vectors))
     best = None
     for perm in itertools.permutations(range(mod.mu)):
         cand = tuple(sorted(tuple(v[i] for i in perm) for v in vectors))

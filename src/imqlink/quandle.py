@@ -511,18 +511,6 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> list[int] | None:
     return res[0] if res else None
 
 
-def is_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle, f: list[int]) -> bool:
-    """Checked literally: f is a bijection q1 -> q2 with
-    f(x |> y) = f(x) |> f(y) for every pair."""
-    n = q1.n
-    if q2.n != n or sorted(f) != list(range(n)):
-        return False
-    return all(
-        f[q1.op[x][y]] == q2.op[f[x]][f[y]]
-        for x, y in itertools.product(range(n), repeat=2)
-    )
-
-
 def automorphisms(q: FiniteQuandle) -> list[list[int]]:
     """Every automorphism of q, by exhaustive search."""
     return _iso_search(q, q, _iso_candidates(q, q), want_all=True)

@@ -27,12 +27,9 @@ from imqlink.abelian import (
 from imqlink.arcquandle import (
     ArcQuandle,
     _canonical_torsion_generators,
-    _gf2_same_span,
     _gf2_unimodular_lift,
-    _mask,
+    _mod2_bits,
     _parity_block,
-    _torsion_span,
-    _two_primary_shape,
     _verify_unit_decomposition,
     _weight_adapted_basis,
     build_arc_quandle,
@@ -57,6 +54,39 @@ from imqlink.quandle import (
     is_isomorphic,
     orbits,
 )
+
+
+def _mask(bits: tuple[int, ...]) -> int:
+    return sum(b << k for k, b in enumerate(bits))
+
+
+def _gf2_same_span(a: list[int], b: list[int]) -> bool:
+    ba, bb = _gf2_echelon(a)[0], _gf2_echelon(b)[0]
+    return len(ba) == len(bb) and not any(_gf2_reduce(ba, v) for v in bb)
+
+
+def _torsion_span(gens: list[GroupElt], zero: GroupElt) -> set[GroupElt]:
+    span = {zero}
+    for g in gens:
+        if g.order() == 0:
+            raise ValueError("infinite-order generator")
+        layer = set(span)
+        for c in range(1, g.order()):
+            layer |= {e + g.smul(c) for e in span}
+        span = layer
+    return span
+
+
+def is_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle, f: list[int]) -> bool:
+    """Checked literally: f is a bijection q1 -> q2 with
+    f(x |> y) = f(x) |> f(y) for every pair."""
+    n = q1.n
+    if q2.n != n or sorted(f) != list(range(n)):
+        return False
+    return all(
+        f[q1.op[x][y]] == q2.op[f[x]][f[y]]
+        for x, y in itertools.product(range(n), repeat=2)
+    )
 
 
 def literal_orbits(q: FiniteQuandle) -> list[list[int]]:
@@ -762,10 +792,8 @@ def literal_characteristic_compatibility(
     GF(2) modulo torsion parities.  "unknown" when the tuples outnumber
     `torsion_cap`.  A witness goes through `_verify_unit_decomposition`."""
     mu = mod.mu
-    shape = _two_primary_shape(mod.group)
+    shape = _mod2_bits(mod)[2]
     k = len(shape)
-    if mod.group.free_rank + k != mu:
-        raise InternalCheckError("module shape off")
     two_primary = two_primary_elements(mod)
     if len(two_primary) ** k > torsion_cap:
         return LiteralCharCompat("unknown", 0)
@@ -833,6 +861,79 @@ def literal_characteristic_compatibility(
         }
         return LiteralCharCompat("yes", tried, witness)
     return LiteralCharCompat("no", tried)
+
+
+# ---------------------------------------------------------------------------
+# marking equivalence and parity profiles by search
+
+
+def literal_torsion_parity_profile(mod: LinkModule) -> tuple[tuple[int, ...], ...]:
+    """The least sorted multiset of torsion parity vectors over every
+    permutation of the components, with no free-rank-1 shortcut."""
+    vectors = [
+        mod.parity(t) for t in mod.group.torsion_elements() if not t.is_zero()
+    ]
+    best = None
+    for perm in itertools.permutations(range(mod.mu)):
+        cand = tuple(sorted(tuple(v[i] for i in perm) for v in vectors))
+        if best is None or cand < best:
+            best = cand
+    return best if best is not None else ()
+
+
+def literal_marking_search(m1: LinkModule, m2: LinkModule) -> dict | None:
+    """The search `marking_equivalent` replaced for determinant zero, on
+    modules with equal groups: over every tuple of images of m1's canonical
+    torsion generators that generates m2's torsion, and every re-indexing
+    tau, match the torsion parities, then decide the free part by a span
+    condition over GF(2) modulo torsion parities.  Both loops are
+    exhaustive, so None means the markings are not equivalent."""
+    mu = m1.mu
+    gens = _canonical_torsion_generators(m1.group)
+    t2 = [x for x in m2.group.torsion_elements() if not x.is_zero()]
+    pools = [[x for x in t2 if g.order() % x.order() == 0] for g in gens]
+    torsion_order = len(list(m1.group.torsion_elements()))
+    adapted1 = _weight_adapted_basis(m1)
+    adapted2 = _weight_adapted_basis(m2)
+    p_torsion2 = _gf2_echelon(
+        [_mask(m2.parity(t)) for t in m2.group.torsion_elements()]
+    )[0]
+    sources = [_mask(m2.parity(c)) for c in adapted2]
+    red_s = [_gf2_reduce(p_torsion2, v) for v in sources[1:]]
+    basis_s = _gf2_echelon(red_s)[0]
+    s0 = _gf2_reduce(basis_s, _gf2_reduce(p_torsion2, sources[0]))
+
+    for images in itertools.product(*pools):
+        if len(_torsion_span(list(images), m2.group.zero())) != torsion_order:
+            continue
+        for tau in itertools.permutations(range(mu)):
+
+            def shuffle(p: tuple[int, ...]) -> tuple[int, ...]:
+                out = [0] * mu
+                for i, v in enumerate(p):
+                    out[tau[i]] = v
+                return tuple(out)
+
+            if any(
+                shuffle(m1.parity(g)) != m2.parity(im)
+                for g, im in zip(gens, images)
+            ):
+                continue
+            # free part: m2's weight-adapted basis must realize the
+            # tau-mapped parities of m1's, modulo torsion parities and an
+            # invertible mod-2 change of basis
+            targets = [_mask(shuffle(m1.parity(c))) for c in adapted1]
+            red_t = [_gf2_reduce(p_torsion2, v) for v in targets[1:]]
+            if not _gf2_same_span(red_s, red_t):
+                continue
+            t0 = _gf2_reduce(basis_s, _gf2_reduce(p_torsion2, targets[0]))
+            if t0 != s0:
+                continue
+            return {
+                "component_map": list(tau),
+                "torsion_images": [list(i.coords) for i in images],
+            }
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
-from math import factorial
+from collections import defaultdict
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,7 @@ from oracles import (
     displacement_matches_kernel,
     literal_characteristic_compatibility,
     literal_coset_table,
+    literal_marking_search,
     orbit_component,
     random_marking,
 )
@@ -262,6 +265,12 @@ def test_characteristic_compatibility_agrees_on_synthetic_markings():
     )
 
 
+def _chain_module(gen, regions):
+    word = gen.chain_word(list(regions), random.Random(1))
+    text = gen.to_text(gen.closure(word, len(regions) + 1))
+    return build_link_module(parse_diagram(text))
+
+
 CAPPED_CHAINS = ((2, 2, 2, 2), (2, 2, 2, 4), (4, 4, 2, 2), (2, 2, 2, 2, 3), (2, 4, 8))
 
 
@@ -269,10 +278,7 @@ CAPPED_CHAINS = ((2, 2, 2, 2), (2, 2, 2, 4), (4, 4, 2, 2), (2, 2, 2, 2, 3), (2, 
     "regions", CAPPED_CHAINS, ids=["_".join(map(str, r)) for r in CAPPED_CHAINS]
 )
 def test_compatibility_matches_quandle_comparison_on_chains(regions, perfbench_module):
-    gen = perfbench_module("gen")
-    word = gen.chain_word(list(regions), random.Random(1))
-    text = gen.to_text(gen.closure(word, len(regions) + 1))
-    mod = build_link_module(parse_diagram(text))
+    mod = _chain_module(perfbench_module("gen"), regions)
     # beyond the search's cap, the criterion decides and Q_A agrees
     assert literal_characteristic_compatibility(mod).status == "unknown"
     assert characteristic_compatibility(mod).status == "yes"
@@ -280,12 +286,14 @@ def test_compatibility_matches_quandle_comparison_on_chains(regions, perfbench_m
 
 
 def test_marking_comparisons(modules):
+    match = "parity flags on M/2M match under a re-indexing"
+    no_match = "parity flags on M/2M match under no re-indexing"
     expect = [
-        ("hopf2", "sixthree", "equivalent", "arc-coset quandles isomorphic"),
+        ("hopf2", "sixthree", "equivalent", match),
         ("trefoil", "fig8", "not_equivalent", "module groups differ"),
         ("hopf2", "trefoil", "not_equivalent", "module groups differ"),
-        ("fig5l", "figt", "not_equivalent", "torsion parity profiles differ"),
-        ("lprime", "ldprime", "not_equivalent", "torsion parity profiles differ"),
+        ("fig5l", "figt", "not_equivalent", no_match),
+        ("lprime", "ldprime", "not_equivalent", no_match),
     ]
     for a, b, status, reason in expect:
         result = marking_equivalent(modules[a], modules[b])
@@ -297,8 +305,8 @@ def test_marking_comparisons(modules):
 
 @pytest.mark.parametrize("name", INFINITE)
 def test_marking_self_comparison_finds_witness(name, modules):
-    # determinant-zero pairs fall back to the explicit bounded search,
-    # which must find a witness when comparing a diagram with itself
+    # determinant zero is decided on M/2M like any other; a diagram
+    # compared with itself gets a re-indexing as its witness
     fresh = build_link_module(parse_diagram(fixture_text(name)))
     result = marking_equivalent(modules[name], fresh)
     assert result.status == "equivalent"
@@ -309,6 +317,83 @@ def test_marking_self_comparison_finds_witness(name, modules):
 @pytest.mark.parametrize("name", FINITE)
 def test_marking_self_comparison_finite(name, modules):
     assert marking_equivalent(modules[name], modules[name]).status == "equivalent"
+
+
+
+
+SAME_GROUP_CHAINS = (
+    ((2, 2, 4), (2, 4, 2)),
+    ((2, 2, 2, 4), (2, 4, 2, 2)),
+    ((2, 2, 4, 4), (2, 4, 2, 4)),
+    ((2, 2, 8), (2, 8, 2)),
+)
+
+
+@pytest.mark.parametrize(
+    "first,second", SAME_GROUP_CHAINS, ids=[f"{a}-{b}" for a, b in SAME_GROUP_CHAINS]
+)
+def test_chains_with_one_group_and_different_markings(first, second, perfbench_module):
+    gen = perfbench_module("gen")
+    m1, m2 = _chain_module(gen, first), _chain_module(gen, second)
+    assert m1.group == m2.group and m1.determinant != 0
+    assert marking_equivalent(m1, m2).status == "not_equivalent"
+    assert marking_equivalent(m2, m1).status == "not_equivalent"
+    q1, q2 = build_arc_quandle(m1).quandle, build_arc_quandle(m2).quandle
+    assert is_isomorphic(q1, q2) is None
+
+
+def _agreement_sample(gen) -> list:
+    """Seeded braid closures, half of them missing one letter so that they
+    split and have determinant zero; every ordering of some twist chains;
+    and split pairs of chains, whose groups repeat across orderings."""
+
+    def closure(word, n):
+        return build_link_module(parse_diagram(json.dumps(gen.closure(word, n))))
+
+    mods = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        gap = rng.randint(1, n - 1) if seed % 2 else None
+        letters = [i for i in range(1, n) if i != gap]
+        word = [
+            rng.choice((1, -1)) * rng.choice(letters)
+            for _ in range(rng.randint(n, 2 * n + 2))
+        ]
+        mods.append(closure(word, n))
+    for regions in ((2, 2, 4), (2, 4, 3), (2, 2, 3, 3), (2, 2, 8), (2, 6, 2)):
+        for order in sorted(set(itertools.permutations(regions))):
+            mods.append(_chain_module(gen, order))
+    splits = ((2, 4), (2,)), ((2, 2), (4,)), ((2, 2), (2,)), ((2, 3), (2,))
+    for left, right in splits + tuple((b, a) for a, b in splits):
+        w1 = gen.chain_word(list(left), random.Random(1))
+        w2 = gen.chain_word(list(right), random.Random(2))
+        shift = len(left) + 1
+        w2 = [x + shift if x > 0 else x - shift for x in w2]
+        mods.append(closure(w1 + w2, len(left) + len(right) + 2))
+    return mods
+
+
+def test_marking_criterion_agrees_with_the_search_and_with_q_a(perfbench_module):
+    # the literal search costs |pools|^k * mu! per pair: its torsion is
+    # capped at 16, and Q_A's at 64
+    by_group = defaultdict(list)
+    for mod in _agreement_sample(perfbench_module("gen")):
+        if prod(mod.group.torsion) <= (16 if mod.determinant == 0 else 64):
+            by_group[mod.group].append(mod)
+    seen = defaultdict(int)
+    for mods in by_group.values():
+        for m1, m2 in itertools.combinations_with_replacement(mods, 2):
+            got = marking_equivalent(m1, m2)
+            if m1.determinant == 0:
+                want = literal_marking_search(m1, m2) is not None
+            else:
+                q1, q2 = build_arc_quandle(m1).quandle, build_arc_quandle(m2).quandle
+                want = is_isomorphic(q1, q2) is not None
+            assert got.status == ("equivalent" if want else "not_equivalent")
+            seen[m1.determinant == 0, got.status] += 1
+    assert seen[True, "not_equivalent"] >= 10 and seen[False, "not_equivalent"] >= 2
+    assert seen[True, "equivalent"] >= 100 and seen[False, "equivalent"] >= 50
 
 
 def test_equivalent_markings_imply_same_weight_kernel(modules):

@@ -207,7 +207,7 @@ def test_compare_det_zero_pair(tmp_path, capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["marking_equivalent"] == "not_equivalent"
-    assert rec["marking_reason"] == "torsion parity profiles differ"
+    assert rec["marking_reason"] == "parity flags on M/2M match under no re-indexing"
     assert rec["arc_quandle_isomorphic"] is None
     assert rec["imq_isomorphic"] is None
     assert rec["h1_isomorphic"] is True
@@ -545,7 +545,26 @@ def test_compare_computes_each_invariant_once(tmp_path, capsys, engine_calls):
     }
 
 
-def test_compare_checks_the_marking_witness_instead_of_searching_again(
+# closures of braid words [5, 5, 5, 5, -3, 1, 1, 1, 1, 2, 2] on 6 strands
+# and [-1, -1, -3, -3, -3, -3, -4, -4, -4, -4] on 5 strands: determinant 0,
+# both with module Z^2 + Z/2 + Z/4 + Z/4
+DET0_PAIR = ("det0_pair_a", "det0_pair_b")
+
+
+def test_compare_tells_apart_a_det_zero_pair_with_one_group(capsys):
+    a, b = (str(Path(__file__).with_name("diagrams") / f"{n}.json") for n in DET0_PAIR)
+    code, out, _ = run(capsys, "--format", "machine", "compare", a, b)
+    rec = json.loads(out)
+    assert code == 0
+    assert rec["module_isomorphic"] is True
+    assert rec["marking_equivalent"] == "not_equivalent"
+    assert rec["implication_chain_ok"] is True
+    for path in (a, b):
+        code, out, _ = run(capsys, "--format", "machine", "compare", path, path)
+        assert code == 0 and json.loads(out)["marking_equivalent"] == "equivalent"
+
+
+def test_compare_runs_one_coset_quandle_search_and_one_imq_search(
     tmp_path, capsys, monkeypatch
 ):
     calls = Counter()
@@ -554,39 +573,63 @@ def test_compare_checks_the_marking_witness_instead_of_searching_again(
     b = write_fixture(tmp_path, "sixthree")
     code, out, _ = run(capsys, "--format", "machine", "compare", a, b)
     assert code == 0 and json.loads(out)["arc_quandle_isomorphic"] is True
-    # one coset-quandle search, inside marking_equivalent; one IMQ search
+    # the marking is decided on M/2M, with no search; one coset-quandle
+    # search checks it, and one IMQ search
     assert calls == {"is_isomorphic": 2}
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, pair, contradicted_by",
     (
-        lambda f: [f[0]] * len(f),  # respects the operation, not a bijection
-        lambda f: [f[1], f[0], *f[2:]],  # a bijection that breaks it
+        # says "equivalent" whatever it is given: Q_A of trefoil and fig8 differ
+        (
+            lambda status: "equivalent",
+            ("trefoil", "fig8"),
+            ("arc_quandle_isomorphic", False),
+        ),
+        # swaps the two verdicts: the IMQ of fig8 is isomorphic to itself
+        (
+            lambda status: "not_equivalent" if status == "equivalent" else "equivalent",
+            ("fig8", "fig8"),
+            ("imq_isomorphic", True),
+        ),
     ),
     ids=("constant", "transposed"),
 )
 def test_compare_exits_4_on_a_corrupted_marking_witness(
-    corrupt, tmp_path, capsys, monkeypatch
+    corrupt, pair, contradicted_by, tmp_path, capsys, monkeypatch
 ):
     real = cli.marking_equivalent
 
     def corrupted(m1, m2):
         out = real(m1, m2)
-        assert out.status == "equivalent"
-        return arcquandle.MarkingComparison(
-            out.status, out.reason, {"bijection": corrupt(out.witness["bijection"])}
-        )
+        return arcquandle.MarkingComparison(corrupt(out.status), "corrupted")
 
     monkeypatch.setattr(cli, "marking_equivalent", corrupted)
-    a = write_fixture(tmp_path, "fig8")
-    code, out, err = run(capsys, "--format", "machine", "--no-imq", "compare", a, a)
+    a, b = (write_fixture(tmp_path, name) for name in pair)
+    code, out, err = run(capsys, "--format", "machine", "compare", a, b)
     assert code == 4
     rec = json.loads(out)
-    assert rec["marking_equivalent"] == "equivalent"
-    assert rec["arc_quandle_isomorphic"] is False
+    key, value = contradicted_by
+    assert rec[key] is value
+    assert rec["marking_reason"] == "corrupted"
     assert rec["implication_chain_ok"] is False
     assert "implication chain violated" in err
+
+
+def test_main_carries_no_flag_over_to_a_later_call(tmp_path, capsys):
+    trefoil = write_fixture(tmp_path, "trefoil")
+    fig8 = write_fixture(tmp_path, "fig8")
+    code, out, _ = run(capsys, "--no-imq", "--format", "machine", "compare", fig8, fig8)
+    assert code == 0 and json.loads(out)["imq_isomorphic"] is None
+    code, second, _ = run(capsys, "--imq-cap", "9", "report", trefoil)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "imqlink.cli", "--imq-cap", "9", "report", trefoil],
+        capture_output=True,
+        text=True,
+    )
+    assert (code, second) == (fresh.returncode, fresh.stdout)
+    assert "presented quandle: 3 elements" in second
 
 
 def _engine_value_error(*args, **kwargs):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 from conftest import FINITE
-from oracles import literal_iso_search, literal_orbits
+from oracles import is_isomorphism, literal_iso_search, literal_orbits
 
 from imqlink import quandle
 from imqlink.abelian import FgAbGroup
@@ -35,7 +35,6 @@ from imqlink.quandle import (
     automorphism_classes,
     core_quandle,
     is_isomorphic,
-    is_isomorphism,
     orbits,
     subquandle,
 )

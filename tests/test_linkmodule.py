@@ -27,6 +27,7 @@ from oracles import (
     evenized_longitudes,
     literal_generator_image,
     literal_parity,
+    literal_torsion_parity_profile,
     literal_weight,
     subgroups_equal,
 )
@@ -336,6 +337,32 @@ def test_parity_profiles_frozen(modules):
     assert counts("figt") == Counter(
         {"0000": 15, "0011": 16, "0101": 16, "0110": 16}
     )
+
+
+def test_profile_equals_the_permutation_loop(modules, perfbench_module):
+    # the free-rank-1 shortcut skips the loop over component permutations;
+    # fixtures, gate diagrams, seeded closures and chains up to mu = 6
+    gen = perfbench_module("gen")
+    texts = [
+        (DIAGRAMS / f"{name}.json").read_text()
+        for name in GATE_DIAGRAMS + ("chain_2_2_2_2",)
+    ]
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        word = [
+            rng.choice((1, -1)) * rng.randint(1, n - 1)
+            for _ in range(rng.randint(n, 2 * n + 2))
+        ]
+        texts.append(gen.to_text(gen.closure(word, n)))
+    for regions in ((2, 2, 2, 2, 2), (2, 3, 2, 4, 2), (4, 2, 6, 2), (2, 4, 2, 2)):
+        word = gen.chain_word(list(regions), random.Random(1))
+        texts.append(gen.to_text(gen.closure(word, len(regions) + 1)))
+    mods = list(modules.values()) + [build_link_module(parse_diagram(t)) for t in texts]
+    assert max(mod.mu for mod in mods) == 6
+    for mod in mods:
+        assert torsion_parity_profile(mod) == literal_torsion_parity_profile(mod)
+    assert sum(mod.group.free_rank == 1 and mod.mu >= 3 for mod in mods) >= 10
 
 
 def test_all_ones_parity_vector_distinguishes_lprime_pair(modules):

@@ -47,6 +47,12 @@ RECORDED_BY_SCHEMA = {
         "d73fbf80bb657e08abd9e8f38660eca1c71b7405b3542b2ae19bf9787cfa0b98",
         "54064d04b45a35cb5aa12a8cd403586b4c63695fb2f46480288524d4eafd2d1a",
     ),
+    # marking equivalence decided on M/2M: only the marking_reason of the
+    # compare records hopf2/sixthree, fig5l/figt and lprime/ldprime changed
+    3: (
+        "74190931de8f3363c09de8f8249e1ea2c7447d509d2d2a053a725b0f44511bcb",
+        "54064d04b45a35cb5aa12a8cd403586b4c63695fb2f46480288524d4eafd2d1a",
+    ),
 }
 
 

@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     build_partition_quandle,
     elements_of_order_dividing_2,
+    is_isomorphism,
     literal_axiom_violations,
     quotient_by_subgroup,
 )
@@ -28,7 +29,6 @@ from imqlink.quandle import (
     core_quandle,
     displacement_group,
     is_isomorphic,
-    is_isomorphism,
     is_semiregular,
     orbits,
     parse_quandle,
