@@ -9,10 +9,11 @@ coalesce.  The cokernel carries two extra structures: the weight map w
 Since w is onto Z, the module splits as M = Z (+) ker(w).  So ker(w), the
 first homology of the double branched cover, is M with one free factor
 dropped, and the determinant is |ker(w)| (0 when infinite); both are read
-off M's invariant factors once, in `build_link_module`.  That function
-also presents ker(w) literally, as the crossing rows plus a unit row at
-one arc reduced to their Hermite basis (`weight_kernel`), and raises
-InternalCheckError unless the two agree.
+off M's invariant factors once, in `build_link_module`, from the Smith
+form of the crossing rows' Hermite basis.  That function also presents
+ker(w) literally, as the crossing rows plus a unit row at one arc reduced
+to their Hermite basis (`weight_kernel`), and raises InternalCheckError
+unless the two agree.
 
 w and p are linear in the canonical coordinates of M, so each module
 keeps their values on the unit coordinates, from the lift of each, and
@@ -122,7 +123,10 @@ def build_link_module(d: LinkDiagram) -> LinkModule:
             per_comp[d.kappa[arc]] += coeff
         if any(v % 2 for v in per_comp):
             raise InternalCheckError(f"relation row {i} has odd component sum")
-    pres = cokernel(rows, d.n_arcs)
+    # the Smith form runs on the rows' Hermite basis: on long random braid
+    # closures the Smith form of the literal rows grows its entries for
+    # minutes
+    pres = cokernel(row_lattice_basis(_leading_last(rows), d.n_arcs), d.n_arcs)
     r = pres.group.free_rank
     k = sum(1 for t in pres.group.torsion if t % 2 == 0)
     if not (1 <= r <= d.mu and r + k == d.mu):
@@ -158,16 +162,21 @@ def weight_kernel(mod: LinkModule, base_arc: int = 0) -> FgAbGroup:
     n = mod.diagram.n_arcs
     unit = [0] * n
     unit[base_arc] = 1
-    # a Hermite basis first: on some drawings the Smith form of the literal
-    # rows grows its entries for minutes.  The basis is the same in every
-    # row order; with the last leading column first, a new pivot seldom has
-    # basis rows above it to reduce.
-    rows = sorted(
-        mod.pres.relations + [unit],
-        key=lambda row: next((j for j, x in enumerate(row) if x), n),
+    # the literal crossing rows, not the module's basis of them, so that
+    # this stays a computation independent of build_link_module's
+    rows = _leading_last(relation_matrix(mod.diagram) + [unit])
+    return cokernel(row_lattice_basis(rows, n), n).group
+
+
+def _leading_last(rows: Matrix) -> Matrix:
+    """The rows by leading column, the last first.  Their Hermite basis is
+    the same in every order; in this one a new pivot seldom has basis rows
+    above it to reduce."""
+    return sorted(
+        rows,
+        key=lambda row: next((j for j, x in enumerate(row) if x), len(row)),
         reverse=True,
     )
-    return cokernel(row_lattice_basis(rows, n), n).group
 
 
 def link_determinant(mod: LinkModule) -> int:

@@ -1,12 +1,45 @@
 """Finite involutory medial quandles as explicit operation tables.
 
-A table `op` of size n x n encodes x |> y = op[x][y].  Of the four axioms,
-idempotence, involutory translations and right distributivity are checked
-literally, and mediality as commuting displacements (see `check_axioms`).
-On top of the raw tables this module provides orbits, translation and
-displacement groups, core quandles of finite abelian groups and their
-characteristic subquandles, exhaustive isomorphism search, and the abelian
-group presented by a quandle.
+A table `op` of size n x n encodes x |> y = op[x][y], and R_y is the right
+translation x -> x |> y.  On top of the raw tables this module provides
+orbits, translation and displacement groups, core quandles of finite
+abelian groups and their characteristic subquandles, exhaustive
+isomorphism search, and the abelian group presented by a quandle.
+
+The axioms and the abelian group are checked on a generating set G
+(`FiniteQuandle.generators`): a set from which the maps R_g, g in G,
+reach every element.  Three facts make that exact.
+
+1. Axioms.  Call z good when z |> z = z and R_z is an involutive
+   endomorphism.  If y is good, then R_{x |> y} = R_y R_x R_y, since
+   R_y(R_y(v) |> x) = v |> (x |> y).  So if x and y are good, R_{x |> y}
+   is a product of involutive endomorphisms, R_y R_x R_y R_y R_x R_y is
+   the identity, and (x |> y) |> (x |> y) = R_y R_x (x) = x |> y: x |> y
+   is good.  Every element is reached from G by the R_g, so if every g
+   in G is good, every element is.  That is n^2 |G| checks, not n^3.
+2. Mediality.  A quandle is medial iff its displacement group Dis,
+   generated by the R_x R_y^-1, is abelian (P. Jedlicka, A. Pilitowska,
+   D. Stanovsky and A. Zamojska-Dzienio, "The structure of medial
+   quandles", J. Algebra 443 (2015)).  In an involutory quandle
+   R_x R_y = (R_x R_g)(R_y R_g)^-1 for any g, and
+   R_{x |> y} R_g = (R_y R_g)(R_x R_g)^-1(R_y R_g), so the x with R_x R_g
+   in the group H generated by the R_a R_g, a in G, are closed under |>
+   and are every element.  So Dis = H, generated by |G| maps, and
+   mediality is that they commute (compare A. Hulpke, D. Stanovsky and
+   P. Vojtechovsky, "Connected quandles and transitive groups", J. Pure
+   Appl. Algebra 220 (2016)).
+3. Group.  Write row(x, y) = 2g(y) - g(x) - g(x |> y) for the relations
+   of the abelian group of a quandle.  With x1 = x |> b and
+   x2 = x1 |> a, R_{a |> b} = R_b R_a R_b gives
+   row(x, a |> b) = row(x, b) - row(x1, a) + row(x2, b) - 2 row(a, b).
+   So the y whose rows row(x, y), for every x, lie in the span of the
+   rows with y in G are closed under |>, and are every element: the n|G|
+   rows row(x, g), g in G, present the group.  Each element z outside G
+   is first reached as z = x |> g, from an x reached before it, and
+   row(x, g) = 0 sets g(z) = 2g(g) - g(x).  Those Tietze moves write
+   every generator over G, leaving n|G| - (n - |G|) rows on |G| columns.
+
+With G every element, each check is the literal one.
 
 The isomorphism search (`_iso_search`) sets forced images and narrows the
 images left to the rest.  Every choice f(a) = b is closed under the
@@ -69,6 +102,7 @@ class FiniteQuandle:
             if len(row) != self.n or any(not 0 <= v < self.n for v in row):
                 raise ValueError(f"malformed table row {x}")
         self.labels = dict(labels) if labels else {}
+        self._dis: DisGroup | None = None  # set by displacement_group
 
     def apply(self, x: int, y: int) -> int:
         return self.op[x][y]
@@ -93,41 +127,87 @@ class FiniteQuandle:
             out.append(tuple(distinct.setdefault(m, m) for m in masks))
         return tuple(out)
 
+    @cached_property
+    def _reach(self) -> dict[int, tuple[int, int] | None]:
+        """The greedy generating set and how it reaches the rest: every
+        element, in the order first reached, mapped to the pair (x, g) with
+        x |> g its first reach, or to None for an element of the set.
+
+        Starting from no element, the least element not yet reached joins
+        the set, and the set's right translations are applied to every
+        element reached until nothing new appears; then again, until every
+        element is reached.  Each element meets each right translation
+        once, so this takes O(n |G|)."""
+        op = self.op
+        reach: dict[int, tuple[int, int] | None] = {}
+        order: list[int] = []  # the keys of reach
+        gens: list[int] = []
+        applied = [0] * self.n  # how many of gens were applied to x
+        for start in range(self.n):
+            if start in reach:
+                continue
+            gens.append(start)
+            reach[start] = None
+            order.append(start)
+            for x in order:  # the loop sees the elements appended in it
+                row = op[x]
+                for g in gens[applied[x] :]:
+                    z = row[g]
+                    if z not in reach:
+                        reach[z] = (x, g)
+                        order.append(z)
+                applied[x] = len(gens)
+        return reach
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set G, ascending: the right translations by G reach
+        every element from G.  Greedy, from element 0 (see `_reach`); the
+        axioms and the abelian group are checked on it."""
+        return tuple(x for x, via in self._reach.items() if via is None)
+
     def __repr__(self) -> str:
         return f"FiniteQuandle(n={self.n})"
 
 
 def check_axioms(q: FiniteQuandle) -> list[str]:
-    """Every violated axiom instance; empty means q is an involutory
-    medial quandle.
+    """Every violated axiom instance on the rows of `q.generators`; empty
+    means q is an involutory medial quandle.
 
-    Idempotence, involutory translations and right distributivity are
-    checked literally.  Once they hold, q is a quandle, and a quandle is
-    medial iff its displacement group, generated by the R_x R_y^-1 with
-    R_y the translation v -> v|>y, is abelian (Jedlicka, Pilitowska,
-    Stanovsky and Zamojska-Dzienio, J. Algebra 443 (2015)).  R_0 is its
-    own inverse, so R_x R_y^-1 = (R_x R_0)(R_y R_0)^-1 and mediality is
-    checked in O(n^3) as: the R_x R_0 commute pairwise.  Each pair that
-    does not is reported as a mediality violation.
-    """
-    bad = []
-    n, op = q.n, q.op
-    for x in range(n):
-        if op[x][x] != x:
-            bad.append(f"idempotence: {x}|>{x} = {op[x][x]}")
-    for x, y in itertools.product(range(n), repeat=2):
-        if op[op[x][y]][y] != x:
-            bad.append(f"involution: ({x}|>{y})|>{y} = {op[op[x][y]][y]}")
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if op[op[x][y]][z] != op[op[x][z]][op[y][z]]:
-            bad.append(f"distributivity: ({x}|>{y})|>{z} != ({x}|>{z})|>({y}|>{z})")
-    if bad:
+    For each z in G: z |> z = z, R_z involutive ((x |> z) |> z = x) and
+    R_z an endomorphism ((x |> y) |> z = (x |> z) |> (y |> z)): n^2 |G|
+    triples.  By fact 1 of the module docstring, the elements with these
+    properties are closed under |>, since R_{x |> y} = R_y R_x R_y, and
+    so they are all of q.  Once these hold, q is a quandle, and it is
+    medial iff its displacement group is abelian; by fact 2 that group is
+    generated by the R_a R_g0, a in G and g0 the first element of G.  So
+    mediality is that these |G| maps commute, and each pair that does not
+    is reported as a mediality violation.  A violation on G is a literal
+    violation, so the verdict is the literal one."""
+    bad: list[str] = []
+    op, gens = q.op, q.generators
+    for z in gens:
+        if op[z][z] != z:
+            bad.append(f"idempotence: {z}|>{z} = {op[z][z]}")
+        col = [row[z] for row in op]  # R_z
+        for x, row in enumerate(op):
+            if col[col[x]] != x:
+                bad.append(f"involution: ({x}|>{z})|>{z} = {col[col[x]]}")
+            xz = op[col[x]]
+            if [col[v] for v in row] != [xz[w] for w in col]:
+                bad.extend(
+                    f"distributivity: ({x}|>{y})|>{z} != ({x}|>{z})|>({y}|>{z})"
+                    for y, v in enumerate(row)
+                    if col[v] != xz[col[y]]
+                )
+    if bad or not gens:
         return bad
-    gens = [tuple(op[op[v][0]][x] for v in range(n)) for x in range(n)]
-    for x, y in itertools.combinations(range(n), 2):
-        gx, gy = gens[x], gens[y]
-        if _compose(gx, gy) != _compose(gy, gx):
-            bad.append(f"mediality: R_{x}R_0 and R_{y}R_0 do not commute")
+    g0 = gens[0]
+    base = [row[g0] for row in op]
+    disp = [tuple(op[v][a] for v in base) for a in gens]  # R_a R_g0
+    for (a, da), (b, db) in itertools.combinations(zip(gens, disp), 2):
+        if _compose(da, db) != _compose(db, da):
+            bad.append(f"mediality: R_{a}R_{g0} and R_{b}R_{g0} do not commute")
     return bad
 
 
@@ -185,12 +265,13 @@ def orbits(q: FiniteQuandle) -> list[list[int]]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisGroup:
     """The displacement group: all products of evenly many translations,
-    held both as permutations and as an abstract abelian group."""
+    held both as permutations and as an abstract abelian group.  Immutable,
+    as every caller of `displacement_group` on one table shares it."""
 
-    perms: list[Perm]
+    perms: tuple[Perm, ...]
     group: FgAbGroup
 
 
@@ -204,7 +285,16 @@ def _perm_inverse(g: Perm) -> Perm:
 def displacement_group(q: FiniteQuandle, cap: int = 10**6) -> DisGroup:
     """Closure of the translation products beta_y * beta_0; raises
     CapExceeded past `cap` permutations and ValueError if the closure is
-    not abelian (it always is for a valid table)."""
+    not abelian (it always is for a valid table).  Built once per table:
+    the semiregularity check and the isomorphism search share it."""
+    if q._dis is None:
+        q._dis = _displacement_closure(q, cap)
+    elif len(q._dis.perms) > cap:
+        raise CapExceeded("displacement closure cap exceeded")
+    return q._dis
+
+
+def _displacement_closure(q: FiniteQuandle, cap: int) -> DisGroup:
     n = q.n
     if n == 0:
         raise ValueError("empty quandle")
@@ -266,11 +356,12 @@ def displacement_group(q: FiniteQuandle, cap: int = 10**6) -> DisGroup:
     group = cokernel([list(r) for r in sorted(relations)], len(gens)).group
     if group.order() != len(word):
         raise ValueError("displacement presentation does not match closure size")
-    return DisGroup(perms=list(word), group=group)
+    return DisGroup(perms=tuple(word), group=group)
 
 
 def is_semiregular(q: FiniteQuandle, dis: DisGroup | None = None) -> bool:
-    """True when only the identity displacement has a fixed point."""
+    """True when only the identity displacement has a fixed point; reads
+    the table's displacement group, built once."""
     dis = dis or displacement_group(q)
     ident = tuple(range(q.n))
     return all(
@@ -539,19 +630,35 @@ def group_from_quandle(q: FiniteQuandle) -> FgAbGroup:
     """The abelian group on one generator per element, modulo
     2g(y) - g(x) - g(x|>y) for every ordered pair.
 
-    Up to n^2 relation rows span a lattice of rank at most n, so they are
-    first reduced to a Hermite basis of at most n rows, and the Smith form
-    runs on that."""
+    Precondition: q passes `check_axioms`.  The result is then exact, by
+    fact 3 of the module docstring: the rows with y in G = `q.generators`
+    span the rows of every pair, as row(x, a |> b) = row(x, b) - row(x1, a)
+    + row(x2, b) - 2 row(a, b) with x1 = x |> b, x2 = x1 |> a.  Each element
+    z outside G, first reached as z = x |> g, is written over G by its own
+    row: g(z) = 2g(g) - g(x).  The other rows, rewritten over G, are n |G|
+    - (n - |G|) rows on |G| columns; they are reduced to a Hermite basis,
+    and the Smith form runs on that."""
+    gens = q.generators
+    col = {g: i for i, g in enumerate(gens)}
+    vec: list[list[int]] = [[]] * q.n  # g(z) over G
+    for z, via in q._reach.items():
+        if via is None:
+            v = [0] * len(gens)
+            v[col[z]] = 1
+        else:
+            x, g = via
+            v = [2 * b - a for a, b in zip(vec[x], vec[g])]
+        vec[z] = v
     rows = set()
-    for x, y in itertools.product(range(q.n), repeat=2):
-        row = [0] * q.n
-        row[y] += 2
-        row[x] -= 1
-        row[q.op[x][y]] -= 1
-        if any(row):
-            rows.add(tuple(row))
-    basis = row_lattice_basis([list(r) for r in sorted(rows)], q.n)
-    return cokernel(basis, q.n).group
+    for x, row in enumerate(q.op):
+        for g in gens:
+            r = tuple(
+                2 * b - a - c for a, b, c in zip(vec[x], vec[g], vec[row[g]])
+            )
+            if any(r):
+                rows.add(r)
+    basis = row_lattice_basis([list(r) for r in sorted(rows)], len(gens))
+    return cokernel(basis, len(gens)).group
 
 
 def serialize_quandle(q: FiniteQuandle) -> str:

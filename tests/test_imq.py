@@ -14,6 +14,7 @@ from oracles import (
     Saturator,
     build_partition_quandle,
     literal_axiom_violations,
+    literal_group_from_quandle,
     longitude_fixes_orbit,
     open_deduction,
     saturate,
@@ -31,6 +32,7 @@ from imqlink.imq import (
 from imqlink.linkmodule import build_link_module, link_determinant, weight_kernel
 from imqlink.quandle import (
     CapExceeded,
+    FiniteQuandle,
     check_axioms,
     core_quandle,
     displacement_group,
@@ -461,3 +463,86 @@ def test_elements_are_numbered_in_the_stated_order(name, modules, imq_results):
     res = imq_results[name] if name in imq_results else compute_imq(_large_module(name))
     q = res.quandle
     assert stated_element_order(q, res.arc_element) == list(range(q.n))
+
+
+def test_generator_checks_equal_literal_oracles_on_seeded_chains(
+    random_closures, mu_le_2_chains
+):
+    # check_axioms reads the rows of q.generators, group_from_quandle the
+    # rows (x, g) with g in it; their literal forms read every row
+    for _, mod in random_closures + mu_le_2_chains:
+        q = compute_imq(mod).quandle
+        assert check_axioms(q) == []
+        if q.n <= 20:  # the literal mediality check takes n^4 steps
+            assert literal_axiom_violations(q) == []
+        assert group_from_quandle(q) == literal_group_from_quandle(q) == mod.group
+
+
+def _chain_imq(gen, regions):
+    word = gen.chain_word(list(regions), random.Random(1))
+    d = parse_diagram(gen.to_text(gen.closure(word, len(regions) + 1)))
+    return compute_imq(build_link_module(d)).quandle
+
+
+def _reached(q, gens):
+    """The elements the right translations by gens reach from gens."""
+    out = set(gens)
+    frontier = list(gens)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            if q.op[x][g] not in out:
+                out.add(q.op[x][g])
+                frontier.append(q.op[x][g])
+    return out
+
+
+@pytest.mark.parametrize(
+    "regions, size, count",
+    [((201,), 201, 2), ((6, 6, 6), 432, 4), ((2,) * 7, 512, 8)],
+    ids=["T(2,201)", "chain_6_6_6", "chain_2x7"],
+)
+def test_generating_set_sizes(regions, size, count, perfbench_module):
+    # counts, not timings: the axioms take n^2 |G| steps and the group
+    # n |G| rows on |G| columns
+    q = _chain_imq(perfbench_module("gen"), regions)
+    assert q.n == size
+    gens = q.generators
+    assert len(gens) == count
+    assert gens[0] == 0 and list(gens) == sorted(gens)
+    assert _reached(q, gens) == set(range(q.n))
+    assert _reached(q, gens[:-1]) != set(range(q.n))
+
+
+def _corrupted_outside_generators(q, rng, count):
+    """Copies of q with one entry x |> y changed for a y outside
+    q.generators, then copies with the row of an x outside it replaced by
+    the row of another such element."""
+    gens = set(q.generators)
+    outside = [x for x in range(q.n) if x not in gens]
+    for _ in range(count):
+        table = [list(row) for row in q.op]
+        x, y = rng.randrange(q.n), rng.choice(outside)
+        table[x][y] = (table[x][y] + rng.randrange(1, q.n)) % q.n
+        yield "entry", FiniteQuandle(table)
+    for _ in range(count):
+        table = [list(row) for row in q.op]
+        x, other = rng.sample(outside, 2)
+        table[x] = list(q.op[other])
+        yield "row", FiniteQuandle(table)
+
+
+@pytest.mark.parametrize("name", ("t2_17", "chain_2_2_2"))
+def test_corruptions_outside_the_generators_fail_both_checks(name, perfbench_module):
+    if name == "t2_17":
+        q = _chain_imq(perfbench_module("gen"), (17,))
+    else:
+        q = parse_quandle(_recorded_table(name))
+    assert check_axioms(q) == []
+    rng = random.Random(3)
+    for kind, bad in _corrupted_outside_generators(q, rng, 6):
+        if kind == "entry":
+            # the greedy set reads only its own columns
+            assert bad.generators == q.generators
+        assert check_axioms(bad), kind
+        assert literal_axiom_violations(bad), kind

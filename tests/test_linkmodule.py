@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import signal
 from collections import Counter
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from imqlink.abelian import FgAbGroup, cokernel, solve_in_row_space
+from imqlink.abelian import FgAbGroup, cokernel, int_det, solve_in_row_space
 from imqlink.diagram import make_even, parse_diagram
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.linkmodule import (
@@ -27,6 +28,7 @@ from oracles import (
     evenized_longitudes,
     literal_generator_image,
     literal_parity,
+    literal_smith_normal_form,
     literal_torsion_parity_profile,
     literal_weight,
     subgroups_equal,
@@ -129,6 +131,73 @@ def test_weight_kernel_of_a_redrawn_chain_finishes():
         signal.signal(signal.SIGALRM, previous)
     assert mod.kernel == kernel == FgAbGroup(0, (6, 6, 36))
     assert mod.determinant == 1296
+
+
+# A uniform random braid word on 5 strands, 104 letters (a 3-component
+# link, det 679908).  The Smith form of its literal crossing rows ran for
+# minutes; `build_link_module` now takes the Smith form of their Hermite
+# basis.  `diagrams/closure_5x104.json` is its perfbench/gen.py closure.
+RANDOM_CLOSURE_WORD = [
+    3, 3, -2, 2, -4, -4, -1, 3, -3, -4, 2, 2, 2, -2, 3, 4, -3, -3, -2, -4,
+    4, -4, -4, -3, -4, 3, 3, -3, -4, -2, -3, 3, 2, 1, 3, 1, 3, 2, 4, 1, -3,
+    2, 1, 1, 1, 3, -2, 2, 4, 2, 1, 3, 3, -4, 3, -1, -4, 4, 1, -1, 4, 4, -3,
+    3, -3, -1, 1, -1, 2, 1, -2, 2, 4, 3, 2, -3, -3, 2, 4, -2, 1, 1, 1, 2, 2,
+    4, -3, -2, 4, -1, 4, 1, -3, 1, -3, -3, 4, 1, -2, 4, 4, -4, 1, 3,
+]
+
+
+def _first_minor(d):
+    """|det| of the crossing rows without row 0 and column 0: on a diagram
+    with as many crossings as arcs, every first minor is +-det."""
+    rows = relation_matrix(d)
+    assert len(rows) == d.n_arcs
+    return abs(int_det([row[1:] for row in rows[1:]]))
+
+
+def _literal_module(d):
+    """The module's invariant factors from the literal Smith form of the
+    literal crossing rows."""
+    diag = literal_smith_normal_form(relation_matrix(d), d.n_arcs).diag
+    diag += [0] * (d.n_arcs - len(diag))
+    return FgAbGroup(diag.count(0), tuple(x for x in diag if x >= 2))
+
+
+def test_module_of_a_long_random_closure_finishes(perfbench_module):
+    gen = perfbench_module("gen")
+    text = (DIAGRAMS / "closure_5x104.json").read_text()
+    assert json.loads(text) == gen.closure(RANDOM_CLOSURE_WORD, 5)
+    d = parse_diagram(text)
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    try:
+        signal.alarm(3)
+        mod = build_link_module(d)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert d.mu == 3
+    assert mod.group == FgAbGroup(1, (2, 339954))
+    assert mod.determinant == _first_minor(d) == 679908
+
+
+# seeds of the sample below whose literal Smith form runs for seconds to
+# minutes, as the module's own did before it moved to the Hermite basis
+LITERAL_RUNS_LONG = {5}
+
+
+def test_module_of_random_closures_equals_literal_smith_form(perfbench_module):
+    gen = perfbench_module("gen")
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(4, 6)
+        word = [
+            rng.choice((1, -1)) * rng.randint(1, n - 1)
+            for _ in range(rng.randint(40, 70))
+        ]
+        d = parse_diagram(gen.to_text(gen.closure(word, n)))
+        mod = build_link_module(d)
+        assert mod.determinant == _first_minor(d), seed
+        if seed not in LITERAL_RUNS_LONG:
+            assert mod.group == _literal_module(d), seed
 
 
 def test_module_shape_relation():

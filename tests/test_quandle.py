@@ -28,6 +28,7 @@ from imqlink.quandle import (
     check_axioms,
     core_quandle,
     displacement_group,
+    group_from_quandle,
     is_isomorphic,
     is_semiregular,
     orbits,
@@ -137,6 +138,37 @@ def _core_of_permutations(k: int) -> FiniteQuandle:
     return FiniteQuandle(
         [[index[mul(mul(y, inv(x)), y)] for y in perms] for x in perms]
     )
+
+
+@pytest.mark.parametrize("n, t", [(5, 2), (7, 3), (9, 4), (8, 3), (12, 5)])
+def test_alexander_quandles_are_checked_for_involution(n, t):
+    # x |> y = t x + (1 - t) y on Z/n is idempotent, distributive and
+    # medial; its translations are involutions iff t^2 = 1 mod n
+    q = FiniteQuandle([[(t * x + (1 - t) * y) % n for y in range(n)] for x in range(n)])
+    violations = check_axioms(q)
+    if t * t % n == 1:
+        assert violations == literal_axiom_violations(q) == []
+    else:
+        assert violations and all(v.startswith("involution") for v in violations)
+        assert literal_axiom_violations(q)
+
+
+def test_empty_table_passes_the_checks():
+    q = parse_quandle("0")
+    assert q.generators == ()
+    assert check_axioms(q) == literal_axiom_violations(q) == []
+    assert group_from_quandle(q) == FgAbGroup(0, ())
+
+
+def test_displacement_group_is_built_once_per_table():
+    q = _core_of([2, 4])
+    dis = displacement_group(q)
+    assert displacement_group(q) is dis
+    assert is_semiregular(q)
+    # a cap below the cached closure's size still raises
+    with pytest.raises(CapExceeded):
+        displacement_group(q, cap=len(dis.perms) - 1)
+    assert displacement_group(FiniteQuandle(q.op)) is not dis
 
 
 def test_displacement_rejects_nonmedial():
