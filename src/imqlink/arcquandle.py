@@ -3,11 +3,12 @@
 When the determinant is nonzero the arc classes of a diagram sweep out,
 inside Core(M), exactly one coset of ker(marking) per component; the
 operation x |> y = 2y - x restricts to these cosets.  This module builds
-that quandle and decides the two comparison questions: is the marking
-obtainable from a direct-sum decomposition (characteristic compatibility),
-and are two markings equivalent under a component re-indexing.  Both are
-decided on M/2M, which has one bit per free and per even torsion
-coordinate; `_mod2_bits` reads it off the module.
+that quandle and decides three questions: is the marking obtainable from a
+direct-sum decomposition (characteristic compatibility), are two markings
+equivalent under a component re-indexing, and which components some
+automorphism of the coset quandle can interchange.  All three are decided
+on M/2M, which has one bit per free and per even torsion coordinate;
+`_mod2_bits` reads it off the module.
 
 Let p: M/2M -> F_2^mu be the parity map, read off the module's
 per-coordinate parity masks; W the image of the torsion; and U_a the span
@@ -83,7 +84,42 @@ the second at every level a.  Why this is exact:
   own level.
 
 So the verdict is always "equivalent" or "not_equivalent", for every
-determinant, found by one GF(2) reduction per torsion bit and tau.
+determinant.  `_flag_reindexing` searches for tau one component at a time.
+
+The component classes come from the same flag.  Let det != 0, so r = 1 and
+T = ker w.  Orbit i of Q_A is x_i + 2T = {w = 1, p = e_i}, x_i an arc class
+of component i: T meets ker p in 2T (`marking_kernel` checks it), and
+`_coset_table` checks that the orbits are these cosets.  Components i and j
+share a class (some automorphism of Q_A maps orbit i onto orbit j) iff some
+tau in S_mu maps every level P_a onto itself with tau(i) = j.  Why:
+
+- Flag => class.  The sufficiency proof above, with m_1 = m_2, gives an
+  automorphism phi of M with w phi = w and p phi = tau p.  It keeps
+  x |> y = 2y - x, and maps {w = 1, p = e_i} onto {w = 1, p = e_tau(i)}, so
+  it restricts to an automorphism of Q_A mapping orbit i onto orbit tau(i).
+- Class => flag.  Let f be an automorphism of Q_A; it permutes the orbits,
+  mapping orbit i onto orbit tau(i).
+  1. R_y R_z is x -> x + 2(y - z).  Differences of arc classes generate T,
+     as the arc classes generate M and have weight 1, so Dis(Q_A), which
+     the R_y R_z generate, is the group of the translations by 2T, and it
+     acts faithfully.
+  2. f R_y f^-1 = R_f(y), so f conjugates Dis onto Dis, through an
+     automorphism alpha of 2T, and f(x + s) = f(x) + alpha(s).
+  3. Put y_i = f(x_i), in orbit tau(i).  Applying f to
+     x_i |> x_j = x_i + 2(x_j - x_i) gives y_i + alpha(2(x_j - x_i)) =
+     y_i |> y_j = 2y_j - y_i, so alpha(2(x_j - x_i)) = 2(y_j - y_i).
+  4. Every arc class of component j lies in x_j + 2T, so T is spanned by
+     the x_j - x_1 and 2T.  Take t in T of order dividing 2^a, a >= 1,
+     written t = sum n_j (x_j - x_1) + 2s, and put
+     t' = sum n_j (y_j - y_1) + alpha(2s).  Then t' is in T,
+     2t' = alpha(2t) has order dividing 2^(a-1), so t' has order dividing
+     2^a, and p(t') = sum n_j (e_tau(j) + e_tau(1)) = tau p(t).
+  5. So tau maps P_a = p(T[2^a]) into P_a, and onto it, as tau is
+     injective and the dimensions are equal.
+
+So `reindexing_sensitivity` reads the classes off the flag, and builds no
+Q_A.  The search over Aut(Q_A) it replaced is the test oracle
+`automorphism_classes`.
 """
 
 from __future__ import annotations
@@ -100,8 +136,8 @@ from .abelian import (
     smith_normal_form,
     subgroup_contains,
 )
-from .linkmodule import InternalCheckError, LinkModule
-from .quandle import FiniteQuandle, automorphism_classes, is_semiregular, orbits
+from .linkmodule import InternalCheckError, LinkModule, check_listing_cap
+from .quandle import FiniteQuandle, UnionFind, is_semiregular, orbits
 
 Bits = tuple[int, ...]
 
@@ -175,7 +211,9 @@ class ArcQuandle:
 
 def marking_kernel(mod: LinkModule) -> list[GroupElt]:
     """Finite-order elements killed by both weight and parity; equals the
-    doubled torsion subgroup, and both routes are computed and compared."""
+    doubled torsion subgroup, and both routes are computed and compared.
+    Raises CapExceeded past the listing cap."""
+    check_listing_cap(mod)
     torsion = list(mod.group.torsion_elements())
     by_parity = {t for t in torsion if not any(mod.parity(t))}
     doubled = {t.smul(2) for t in torsion}
@@ -438,6 +476,117 @@ def _witness(
 
 
 # ---------------------------------------------------------------------------
+# the parity flag and the re-indexings that keep it
+
+
+# (levels, colours), as `_parity_flag` returns them
+_Flag = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+
+
+def _parity_flag(mod: LinkModule) -> _Flag:
+    """The parity flag of a module: an echelon basis of each level P_a, by
+    ascending 2-part 2^a of the torsion bits, and per component i its
+    colour, the count, per level, of the components j != i with e_i + e_j
+    in it and whether e_i is in it.  A re-indexing tau that maps every
+    level of one flag onto the same level of another maps e_i + e_j to
+    e_tau(i) + e_tau(j), so it keeps the colours: colour(i) of the first is
+    colour(tau(i)) of the second."""
+    r, mu = mod.group.free_rank, mod.mu
+    _, masks, shape = _mod2_bits(mod)
+    if _gf2_echelon(masks)[1]:
+        raise InternalCheckError("parity map not invertible on M/2M")
+    levels = tuple(
+        tuple(_gf2_echelon([m for m, b in zip(masks[r:], shape) if b <= a])[0])
+        for a in sorted(set(shape))
+    )
+
+    def colour(i: int) -> tuple[int, ...]:
+        out = []
+        for level in levels:
+            pairs = (1 << i | 1 << j for j in range(mu) if j != i)
+            out.append(sum(not _gf2_reduce(level, v) for v in pairs))
+            out.append(int(not _gf2_reduce(level, 1 << i)))
+        return tuple(out)
+
+    return levels, tuple(colour(i) for i in range(mu))
+
+
+def _image(v: int, tau: list[int]) -> int:
+    """The bitmask of the tau[i] over the bits i of v."""
+    out = 0
+    for i, t in enumerate(tau):
+        if v >> i & 1:
+            out |= 1 << t
+    return out
+
+
+def _flag_reindexing(
+    src: _Flag, dst: _Flag, pin: tuple[int, int] | None = None
+) -> list[int] | None:
+    """The least tau, in lexicographic order, that maps every level of the
+    flag src onto the same level of dst: component i goes to component
+    tau[i].  With pin = (i, j), some tau with tau[i] = j.  None when there
+    is none.
+
+    tau is set one component at a time, each to the images of its colour
+    in ascending order: component i first when pinned, then the others in
+    ascending order.  So without a pin the first full tau is the least.
+    Each level is rewritten over a basis whose vectors have distinct last
+    components in that order; the level's vectors on the components set so
+    far are spanned by the basis vectors whose last component is set.  So
+    after setting a component the search checks that the image of each
+    basis vector ending at it lies in the level of dst.  That is every
+    condition the set components decide, and a full tau that passes maps
+    each level into, hence onto, the level of dst, whose dimension is the
+    same.  Colours and the checks hold for every such tau, so none is lost
+    and a None is a proof."""
+    (levels1, colours1), (levels2, colours2) = src, dst
+    mu = len(colours1)
+    if sorted(colours1) != sorted(colours2):
+        return None
+    order = list(range(mu))
+    if pin is not None:
+        order.remove(pin[0])
+        order.insert(0, pin[0])
+    pos = [0] * mu
+    for c, i in enumerate(order):
+        pos[i] = c
+    checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(mu)]
+    for level1, level2 in zip(levels1, levels2, strict=True):
+        rows: dict[int, int] = {}  # by last position, over positions
+        for v in level1:
+            v = _image(v, pos)
+            while v:
+                last = v.bit_length() - 1
+                if last not in rows:
+                    rows[last] = v
+                    break
+                v ^= rows[last]
+        for last, v in rows.items():
+            checks[last].append((_image(v, order), level2))
+    domains = [[t for t in range(mu) if colours2[t] == colours1[i]] for i in order]
+    if pin is not None:
+        domains[0] = [pin[1]] if pin[1] in domains[0] else []
+    tau = [0] * mu
+
+    def rec(c: int, used: int) -> bool:
+        if c == mu:
+            return True
+        i = order[c]
+        for t in domains[c]:
+            if used >> t & 1:
+                continue
+            tau[i] = t
+            if all(
+                not _gf2_reduce(level2, _image(v, tau)) for v, level2 in checks[c]
+            ) and rec(c + 1, used | 1 << t):
+                return True
+        return False
+
+    return tau if rec(0, 0) else None
+
+
+# ---------------------------------------------------------------------------
 # marking equivalence
 
 
@@ -451,31 +600,22 @@ class MarkingComparison:
 def marking_equivalent(m1: LinkModule, m2: LinkModule) -> MarkingComparison:
     """Are the markings equivalent under a component re-indexing?  Decided
     for every determinant by the flag criterion on M/2M in the module
-    docstring.  An "equivalent" carries the re-indexing: component i of m1
-    goes to component_map[i] of m2."""
+    docstring: some tau maps each level of the parity flag of m1 onto that
+    of m2.  `_flag_reindexing` searches for it, and the re-indexing
+    classes use the same search.  An "equivalent" carries the least such
+    tau in lexicographic order: component i of m1 goes to component_map[i]
+    of m2."""
     if m1.group != m2.group:
         return MarkingComparison("not_equivalent", "module groups differ")
-    r = m1.group.free_rank
-    (_, masks1, shape), (_, masks2, _) = _mod2_bits(m1), _mod2_bits(m2)
-    if _gf2_echelon(masks1)[1] or _gf2_echelon(masks2)[1]:
-        raise InternalCheckError("parity map not invertible on M/2M")
-    # per torsion bit of m1: an echelon basis of P_a of m2 at its level a
-    flag = [
-        _gf2_echelon([m for m, b in zip(masks2[r:], shape) if b <= a])[0]
-        for a in shape
-    ]
-    for tau in itertools.permutations(range(m1.mu)):
-        if not any(
-            _gf2_reduce(level, sum((m >> i & 1) << t for i, t in enumerate(tau)))
-            for m, level in zip(masks1[r:], flag)
-        ):
-            return MarkingComparison(
-                "equivalent",
-                "parity flags on M/2M match under a re-indexing",
-                {"component_map": list(tau)},
-            )
+    tau = _flag_reindexing(_parity_flag(m1), _parity_flag(m2))
+    if tau is None:
+        return MarkingComparison(
+            "not_equivalent", "parity flags on M/2M match under no re-indexing"
+        )
     return MarkingComparison(
-        "not_equivalent", "parity flags on M/2M match under no re-indexing"
+        "equivalent",
+        "parity flags on M/2M match under a re-indexing",
+        {"component_map": tau},
     )
 
 
@@ -494,25 +634,22 @@ def reindexing_sensitivity(mod: LinkModule) -> ReindexingReport:
     quandle automorphisms; a singleton class marks a component that every
     automorphism pins down.
 
-    No automorphism is listed.  Each translation R_y is an automorphism,
-    and the orbits of Q_A are the orbits of Inn(Q_A) = <R_y>.  So if some
-    automorphism maps orbit i into orbit j, composing it with an inner one
-    gives an automorphism that sends any one element of orbit i to any one
-    element of orbit j.  The orbits are the component cosets (checked when
-    Q_A is built), so the components' classes are the classes of one
-    element per coset under Aut(Q_A), found by at most mu(mu-1)/2 searches
-    that each stop at their first witness."""
+    No automorphism of Q_A is searched.  By the class criterion of the
+    module docstring, components i and j share a class iff some tau that
+    maps every level of the parity flag onto itself has tau(i) = j.  The
+    classes are those of the group of such tau, so a pair already joined
+    through others is skipped, and every other pair gets one
+    `_flag_reindexing` with tau(i) = j pinned; a tau found joins each
+    component to its image."""
     if mod.determinant == 0:
         return ReindexingReport(status="unknown", classes=[])
-    if mod.mu == 1:
-        # one component is one class, whatever the automorphisms are
-        return ReindexingReport(status="ok", classes=[(0,)])
-    qa = build_arc_quandle(mod)
-    reps = [qa.component_of.index(c) for c in range(mod.mu)]
+    flag = _parity_flag(mod)
+    classes = UnionFind(mod.mu)
+    for i, j in itertools.combinations(range(mod.mu), 2):
+        if classes.find(i) != classes.find(j):
+            tau = _flag_reindexing(flag, flag, (i, j))
+            for x, y in enumerate(tau or ()):
+                classes.union(x, y)
     return ReindexingReport(
-        status="ok",
-        classes=[
-            tuple(qa.component_of[x] for x in cls)
-            for cls in automorphism_classes(qa.quandle, reps)
-        ],
+        status="ok", classes=[tuple(c) for c in classes.classes()]
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import prod
 
 from .abelian import (
     FgAbGroup,
@@ -34,6 +35,16 @@ from .abelian import (
     row_lattice_basis,
 )
 from .diagram import LinkDiagram, component_walk
+from .quandle import CapExceeded
+
+# The most torsion elements a report lists, for the parity profile and the
+# marking kernel; it bounds the coset quandle Q_A too, whose table holds
+# |Q_A|^2 entries (see `check_listing_cap`).  Near the cap a `--no-imq`
+# report of the twist chain (13,13,12), |T| = |Q_A| = 2028, peaks at
+# 159 MiB RSS in 7.7 s, and one of (11,11,15), |T| = |Q_A| = 1815, at
+# 163 MiB in 6.7 s; past it, (11,11,17) exits 3 in 0.13 s at 21 MiB
+# (2 vCPUs, Python 3.11).
+LISTING_CAP = 2048
 
 
 def relation_matrix(d: LinkDiagram) -> Matrix:
@@ -236,15 +247,29 @@ def longitude_zero_subset(
     return None
 
 
+def check_listing_cap(mod: LinkModule) -> None:
+    """Raise CapExceeded when the torsion T has more than LISTING_CAP
+    elements.  |T| is read off the invariant factors, so this runs before
+    anything is listed.  It bounds Q_A too: with det != 0, |T| = det and
+    |Q_A| = mu det / 2^(mu-1) <= |T|, as mu <= 2^(mu-1)."""
+    size = prod(mod.group.torsion)
+    if size > LISTING_CAP:
+        raise CapExceeded(
+            f"resource cap: {size} torsion elements to list, past {LISTING_CAP}"
+        )
+
+
 def torsion_parity_profile(mod: LinkModule) -> tuple[tuple[int, ...], ...]:
     """Sorted multiset of parity vectors of the nonzero finite-order
     elements, canonicalized to the least multiset over coordinate
     permutations (so it is invariant under component re-indexing).
+    Raises CapExceeded past the listing cap.
 
     With free rank 1, p(T) is the whole even-weight space: the torsion has
     weight 0, the parities sum to the weight mod 2, and p is invertible on
     M/2M, which T fills but for one bit.  Each vector of it is hit equally
     often, so every coordinate permutation keeps the multiset."""
+    check_listing_cap(mod)
     vectors = [
         mod.parity(t) for t in mod.group.torsion_elements() if not t.is_zero()
     ]

@@ -607,25 +607,6 @@ def automorphisms(q: FiniteQuandle) -> list[list[int]]:
     return _iso_search(q, q, _iso_candidates(q, q), want_all=True)
 
 
-def automorphism_classes(q: FiniteQuandle, points: list[int]) -> list[list[int]]:
-    """The classes of `points` under Aut(q): x and y share a class when
-    some automorphism sends x to y.  Aut(q) is a group, so this is an
-    equivalence relation: a pair already joined through others is skipped,
-    and every other pair gets one search with f(x) = y fixed, stopping at
-    its first witness.  The invariants are computed once for all pairs."""
-    candidates = _iso_candidates(q, q)
-    classes = UnionFind(len(points))
-    for i, j in itertools.combinations(range(len(points)), 2):
-        if classes.find(i) == classes.find(j):
-            continue
-        x, y = points[i], points[j]
-        fixed = candidates[:]
-        fixed[x] = [y] if y in candidates[x] else []
-        if _iso_search(q, q, fixed, want_all=False):
-            classes.union(i, j)
-    return [[points[i] for i in c] for c in classes.classes()]
-
-
 def group_from_quandle(q: FiniteQuandle) -> FgAbGroup:
     """The abelian group on one generator per element, modulo
     2g(y) - g(x) - g(x|>y) for every ordered pair.

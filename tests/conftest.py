@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib.util
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,23 @@ from imqlink.linkmodule import build_link_module, link_determinant
 FINITE = ("hopf2", "sixthree", "trefoil", "fig8", "t22t24")
 INFINITE = ("fig5l", "figt", "lprime", "ldprime")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run `seconds` of wall
+    time."""
+
+    def out_of_time(signum, frame):
+        raise TimeoutError(f"ran past its limit of {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import random
 from dataclasses import dataclass
 from math import gcd, prod
 
+from imqlink import quandle
 from imqlink.abelian import (
     FgAbGroup,
     GroupElt,
@@ -144,6 +145,27 @@ def literal_iso_search(
 
     rec(0)
     return found
+
+
+def automorphism_classes(q: FiniteQuandle, points: list[int]) -> list[list[int]]:
+    """The classes of `points` under Aut(q): x and y share a class when
+    some automorphism sends x to y.  Aut(q) is a group, so this is an
+    equivalence relation: a pair already joined through others is skipped,
+    and every other pair gets one `quandle._iso_search` with f(x) = y
+    fixed, stopping at its first witness.  The oracle for the component
+    classes that `arcquandle.reindexing_sensitivity` reads off the parity
+    flag; the search is looked up on the module, so tests can wrap it."""
+    candidates = quandle._iso_candidates(q, q)
+    classes = UnionFind(len(points))
+    for i, j in itertools.combinations(range(len(points)), 2):
+        if classes.find(i) == classes.find(j):
+            continue
+        x, y = points[i], points[j]
+        fixed = candidates[:]
+        fixed[x] = [y] if y in candidates[x] else []
+        if quandle._iso_search(q, q, fixed, want_all=False):
+            classes.union(i, j)
+    return [[points[i] for i in c] for c in classes.classes()]
 
 
 def literal_axiom_violations(q: FiniteQuandle) -> list[str]:

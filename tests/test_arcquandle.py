@@ -10,6 +10,7 @@ from math import factorial, prod
 from pathlib import Path
 
 import pytest
+from conftest import time_limit
 
 from imqlink import arcquandle, quandle
 from imqlink.abelian import subgroup_type
@@ -21,6 +22,7 @@ from imqlink.arcquandle import (
     marking_kernel,
     reindexing_sensitivity,
 )
+from imqlink.cli import main
 from imqlink.diagram import parse_diagram
 from imqlink.fixtures import fixture_text
 from imqlink.linkmodule import (
@@ -38,6 +40,7 @@ from imqlink.quandle import (
     orbits,
 )
 from oracles import (
+    automorphism_classes,
     compare_with_characteristic,
     displacement_matches_kernel,
     literal_characteristic_compatibility,
@@ -412,17 +415,6 @@ def test_reindexing_classes(modules):
     assert reindexing_sensitivity(modules["lprime"]).status == "unknown"
 
 
-def test_reindexing_skips_the_automorphism_search_for_knots(modules, monkeypatch):
-    def no_search(q, points):
-        raise AssertionError("automorphism search run for a knot")
-
-    monkeypatch.setattr(arcquandle, "automorphism_classes", no_search)
-    knots = [mod for mod in modules.values() if mod.mu == 1]
-    assert len(knots) == 2
-    for mod in knots:
-        assert reindexing_sensitivity(mod) == ReindexingReport("ok", [(0,)])
-
-
 # twist chains generated as the benchmark does: the closure of
 # chain_word(regions, Random(1)) on len(regions) + 1 strands.  (4,10) and
 # (2,20) have a singleton class beside a merged one; the rest have one class
@@ -457,30 +449,179 @@ def test_reindexing_classes_match_every_automorphism(name, modules, chain_module
     )
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("the coset quandle was built or searched")
+
+
+def test_reindexing_skips_the_automorphism_search_for_knots(modules, monkeypatch):
+    monkeypatch.setattr(quandle, "_iso_search", _no_search)
+    monkeypatch.setattr(arcquandle, "build_arc_quandle", _no_search)
+    monkeypatch.setattr(arcquandle, "_flag_reindexing", _no_search)
+    knots = [mod for mod in modules.values() if mod.mu == 1]
+    assert len(knots) == 2
+    for mod in knots:
+        assert reindexing_sensitivity(mod) == ReindexingReport("ok", [(0,)])
+
+
 @pytest.mark.parametrize("name", ("hopf2", "sixthree", "t22t24") + CHAIN_NAMES)
 def test_reindexing_runs_one_search_per_unjoined_pair(
     name, modules, chain_modules, monkeypatch
 ):
+    # one pinned flag search per pair of components not yet joined, and no
+    # coset quandle built or searched
     mod = modules[name] if name in modules else chain_modules[name]
-    found = []
-    real_search = quandle._iso_search
+    searched = []
+    real_search = arcquandle._flag_reindexing
 
-    def counted(q1, q2, candidates, want_all):
-        assert q1 is q2 and not want_all
-        out = real_search(q1, q2, candidates, want_all)
-        found.append(bool(out))
+    def counted(src, dst, pin=None):
+        assert src is dst and pin is not None
+        out = real_search(src, dst, pin)
+        searched.append((pin, out is not None))
         return out
 
-    def no_listing(q):
-        raise AssertionError("every automorphism listed")
-
-    monkeypatch.setattr(quandle, "_iso_search", counted)
-    monkeypatch.setattr(quandle, "automorphisms", no_listing)
+    monkeypatch.setattr(quandle, "_iso_search", _no_search)
+    monkeypatch.setattr(arcquandle, "build_arc_quandle", _no_search)
+    monkeypatch.setattr(arcquandle, "_flag_reindexing", counted)
     report = reindexing_sensitivity(mod)
     assert mod.mu >= 2 and report.status == "ok"
-    assert 1 <= len(found) <= mod.mu * (mod.mu - 1) // 2
-    # every witness joins two classes: no pair already joined is searched
-    assert sum(found) == mod.mu - len(report.classes)
+    assert sorted(x for c in report.classes for x in c) == list(range(mod.mu))
+    assert 1 <= len(searched) <= mod.mu * (mod.mu - 1) // 2
+    assert len({pin for pin, _ in searched}) == len(searched)
+    # a pin is found iff its components share a class, and every tau found
+    # joins at least two classes: no pair already joined is searched
+    class_of = {x: c for c, cls in enumerate(report.classes) for x in cls}
+    for (i, j), found in searched:
+        assert found == (class_of[i] == class_of[j])
+    assert sum(found for _, found in searched) <= mod.mu - len(report.classes)
+
+
+def _seeded_small_links(gen) -> list:
+    """Seeded braid closures and twist chains with det != 0, mu >= 2 and
+    |Q_A| <= 60."""
+    mods = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        if seed % 2:
+            n = rng.randint(3, 6)
+            word = [
+                rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(n, 3 * n))
+            ]
+            text = json.dumps(gen.closure(word, n))
+        else:
+            regions = [rng.choice((2, 2, 3, 4, 4, 6, 8)) for _ in range(rng.randint(1, 5))]
+            word = gen.chain_word(regions, random.Random(1))
+            text = gen.to_text(gen.closure(word, len(regions) + 1))
+        mod = build_link_module(parse_diagram(text))
+        size = mod.mu * mod.determinant >> (mod.mu - 1)
+        if mod.mu >= 2 and 0 < size <= 60:
+            mods.append(mod)
+    return mods
+
+
+def test_flag_classes_equal_the_automorphism_search(
+    modules, chain_modules, perfbench_module
+):
+    mods = [m for m in modules.values() if m.determinant and m.mu >= 2]
+    mods += [
+        build_link_module(parse_diagram((GATE_DIAGRAMS / f"{n}.json").read_text()))
+        for n in GATE_NAMES
+    ]
+    mods += list(chain_modules.values())
+    mods += _seeded_small_links(perfbench_module("gen"))
+    split = 0
+    for mod in mods:
+        qa = build_arc_quandle(mod)
+        reps = [qa.component_of.index(c) for c in range(mod.mu)]
+        want = [
+            tuple(qa.component_of[x] for x in cls)
+            for cls in automorphism_classes(qa.quandle, reps)
+        ]
+        assert reindexing_sensitivity(mod) == ReindexingReport("ok", want)
+        split += len(want) > 1
+    assert len(mods) >= 120 and split >= 30
+
+
+def _literal_flag(mod) -> dict[int, set[int]]:
+    """P_a by 2-part 2^a of the torsion: the parity bitmasks of the
+    torsion elements of order dividing 2^a, listed."""
+    parts = {t & -t for t in mod.group.torsion if t % 2 == 0}
+    out: dict[int, set[int]] = {b: set() for b in parts}
+    for t in mod.group.torsion_elements():
+        bits = sum(v << i for i, v in enumerate(mod.parity(t)))
+        for b in parts:
+            if t.smul(b).is_zero():
+                out[b].add(bits)
+    return out
+
+
+def _mapped(level: set[int], tau) -> set[int]:
+    return {sum(1 << t for i, t in enumerate(tau) if v >> i & 1) for v in level}
+
+
+def test_marking_maps_are_the_least_that_keep_every_flag_level(perfbench_module):
+    # the witness is the first permutation, in itertools order, that maps
+    # each listed level onto the other's; with none, "not_equivalent"
+    by_group = defaultdict(list)
+    for mod in _agreement_sample(perfbench_module("gen")):
+        if prod(mod.group.torsion) <= 128 and mod.mu <= 5:
+            by_group[mod.group].append(mod)
+    seen = defaultdict(int)
+    for mods in by_group.values():
+        for m1, m2 in itertools.combinations_with_replacement(mods[:6], 2):
+            f1, f2 = _literal_flag(m1), _literal_flag(m2)
+            want = next(
+                (
+                    list(tau)
+                    for tau in itertools.permutations(range(m1.mu))
+                    if all(_mapped(f1[b], tau) == f2[b] for b in f1)
+                ),
+                None,
+            )
+            got = marking_equivalent(m1, m2)
+            assert got.status == ("not_equivalent" if want is None else "equivalent")
+            assert (got.witness or {}).get("component_map") == want
+            seen[got.status] += 1
+            seen["moved"] += want is not None and want != sorted(want)
+    assert seen["equivalent"] >= 250 and seen["not_equivalent"] >= 15
+    assert seen["moved"] >= 30
+
+
+def test_report_of_chain_4_4_4_4_is_bounded(capsys):
+    # Q_A has 80 elements in five orbits of 16; a search over Aut(Q_A)
+    # was still running after 90 s
+    path = GATE_DIAGRAMS / "chain_4_4_4_4.json"
+    with time_limit(2):
+        code = main(["--format", "machine", "--no-imq", "report", str(path)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["component_classes"] == [
+        [0, 1, 2, 3, 4]
+    ]
+
+
+@pytest.mark.parametrize("mu", (8, 9, 10, 16))
+def test_marking_of_long_chains_is_bounded(mu, perfbench_module):
+    # mu! re-indexings are 40320 to 3628800 at mu <= 10.  At mu = 16 the
+    # flag checks alone leave a "not_equivalent" search of seconds; the
+    # colours cut it to milliseconds
+    gen = perfbench_module("gen")
+    last = (2,) * (mu - 2) + (4,)
+    half = (mu - 2) // 2
+    middle = last[:half] + (4,) + last[half:-1]
+    m1, m2, m3 = (_chain_module(gen, r) for r in (last, middle, last[::-1]))
+    assert m1.group == m2.group == m3.group and m1.mu == mu
+    with time_limit(0.5):
+        same = marking_equivalent(m1, m3)
+    with time_limit(0.5):
+        different = marking_equivalent(m1, m2)
+    assert same.status == "equivalent" and different.status == "not_equivalent"
+
+
+def test_classes_of_chain_2_7_are_bounded(perfbench_module):
+    mod = _chain_module(perfbench_module("gen"), (2,) * 7)
+    with time_limit(0.5):
+        report = reindexing_sensitivity(mod)
+    assert report == ReindexingReport("ok", [tuple(range(8))])
 
 
 @pytest.mark.parametrize("name", FINITE + CHAIN_NAMES + GATE_NAMES)

@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import time_limit
 
 from imqlink import arcquandle, cli, diagram, imq, linkmodule, quandle
 from imqlink.cli import main
@@ -111,6 +112,62 @@ def test_cap_counts_the_listed_elements_for_three_components(cap, code, capsys):
     got, _, err = run(capsys, "--imq-cap", str(cap), "report", str(path))
     assert got == code
     assert err == ("resource cap: element limit reached\n" if code else "")
+
+
+LONG_CLOSURE = Path(__file__).with_name("diagrams") / "closure_5x104.json"
+
+
+def test_listing_cap_fires_before_any_listing(tmp_path, capsys):
+    # mu = 3 and det 679908: T has 679908 elements and Q_A 509931, whose
+    # table would hold 2.6e11 entries
+    path = str(LONG_CLOSURE)
+    for argv in (
+        ("report", path),
+        ("--no-imq", "report", path),
+        ("compare", path, path),
+        ("compare", path, write_fixture(tmp_path, "trefoil")),
+    ):
+        with time_limit(2):
+            code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == (
+            "resource cap: 679908 torsion elements to list, past "
+            f"{linkmodule.LISTING_CAP}\n"
+        )
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / LONG_CLOSURE.name).write_text(LONG_CLOSURE.read_text())
+    (corpus / "trefoil.json").write_text(fixture_text("trefoil"))
+    with time_limit(2):
+        code, out, _ = run(
+            capsys, "--format", "machine", "corpus", str(corpus),
+            "--cache", str(tmp_path / "cache"),
+        )
+    assert code == 3
+    error, ok = json.loads(out)["rows"]
+    assert error["exit"] == 3 and error["error"].startswith("resource cap")
+    assert ok["name"] == "trefoil" and ok["checks_passed"]
+
+
+def test_no_recorded_diagram_reaches_the_listing_cap():
+    recorded = [fixture_text(name) for name in FIXTURE_NAMES] + [
+        p.read_text() for p in LONG_CLOSURE.parent.glob("*.json") if p != LONG_CLOSURE
+    ]
+    assert len(recorded) >= 18
+    for text in recorded:
+        linkmodule.check_listing_cap(
+            linkmodule.build_link_module(diagram.parse_diagram(text))
+        )
+
+
+@pytest.mark.parametrize("cap,code", ((12, 3), (13, 0)))
+def test_listing_cap_counts_the_torsion(cap, code, capsys, monkeypatch):
+    # T(2,13): |T| = |Q_A| = 13
+    monkeypatch.setattr(linkmodule, "LISTING_CAP", cap)
+    path = Path(__file__).with_name("diagrams") / "t2_13.json"
+    got, _, err = run(capsys, "--no-imq", "report", str(path))
+    assert got == code
+    assert err.startswith("resource cap: 13 torsion elements") == bool(code)
 
 
 def test_report_of_t2_201_passes_every_check(tmp_path, capsys, perfbench_module):

@@ -8,6 +8,7 @@ from math import prod
 
 import pytest
 from oracles import (
+    automorphism_classes,
     build_partition_quandle,
     elements_of_order_dividing_2,
     is_isomorphism,
@@ -22,7 +23,6 @@ from imqlink.quandle import (
     CapExceeded,
     FiniteQuandle,
     UnionFind,
-    automorphism_classes,
     automorphisms,
     characteristic_subquandle,
     check_axioms,
