@@ -38,6 +38,8 @@ from .imq import (
 )
 from .linkmodule import (
     build_link_module,
+    check_imq_bound,
+    check_listing_cap,
     longitude_zero_subset,
     longitudes,
     torsion_parity_profile,
@@ -102,15 +104,13 @@ def _exit_code(e: Exception) -> tuple[int, str]:
 
 
 def build_report(
-    d: LinkDiagram,
-    name: str,
-    run_imq: bool = True,
-    imq_cap: int | None = None,
+    d: LinkDiagram, name: str, run_imq: bool = True
 ) -> tuple[dict, ImqResult | None]:
     """All report fields for one diagram, as a JSON-ready dict, and the
-    presented quandle when it was computed."""
+    presented quandle when it was computed.  Every cap is read first."""
     mod = build_link_module(d)
     det = mod.determinant
+    (check_imq_bound if run_imq and det != 0 else check_listing_cap)(mod)
     longs = longitudes(mod)
     zero_subset = (
         list(longitude_zero_subset(mod, longs) or ()) if d.mu >= 2 else None
@@ -150,7 +150,7 @@ def build_report(
         if not run_imq:
             report["imq"] = "skipped"
         else:
-            res = compute_imq(mod, max_elements=imq_cap)
+            res = compute_imq(mod)
             q = res.quandle
             report["imq"] = {
                 "size": q.n,
@@ -215,9 +215,7 @@ def _emit(rep: dict, fmt: str, out=None) -> None:
 def cmd_report(args) -> int:
     d = _load(args.path)
     code = EXIT_OK
-    rep, res = build_report(
-        d, Path(args.path).stem, run_imq=not args.no_imq, imq_cap=args.imq_cap
-    )
+    rep, res = build_report(d, Path(args.path).stem, run_imq=not args.no_imq)
     _emit(rep, args.format)
     if args.dump_quandle:
         if res is not None:
@@ -225,6 +223,9 @@ def cmd_report(args) -> int:
         else:
             print("no finite presented quandle to dump", file=sys.stderr)
             code = EXIT_VALIDATION
+    if not rep["checks_passed"]:
+        print("internal consistency failure: a report check failed", file=sys.stderr)
+        code = EXIT_INTERNAL
     return code
 
 
@@ -232,6 +233,9 @@ def cmd_compare(args) -> int:
     d1, d2 = _load(args.path1), _load(args.path2)
     m1, m2 = build_link_module(d1), build_link_module(d2)
     det1, det2 = m1.determinant, m2.determinant
+    if det1 != 0 and det2 != 0 and not args.no_imq:
+        check_imq_bound(m1)
+        check_imq_bound(m2)
     marking = marking_equivalent(m1, m2)
     record: dict = {
         "first": Path(args.path1).stem,
@@ -247,8 +251,7 @@ def cmd_compare(args) -> int:
         if args.no_imq:
             record["imq_isomorphic"] = None
         else:
-            r1 = compute_imq(m1, max_elements=args.imq_cap)
-            r2 = compute_imq(m2, max_elements=args.imq_cap)
+            r1, r2 = compute_imq(m1), compute_imq(m2)
             record["imq_isomorphic"] = (
                 is_isomorphic(r1.quandle, r2.quandle) is not None
             )
@@ -300,10 +303,11 @@ def cmd_compare(args) -> int:
 CACHE_SCHEMA = 3
 
 
-def _cache_key(d: LinkDiagram, no_imq: bool, imq_cap: int | None) -> str:
+def _cache_key(d: LinkDiagram, no_imq: bool) -> str:
     material = f"{serialize_diagram(d)}\n{__version__}\nschema:{CACHE_SCHEMA}"
-    if no_imq or imq_cap is not None:
-        material += f"\nflags:no_imq={no_imq},imq_cap={imq_cap}"
+    if no_imq:
+        # the spelling of a removed flag stays, so that caches still hit
+        material += "\nflags:no_imq=True,imq_cap=None"
     return hashlib.sha256(material.encode()).hexdigest()
 
 
@@ -354,12 +358,10 @@ def _error_row(name: str, e: Exception) -> dict:
     return {"name": name, "error": str(e), "exit": _exit_code(e)[0]}
 
 
-def _corpus_worker(
-    d: LinkDiagram, name: str, no_imq: bool, imq_cap: int | None
-) -> dict:
+def _corpus_worker(d: LinkDiagram, name: str, no_imq: bool) -> dict:
     """The report row of one parsed diagram, or its error row."""
     try:
-        return build_report(d, name, run_imq=not no_imq, imq_cap=imq_cap)[0]
+        return build_report(d, name, run_imq=not no_imq)[0]
     except _MAPPED as e:
         return _error_row(name, e)
 
@@ -388,7 +390,7 @@ def cmd_corpus(args) -> int:
             rows.append(_error_row(p.stem, e))
             worst = max(worst, rows[-1]["exit"])
             continue
-        key = _cache_key(d, args.no_imq, args.imq_cap)
+        key = _cache_key(d, args.no_imq)
         if key in cache:
             hits += 1
             rows.append({**cache[key], "cached": True})
@@ -411,12 +413,11 @@ def cmd_corpus(args) -> int:
                         [d for _, d, _ in to_compute],
                         [name for _, _, name in to_compute],
                         [args.no_imq] * len(to_compute),
-                        [args.imq_cap] * len(to_compute),
                     )
                 )
         else:
             computed = [
-                _corpus_worker(d, name, args.no_imq, args.imq_cap)
+                _corpus_worker(d, name, args.no_imq)
                 for _, d, name in to_compute
             ]
         for (idx, _, _), rep in zip(to_compute, computed):
@@ -483,7 +484,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="imqlink", description=__doc__)
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     parser.add_argument("--no-imq", action="store_true", help="skip the presented quandle")
-    parser.add_argument("--imq-cap", type=int, default=None, metavar="N")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_report = sub.add_parser("report", help="full invariant report for one diagram")

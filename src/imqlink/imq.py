@@ -61,8 +61,8 @@ from dataclasses import dataclass
 from .abelian import _gf2_echelon, _gf2_reduce, row_lattice_basis
 from .arcquandle import ArcQuandle, build_arc_quandle
 from .diagram import LinkDiagram
-from .linkmodule import InternalCheckError, LinkModule
-from .quandle import CapExceeded, FiniteQuandle, check_axioms, orbits
+from .linkmodule import InternalCheckError, LinkModule, check_imq_bound
+from .quandle import FiniteQuandle, check_axioms, orbits
 
 
 def _sparse(terms) -> dict[int, int]:
@@ -232,13 +232,13 @@ class _Mesh:
 def _list_closure(
     arcs: list[Hashable],
     product: Callable[[Hashable, Hashable], Hashable],
-    max_elements: int,
+    bound: int,
 ) -> tuple[list[list[int]], list[int]]:
     """The closure of the arc elements under `product`, numbered in the
     order `compute_imq` states: its table, and each arc's element.
 
     Each product is computed once, when the listing reaches it.  Listing
-    more than `max_elements` elements raises CapExceeded."""
+    more than `bound` elements raises InternalCheckError."""
     order: list[Hashable] = []  # elements by number
     number: dict[Hashable, int] = {}
     # op[x] holds x |> y for the leading y of the order; every product
@@ -247,8 +247,8 @@ def _list_closure(
 
     def listed(e: Hashable) -> int:
         if e not in number:
-            if len(order) >= max_elements:
-                raise CapExceeded("resource cap: element limit reached")
+            if len(order) >= bound:
+                raise InternalCheckError(f"listing passed the size bound {bound}")
             number[e] = len(order)
             order.append(e)
             op.append([])
@@ -277,15 +277,15 @@ class ImqResult:
     elements_created: int
 
 
-def compute_imq(mod: LinkModule, max_elements: int | None = None) -> ImqResult:
+def compute_imq(mod: LinkModule) -> ImqResult:
     """The quandle presented by the crossing relations of the module's
     diagram.
 
     Rejects determinant-zero diagrams (the presented quandle is then
-    infinite).  `max_elements` defaults to 64 times the size bound
-    mu*det/2, floor 10000.  Listing more elements than that raises
-    CapExceeded, which is distinct from the infinite case.
-    `elements_created` is the number of elements listed.
+    infinite).  Raises CapExceeded before listing anything when the paper's
+    bound on its size passes the listing cap (`check_imq_bound`), and
+    InternalCheckError on listing past that bound.  `elements_created` is
+    the number of elements listed.
 
     For mu <= 2 the elements are listed in the arc-coset quandle Q_A.  This
     is exact:
@@ -307,22 +307,20 @@ def compute_imq(mod: LinkModule, max_elements: int | None = None) -> ImqResult:
     lexicographic order.
     """
     d = mod.diagram
-    det = mod.determinant
-    if det == 0:
+    if mod.determinant == 0:
         raise ValueError("infinite quandle: determinant is zero")
-    if max_elements is None:
-        max_elements = max(64 * (d.mu * det // 2), 10_000)
+    bound = check_imq_bound(mod)
     if d.mu <= 2:
         qa = build_arc_quandle(mod)
         table = qa.quandle.op
         index = {e.coords: i for i, e in enumerate(qa.elements)}
         arcs = [index[mod.arc_class[a].coords] for a in range(d.n_arcs)]
-        op, arc_element = _list_closure(arcs, lambda x, y: table[x][y], max_elements)
+        op, arc_element = _list_closure(arcs, lambda x, y: table[x][y], bound)
         if len(op) < len(table):
             raise InternalCheckError("quandle not generated by its arc elements")
     else:
         mesh = _Mesh(d)
-        op, arc_element = _list_closure(mesh.arcs, mesh.product, max_elements)
+        op, arc_element = _list_closure(mesh.arcs, mesh.product, bound)
     return _finish(d, op, arc_element, len(op))
 
 

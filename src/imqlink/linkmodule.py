@@ -37,13 +37,11 @@ from .abelian import (
 from .diagram import LinkDiagram, component_walk
 from .quandle import CapExceeded
 
-# The most torsion elements a report lists, for the parity profile and the
-# marking kernel; it bounds the coset quandle Q_A too, whose table holds
-# |Q_A|^2 entries (see `check_listing_cap`).  Near the cap a `--no-imq`
-# report of the twist chain (13,13,12), |T| = |Q_A| = 2028, peaks at
-# 159 MiB RSS in 7.7 s, and one of (11,11,15), |T| = |Q_A| = 1815, at
-# 163 MiB in 6.7 s; past it, (11,11,17) exits 3 in 0.13 s at 21 MiB
-# (2 vCPUs, Python 3.11).
+# The most elements a report lists of the torsion T, the coset quandle Q_A
+# or the presented quandle, whose tables hold n^2 entries.  Near it a
+# `--no-imq` report of chain (13,13,12), |T| = |Q_A| = 2028, peaks at
+# 159 MiB RSS in 7.7 s, and a full one of chain (2,2,341), |IMQ| = 2046,
+# at 105 MiB in 17-24 s (2 vCPUs, Python 3.11).
 LISTING_CAP = 2048
 
 
@@ -259,6 +257,20 @@ def check_listing_cap(mod: LinkModule) -> None:
         )
 
 
+def check_imq_bound(mod: LinkModule) -> int:
+    """The paper's bound on |IMQ(L)| for det != 0, det for a knot and
+    mu det / 2 for a link.  Raise CapExceeded when T or the bound passes
+    the listing cap, so that no listing the cap could stop starts."""
+    check_listing_cap(mod)
+    bound = mod.determinant * max(mod.mu, 2) // 2
+    if bound > LISTING_CAP:
+        raise CapExceeded(
+            f"resource cap: up to {bound} presented quandle elements to list, "
+            f"past {LISTING_CAP}"
+        )
+    return bound
+
+
 def torsion_parity_profile(mod: LinkModule) -> tuple[tuple[int, ...], ...]:
     """Sorted multiset of parity vectors of the nonzero finite-order
     elements, canonicalized to the least multiset over coordinate
@@ -268,16 +280,15 @@ def torsion_parity_profile(mod: LinkModule) -> tuple[tuple[int, ...], ...]:
     With free rank 1, p(T) is the whole even-weight space: the torsion has
     weight 0, the parities sum to the weight mod 2, and p is invertible on
     M/2M, which T fills but for one bit.  Each vector of it is hit equally
-    often, so every coordinate permutation keeps the multiset."""
+    often, so every coordinate permutation keeps the multiset, as it keeps
+    the empty one of a trivial T."""
     check_listing_cap(mod)
     vectors = [
         mod.parity(t) for t in mod.group.torsion_elements() if not t.is_zero()
     ]
-    if mod.group.free_rank == 1:
+    if mod.group.free_rank == 1 or not vectors:
         return tuple(sorted(vectors))
-    best = None
-    for perm in itertools.permutations(range(mod.mu)):
-        cand = tuple(sorted(tuple(v[i] for i in perm) for v in vectors))
-        if best is None or cand < best:
-            best = cand
-    return best if best is not None else ()
+    return min(
+        tuple(sorted(tuple(v[i] for i in perm) for v in vectors))
+        for perm in itertools.permutations(range(mod.mu))
+    )

@@ -81,6 +81,7 @@ class CapExceeded(RuntimeError):
 
 
 Perm = tuple[int, ...]
+DISPLACEMENT_CAP = 10**6  # the most permutations a displacement closure lists
 
 
 def _compose(p: Perm, q: Perm) -> Perm:
@@ -282,19 +283,17 @@ def _perm_inverse(g: Perm) -> Perm:
     return tuple(out)
 
 
-def displacement_group(q: FiniteQuandle, cap: int = 10**6) -> DisGroup:
+def displacement_group(q: FiniteQuandle) -> DisGroup:
     """Closure of the translation products beta_y * beta_0; raises
-    CapExceeded past `cap` permutations and ValueError if the closure is
-    not abelian (it always is for a valid table).  Built once per table:
-    the semiregularity check and the isomorphism search share it."""
+    CapExceeded past DISPLACEMENT_CAP permutations and ValueError if the
+    closure is not abelian (it always is for a valid table).  Built once
+    per table, and kept on it."""
     if q._dis is None:
-        q._dis = _displacement_closure(q, cap)
-    elif len(q._dis.perms) > cap:
-        raise CapExceeded("displacement closure cap exceeded")
+        q._dis = _displacement_closure(q)
     return q._dis
 
 
-def _displacement_closure(q: FiniteQuandle, cap: int) -> DisGroup:
+def _displacement_closure(q: FiniteQuandle) -> DisGroup:
     n = q.n
     if n == 0:
         raise ValueError("empty quandle")
@@ -324,7 +323,7 @@ def _displacement_closure(q: FiniteQuandle, cap: int) -> DisGroup:
             for i, sign, g in stepper:
                 nxt = _compose(g, cur)
                 if nxt not in word:
-                    if len(word) >= cap:
+                    if len(word) >= DISPLACEMENT_CAP:
                         raise CapExceeded("displacement closure cap exceeded")
                     word[nxt] = tuple(
                         v + (sign if j == i else 0) for j, v in enumerate(vec)
@@ -447,14 +446,11 @@ def _fingerprints(q: FiniteQuandle, orbs: list[list[int]]) -> list[int]:
     return color
 
 
-def _iso_candidates(
-    q1: FiniteQuandle, q2: FiniteQuandle
-) -> list[list[int]] | None:
+def _iso_candidates(q1: FiniteQuandle, q2: FiniteQuandle) -> list[list[int]] | None:
     """Per element x of q1, the elements of q2 with the fingerprint of x;
-    None when orbit sizes, fingerprints or displacement groups already
-    tell q1 and q2 apart.  Automorphism searches pass q1 is q2: each
-    invariant is then computed once, and the displacement groups, equal
-    by construction, are not compared."""
+    None when orbit sizes or fingerprints already tell q1 and q2 apart.
+    Automorphism searches pass q1 is q2, and each invariant is then
+    computed once."""
     if q1.n != q2.n:
         return None
     o1 = orbits(q1)
@@ -465,12 +461,6 @@ def _iso_candidates(
     c2 = c1 if q2 is q1 else _fingerprints(q2, o2)
     if sorted(c1) != sorted(c2):
         return None
-    if q1.n > 1 and q2 is not q1:
-        try:
-            if displacement_group(q1).group != displacement_group(q2).group:
-                return None
-        except CapExceeded:
-            pass
     return [[y for y in range(q2.n) if c2[y] == c] for c in c1]
 
 

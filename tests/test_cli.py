@@ -1,6 +1,7 @@
 """End-to-end command line behavior: reports, comparisons, corpus runs
 with caching, and the exit code contract."""
 
+import itertools
 import json
 import random
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from conftest import time_limit
 
 from imqlink import arcquandle, cli, diagram, imq, linkmodule, quandle
+from imqlink.abelian import FgAbGroup
 from imqlink.cli import main
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.quandle import parse_quandle
@@ -81,40 +83,99 @@ def test_report_no_imq_flag(tmp_path, capsys):
     assert json.loads(out)["imq"] == "skipped"
 
 
+DIAGRAMS = Path(__file__).with_name("diagrams")
+# gen.closure(gen.chain_word(regions, random.Random(1)), len(regions) + 1)
+# for regions (2,) * 10 (mu 11, det 1024) and (4, 4, 89) (mu 3, det 1424):
+# T is under the listing cap, and the bound mu det / 2 on the presented
+# quandle past it
+IMQ_CAPPED = {"chain_2x10": 5632, "chain_4_4_89": 2136}
+
+
+def imq_bound_message(bound: int) -> str:
+    return (
+        f"resource cap: up to {bound} presented quandle elements to list, "
+        f"past {linkmodule.LISTING_CAP}\n"
+    )
+
+
 def test_report_cap_exit(tmp_path, capsys):
-    path = write_fixture(tmp_path, "t22t24")
-    code, _, err = run(capsys, "--imq-cap", "2", "report", path)
-    assert code == 3
-    assert "resource cap" in err
+    trefoil = write_fixture(tmp_path, "trefoil")
+    for name, bound in IMQ_CAPPED.items():
+        path = str(DIAGRAMS / f"{name}.json")
+        for argv in (("report", path), ("compare", path, path), ("compare", trefoil, path)):
+            with time_limit(1):
+                code, out, err = run(capsys, *argv)
+            assert code == 3 and out == ""
+            assert err == imq_bound_message(bound)
+
+
+@pytest.mark.parametrize("name", IMQ_CAPPED)
+def test_no_imq_report_runs_past_the_imq_bound(name, capsys):
+    path = str(DIAGRAMS / f"{name}.json")
+    code, out, _ = run(capsys, "--format", "machine", "--no-imq", "report", path)
+    assert code == 0 and json.loads(out)["imq"] == "skipped"
 
 
 def test_cap_error_is_labelled_once_by_every_command(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in IMQ_CAPPED:
+        (corpus / f"{name}.json").write_text((DIAGRAMS / f"{name}.json").read_text())
+    (corpus / "trefoil.json").write_text(fixture_text("trefoil"))
+    with time_limit(2):
+        code, out, err = run(
+            capsys, "--format", "machine", "corpus", str(corpus),
+            "--cache", str(tmp_path / "cache"),
+        )
+    assert code == 3 and err == ""
+    *capped, ok = json.loads(out)["rows"]
+    assert [(r["name"], r["exit"], r["error"] + "\n") for r in capped] == [
+        (name, 3, imq_bound_message(bound)) for name, bound in IMQ_CAPPED.items()
+    ]
+    assert ok["name"] == "trefoil" and ok["checks_passed"]
+
+
+def test_imq_cap_flag_is_a_usage_error(tmp_path, capsys):
     path = write_fixture(tmp_path, "trefoil")
-    for argv in (("report", path), ("compare", path, path)):
-        code, _, err = run(capsys, "--imq-cap", "2", *argv)
-        assert code == 3
-        assert err == "resource cap: element limit reached\n"
+    for argv in (("--imq-cap", "9", "report", path), ("report", path, "--imq-cap", "9")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("usage error: ")
 
 
 @pytest.mark.parametrize("cap,code", ((5, 3), (6, 0)))
-def test_cap_counts_the_arc_quandle_for_two_components(cap, code, capsys):
-    # |Q_A| = 6 for this mu = 2 diagram; saturation created 32 elements
-    path = Path(__file__).with_name("diagrams") / "chain_2_3_pad30.json"
-    got, _, err = run(capsys, "--imq-cap", str(cap), "report", str(path))
+def test_cap_counts_the_arc_quandle_for_two_components(
+    cap, code, capsys, monkeypatch
+):
+    # |T| = |Q_A| = |IMQ| = 6 for this mu = 2 diagram; the presented quandle
+    # is listed in Q_A, under the torsion's cap
+    monkeypatch.setattr(linkmodule, "LISTING_CAP", cap)
+    got, _, err = run(capsys, "report", str(DIAGRAMS / "chain_2_3_pad30.json"))
     assert got == code
-    assert err == ("resource cap: element limit reached\n" if code else "")
+    want = f"resource cap: 6 torsion elements to list, past {cap}\n"
+    assert err == (want if code else "")
 
 
 @pytest.mark.parametrize("cap,code", ((17, 3), (18, 0)))
-def test_cap_counts_the_listed_elements_for_three_components(cap, code, capsys):
-    # |IMQ| = 18 for this mu = 3 diagram, and the mesh lists no other element
-    path = Path(__file__).with_name("diagrams") / "chain_2_6.json"
-    got, _, err = run(capsys, "--imq-cap", str(cap), "report", str(path))
+def test_cap_counts_the_listed_elements_for_three_components(
+    cap, code, capsys, monkeypatch
+):
+    # |T| = 12 for this mu = 3 diagram, and |IMQ| = 18 = mu det / 2, the
+    # bound the cap is read against
+    monkeypatch.setattr(linkmodule, "LISTING_CAP", cap)
+    got, _, err = run(capsys, "report", str(DIAGRAMS / "chain_2_6.json"))
     assert got == code
-    assert err == ("resource cap: element limit reached\n" if code else "")
+    assert err == (imq_bound_message(18) if code else "")
 
 
-LONG_CLOSURE = Path(__file__).with_name("diagrams") / "closure_5x104.json"
+def test_listing_past_the_bound_exits_4(capsys, monkeypatch):
+    fresh = itertools.count()
+    monkeypatch.setattr(imq._Mesh, "product", lambda self, x, y: (0, next(fresh)))
+    code, out, err = run(capsys, "report", str(DIAGRAMS / "chain_2_6.json"))
+    assert code == 4 and out == ""
+    assert err == "internal consistency failure: listing passed the size bound 18\n"
+
+
+LONG_CLOSURE = DIAGRAMS / "closure_5x104.json"
 
 
 def test_listing_cap_fires_before_any_listing(tmp_path, capsys):
@@ -361,10 +422,22 @@ def test_corpus_flags_change_cache_key(tmp_path, capsys, monkeypatch):
 
 def test_cache_schema_is_part_of_the_cache_key(diagrams, monkeypatch):
     d = diagrams["trefoil"]
-    keys = {cli._cache_key(d, False, None)}
+    keys = {cli._cache_key(d, False)}
     monkeypatch.setattr(cli, "CACHE_SCHEMA", cli.CACHE_SCHEMA + 1)
-    keys.add(cli._cache_key(d, False, None))
+    keys.add(cli._cache_key(d, False))
     assert len(keys) == 2
+
+
+def test_cache_keys_of_earlier_releases_still_hit(diagrams):
+    # the keys of an unflagged and a --no-imq run of trefoil, as written
+    # when an --imq-cap flag was still part of the key material
+    d = diagrams["trefoil"]
+    assert cli._cache_key(d, False) == (
+        "1e471d6dd733a97796767a92042f3381785e05332882a3f23740b2de0177c590"
+    )
+    assert cli._cache_key(d, True) == (
+        "aa1c39cc3c26aa8ca64d48e798f978e8bbe234779f25adc70ae3330fdd530f79"
+    )
 
 
 def test_corpus_survives_one_bad_file(tmp_path, capsys, monkeypatch):
@@ -631,8 +704,8 @@ def test_compare_builds_each_displacement_group_once(tmp_path, capsys, monkeypat
     b = write_fixture(tmp_path, "sixthree")
     code, out, _ = run(capsys, "--format", "machine", "compare", a, b)
     assert code == 0 and json.loads(out)["arc_quandle_isomorphic"] is True
-    # one per coset quandle, shared by its semiregularity check and the
-    # isomorphism search; fingerprints tell the presented quandles apart
+    # one per coset quandle, for its semiregularity check; no isomorphism
+    # search reads a displacement group
     assert calls == {"_displacement_closure": 2}
 
 
@@ -713,9 +786,9 @@ def test_main_carries_no_flag_over_to_a_later_call(tmp_path, capsys):
     fig8 = write_fixture(tmp_path, "fig8")
     code, out, _ = run(capsys, "--no-imq", "--format", "machine", "compare", fig8, fig8)
     assert code == 0 and json.loads(out)["imq_isomorphic"] is None
-    code, second, _ = run(capsys, "--imq-cap", "9", "report", trefoil)
+    code, second, _ = run(capsys, "report", trefoil)
     fresh = subprocess.run(
-        [sys.executable, "-m", "imqlink.cli", "--imq-cap", "9", "report", trefoil],
+        [sys.executable, "-m", "imqlink.cli", "report", trefoil],
         capture_output=True,
         text=True,
     )
@@ -732,6 +805,55 @@ def test_report_exits_4_on_an_engine_value_error(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "report", write_fixture(tmp_path, "trefoil"))
     assert code == 4
     assert out == "" and "engine fault" in err
+
+
+def test_report_exits_4_when_a_check_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "group_from_quandle", lambda q: FgAbGroup(5, ()))
+    path = write_fixture(tmp_path, "trefoil")
+    code, out, err = run(capsys, "--format", "machine", "report", path)
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["checks"]["imq_group_reconstruction"] is False
+    assert rep["checks_passed"] is False
+    assert err == "internal consistency failure: a report check failed\n"
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "trefoil.json").write_text(fixture_text("trefoil"))
+    code, out, _ = run(
+        capsys, "--format", "machine", "corpus", str(corpus),
+        "--cache", str(tmp_path / "cache"),
+    )
+    assert code == 4
+    assert json.loads(out)["summary"]["all_property_checks_passed"] is False
+
+
+def test_torsion_cap_is_read_before_the_longitudes(tmp_path, capsys, perfbench_module):
+    # chain (2^17): 35 arcs, det != 0 and |T| = 2^17; the least longitude
+    # subset summing to zero would be searched over 2^18 - 2 subsets
+    gen = perfbench_module("gen")
+    path = tmp_path / "chain_2x17.json"
+    word = gen.chain_word([2] * 17, random.Random(1))
+    path.write_text(gen.to_text(gen.closure(word, 18)))
+    for flags in ((), ("--no-imq",)):
+        with time_limit(1):
+            code, out, err = run(capsys, *flags, "report", str(path))
+        assert code == 3 and out == ""
+        assert err == "resource cap: 131072 torsion elements to list, past 2048\n"
+
+
+def test_report_of_a_13_component_unlink_is_bounded(tmp_path, capsys):
+    arcs = [f"z{i}" for i in range(13)]
+    path = tmp_path / "unlink13.json"
+    path.write_text(json.dumps({
+        "arcs": arcs,
+        "components": [{"arcs": [a], "crossings": []} for a in arcs],
+        "crossings": [],
+    }))
+    with time_limit(1):
+        code, out, _ = run(capsys, "--format", "machine", "report", str(path))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["module"]["free_rank"] == 13 and rep["parity_profile"] == []
 
 
 def test_corpus_exits_4_on_an_engine_value_error(tmp_path, capsys, monkeypatch):

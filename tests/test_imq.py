@@ -21,7 +21,7 @@ from oracles import (
     stated_element_order,
 )
 
-from imqlink import imq
+from imqlink import imq, linkmodule
 from imqlink.arcquandle import build_arc_quandle
 from imqlink.diagram import make_even, parse_diagram
 from imqlink.imq import (
@@ -264,9 +264,14 @@ def test_longitude_check_requires_even(imq_results, diagrams):
         longitude_fixes_orbit(imq_results["trefoil"])
 
 
-def test_cap_exceeded_is_distinct_from_infinite(modules):
-    with pytest.raises(CapExceeded, match="resource cap"):
-        compute_imq(modules["t22t24"], max_elements=2)
+def test_cap_exceeded_is_distinct_from_infinite(modules, monkeypatch):
+    # chain (2^10): |T| = 1024 and mu det / 2 = 5632, read before listing
+    with pytest.raises(CapExceeded, match="up to 5632 presented quandle elements"):
+        compute_imq(_large_module("chain_2x10"))
+    # t22t24: |T| = det = 8 and mu det / 2 = 12, past a cap of 11
+    monkeypatch.setattr(linkmodule, "LISTING_CAP", 11)
+    with pytest.raises(CapExceeded, match="up to 12 presented quandle elements"):
+        compute_imq(modules["t22t24"])
     with pytest.raises(ValueError, match="infinite quandle"):
         compute_imq(modules["fig5l"])
 

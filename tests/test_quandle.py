@@ -102,9 +102,10 @@ def test_displacement_of_dihedral():
     assert is_semiregular(_core_of([5]), dis)
 
 
-def test_displacement_cap():
+def test_displacement_cap(monkeypatch):
+    monkeypatch.setattr(quandle, "DISPLACEMENT_CAP", 1)
     with pytest.raises(CapExceeded):
-        displacement_group(_core_of([8]), cap=1)
+        displacement_group(_core_of([8]))
 
 
 def _transposition_quandle(k: int) -> FiniteQuandle:
@@ -165,9 +166,6 @@ def test_displacement_group_is_built_once_per_table():
     dis = displacement_group(q)
     assert displacement_group(q) is dis
     assert is_semiregular(q)
-    # a cap below the cached closure's size still raises
-    with pytest.raises(CapExceeded):
-        displacement_group(q, cap=len(dis.perms) - 1)
     assert displacement_group(FiniteQuandle(q.op)) is not dis
 
 
@@ -299,10 +297,10 @@ def test_self_search_compares_no_displacement_groups(monkeypatch):
     monkeypatch.setattr(quandle, "displacement_group", counted)
     assert len(automorphisms(q)) > 1
     assert len(automorphism_classes(q, [0, 1])) >= 1
-    assert calls == []
-    # two distinct tables still compare their displacement groups
+    # nor does a search between two distinct tables: it is exhaustive
     assert is_isomorphic(q, FiniteQuandle(q.op)) is not None
-    assert len(calls) == 2
+    assert is_isomorphic(q, _core_of([8])) is None
+    assert calls == []
 
 
 def test_is_isomorphism_checks_bijection_and_operation():

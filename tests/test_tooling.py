@@ -1,15 +1,19 @@
 """Guards for the benchmark scripts in perfbench/ that reach into the
 package by name, so that a refactor which moves or renames a function
 fails here instead of at benchmark time; and against package functions
-that nothing calls."""
+that nothing calls; and for the README's command synopsis against the
+parser."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import imqlink
+from imqlink import cli
 
 # public functions the README documents for library use that no package
 # code calls
@@ -55,3 +59,32 @@ def test_every_public_function_has_a_caller(perfbench_module):
             if not callers:
                 uncalled.append(f"{path.stem}.{fn.name}")
     assert uncalled == []
+
+
+def _long_options(parser: argparse.ArgumentParser) -> set[str]:
+    return {
+        s
+        for action in parser._actions
+        for s in action.option_strings
+        if s.startswith("--") and s != "--help"
+    }
+
+
+def test_readme_synopsis_names_exactly_the_parser_options():
+    # the README's command synopsis: the usage line, then one line per
+    # command, each naming the options that command takes
+    readme = (Path(imqlink.__file__).parents[2] / "README.md").read_text()
+    section = readme[readme.index("## Command line") :]
+    block = section[section.index("```text\n") + 8 :]
+    usage, *lines = block[: block.index("```")].splitlines()
+    option = re.compile(r"--[a-z][\w-]*")
+    documented = {None: set(option.findall(usage))}
+    for line in lines:
+        if line.startswith("  "):
+            documented[line.split()[0]] = set(option.findall(line))
+
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {None: _long_options(parser)}
+    defined.update((name, _long_options(p)) for name, p in sub.choices.items())
+    assert documented == defined
