@@ -20,9 +20,11 @@ A relation matrix whose quotient is needed only up to isomorphism can
 first go through `row_lattice_basis`, which reduces its rows, also sparse,
 by unimodular steps to a Hermite basis of at most one row per column; its
 certificate is that every input row ends as a basis row or reduces to
-zero.  The abelian group of a quandle and the weight kernel of a diagram
-both go through it: on some drawings the Smith form of the weight kernel's
-literal rows grows entries of over a hundred digits.
+zero.  The abelian group of a quandle, the arc module and the weight
+kernel of a diagram all go through it: on some drawings the Smith form of
+the weight kernel's literal rows grows entries of over a hundred digits.
+The IMQ's displacement mesh keys its elements by the same basis, taken
+sparse from `_hermite_basis`.
 `_gf2_echelon` and `_gf2_reduce` are the package's one eliminator over
 GF(2); the coset quandle's marking questions and the parity part of the
 IMQ's displacement mesh both use them.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
 
@@ -210,26 +213,27 @@ def _reduce_above_pivots(basis: dict[int, Row], pivots: list[int], j: int) -> No
             _reduce_row(row, j, basis)
 
 
-def row_lattice_basis(rows: Matrix, n_cols: int) -> Matrix:
-    """A basis of the lattice the rows span, in Hermite normal form: one row
-    per pivot column, in column order, each pivot positive, every entry in a
-    pivot column above its pivot at most half the pivot in absolute value.
+def _hermite_basis(rows: Iterable[Row]) -> tuple[dict[int, Row], list[int]]:
+    """A basis of the lattice the sparse rows span, in Hermite normal form:
+    one row per pivot column, each pivot positive, every entry in a pivot
+    column above its pivot at most half the pivot in absolute value.  So a
+    pivot of 1 is the only nonzero entry of its column.  Returns the basis
+    rows by pivot column, and the pivot columns in order.
 
-    The rows are inserted one at a time, as sparse rows.  A row meeting a
-    pivot it is a multiple of subtracts that basis row; otherwise one
-    unimodular 2x2 extended-gcd step makes the basis row's pivot the gcd
-    and the new row's entry zero.  The reduction above the pivots after
-    every change keeps the entries small; without it they grow without
-    bound.  Every step is unimodular, so the basis spans exactly the rows'
-    lattice, with certificate: each step clears the row's leading entry,
-    so each row ends as a new basis row or as the zero vector.
+    The rows are inserted one at a time; they are copied, not changed.  A
+    row meeting a pivot it is a multiple of subtracts that basis row;
+    otherwise one unimodular 2x2 extended-gcd step makes the basis row's
+    pivot the gcd and the new row's entry zero.  The reduction above the
+    pivots after every change keeps the entries small; without it they
+    grow without bound.  Every step is unimodular, so the basis spans
+    exactly the rows' lattice, with certificate: each step clears the row's
+    leading entry, so each row ends as a new basis row or as the zero
+    vector.
     """
     basis: dict[int, Row] = {}
     pivots: list[int] = []
     for row in rows:
-        if len(row) != n_cols:
-            raise ValueError("ragged matrix")
-        r = {j: x for j, x in enumerate(row) if x}
+        r = dict(row)
         while r:
             j = min(r)
             x = r[j]
@@ -248,7 +252,16 @@ def row_lattice_basis(rows: Matrix, n_cols: int) -> Matrix:
                 r = _scaled_sum(p // g, r, -(x // g), b)
                 _reduce_above_pivots(basis, pivots, j)
             if j in r:
-                raise AssertionError("row_lattice_basis: a row did not reduce to zero")
+                raise AssertionError("_hermite_basis: a row did not reduce to zero")
+    return basis, pivots
+
+
+def row_lattice_basis(rows: Matrix, n_cols: int) -> Matrix:
+    """A basis of the lattice the rows span, in Hermite normal form
+    (`_hermite_basis`): one dense row per pivot column, in column order."""
+    if any(len(row) != n_cols for row in rows):
+        raise ValueError("ragged matrix")
+    basis, pivots = _hermite_basis({j: x for j, x in enumerate(row) if x} for row in rows)
     return _dense([basis[j] for j in pivots], n_cols)
 
 
@@ -548,7 +561,6 @@ class Presentation:
     """Quotient of Z^n_gens by the row space of a relation matrix."""
 
     n_gens: int
-    relations: Matrix
     snf: SmithForm
     group: FgAbGroup
     _free_positions: list[int]
@@ -601,7 +613,6 @@ def cokernel(rows: Matrix, n_gens: int) -> Presentation:
     )
     return Presentation(
         n_gens=n_gens,
-        relations=[row[:] for row in rows],
         snf=snf,
         group=group,
         _free_positions=free_positions,

@@ -132,9 +132,8 @@ from .abelian import (
     GroupElt,
     _gf2_echelon,
     _gf2_reduce,
-    left_kernel_basis,
+    _stacked_relations,
     smith_normal_form,
-    subgroup_contains,
 )
 from .linkmodule import InternalCheckError, LinkModule, check_listing_cap
 from .quandle import FiniteQuandle, UnionFind, is_semiregular, orbits
@@ -372,19 +371,14 @@ def _verify_unit_decomposition(
     for g, d in zip(all_gens, orders):
         if g.order() != d:
             raise InternalCheckError("witness generator has the wrong order")
-    if not all(
-        subgroup_contains(group, all_gens, group.unit(i))
-        for i in range(group.n_coords)
-    ):
+    # the generators and the torsion relations span Z^n_coords iff the
+    # Smith form is all units, and the rows of U past the rank span the
+    # relations among them
+    snf = smith_normal_form(_stacked_relations(group, all_gens), group.n_coords)
+    if snf.diag != [1] * group.n_coords:
         raise InternalCheckError("witness generators do not generate")
-    stack = [list(g.coords) for g in all_gens]
-    for i, t in enumerate(group.torsion):
-        row = [0] * group.n_coords
-        row[group.free_rank + i] = t
-        stack.append(row)
-    kernel = left_kernel_basis(stack, group.n_coords)
     n = len(all_gens)
-    for row in kernel:
+    for row in snf.u[snf.rank :]:
         for x, d in zip(row[:n], orders):
             if x if d == 0 else x % d:
                 raise InternalCheckError("witness relations exceed cyclic orders")

@@ -39,9 +39,6 @@ class Crossing:
         a, b = self.under
         return (a, b) if a <= b else (b, a)
 
-    def key(self) -> tuple[int, tuple[int, int]]:
-        return (self.over, self.under_multiset())
-
 
 @dataclass(frozen=True)
 class Component:
@@ -68,9 +65,6 @@ class LinkDiagram:
             for a in comp.arcs:
                 out[a] = ci
         return tuple(out)
-
-    def arc_id(self, name: str) -> int:
-        return self.arc_names.index(name)
 
     def is_even(self) -> bool:
         return all(len(c.arcs) % 2 == 0 for c in self.components)

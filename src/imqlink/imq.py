@@ -58,7 +58,7 @@ import itertools
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
-from .abelian import _gf2_echelon, _gf2_reduce, row_lattice_basis
+from .abelian import _gf2_echelon, _gf2_reduce, _hermite_basis
 from .arcquandle import ArcQuandle, build_arc_quandle
 from .diagram import LinkDiagram
 from .linkmodule import InternalCheckError, LinkModule, check_imq_bound
@@ -79,36 +79,39 @@ class _Mesh:
     """The displacement mesh of a diagram, with a canonical key for each
     element; see the module docstring for the mesh.
 
-    The keys come from one basis of T.  Every crossing row has -1 on its
-    under arcs, so most rows of T, reduced by the rows before them, keep a
-    unit entry and eliminate its column c.  `image[c]` is g_c written over
-    the free columns, those no row eliminated, modulo the rows so far; it
-    names no eliminated column.  With u_c = e_c - image[c], every v in D is
-    the sum of v[c] u_c over the eliminated columns c plus its projection
-    p(v), which lives on the free columns.  The rows left with no unit
-    entry are projected, and `row_lattice_basis` gives a Hermite basis H of
-    their span.  The u_c and the rows of H form a basis of T.
+    The keys come from one basis of T: `_hermite_basis` of all the rows of
+    the R_k and C_k.  In Hermite form a pivot of 1 is the only nonzero
+    entry of its column, so the basis splits into unit rows u_c, one per
+    unit-pivot column c, and the rows H of the other pivots, which live on
+    the other columns, the free ones.  Every v in D is the sum of v[c] u_c
+    over the unit-pivot columns c plus a vector p(v) on the free columns;
+    reducing p(v) by H gives v's canonical residue mod T and v's
+    coordinates on H.  Its coordinate on u_c is v[c] itself.
 
-    Reducing p(v) by H gives v's canonical residue mod T and v's
-    coordinates on H; its coordinates on the u_c are the v[c].  As
-    2T <= S_i <= T, v mod S_i is that residue together with those
-    coordinates mod 2, taken modulo the image of R_i + C_i in T/2T.
-    `_gf2_reduce` by an echelon basis of that image makes the parity
+    As 2T <= S_i <= T, v mod S_i is that residue together with v's
+    coordinates on the basis mod 2, taken modulo the image of R_i + C_i in
+    T/2T.  `_gf2_reduce` by an echelon basis of that image makes the parity
     canonical, and is linear.  The key of (v, i) is (i, parity, *residue),
-    with the parity as a bitmask: bit c for an eliminated column c, and
-    bit n + k for row k of H, n being the number of columns.  So a product
+    with the parity as a bitmask, bit k for basis row k.  So a product
     reduces only its residue, and adds parities that were reduced once,
     when the mesh was built.
+
+    The columns list the arcs from the last down, then the d_ij.  The keys
+    are canonical in any column order; this one makes a crossing row of a
+    braid closure, its arcs numbered in order of first appearance, lead
+    with the arc the crossing starts, which has coefficient -1, so most
+    rows enter the basis as unit rows with no gcd step.
     """
 
     def __init__(self, d: LinkDiagram):
         mu, kappa = d.mu, d.kappa
-        # columns: the d_ij, then the arcs but each component's first
-        pairs = itertools.combinations(range(mu), 2)
-        delta_col = {ij: k for k, ij in enumerate(pairs)}
+        # columns: the arcs but each component's first, last arc first;
+        # then the d_ij
         first = {comp.arcs[0] for comp in d.components}
-        kept = [a for a in range(d.n_arcs) if a not in first]
-        arc_col = {a: len(delta_col) + k for k, a in enumerate(kept)}
+        kept = [a for a in reversed(range(d.n_arcs)) if a not in first]
+        arc_col = {a: k for k, a in enumerate(kept)}
+        pairs = itertools.combinations(range(mu), 2)
+        delta_col = {ij: len(kept) + k for k, ij in enumerate(pairs)}
 
         def delta(i: int, j: int, x: int = 1) -> tuple[int | None, int]:
             # the term x*d_ij
@@ -129,20 +132,40 @@ class _Mesh:
                 if k not in (i, j):
                     rows.append((k, _sparse([delta(i, j), delta(k, j, -1), delta(k, i)])))
 
-        self.image: dict[int, dict[int, int]] = {}
-        rest = self._eliminate_units([row for _, row in rows])
-        n_cols = len(arc_col) + len(delta_col)
-        free = [c for c in range(n_cols) if c not in self.image]
-        self.free_pos = {c: k for k, c in enumerate(free)}
-        self.basis = row_lattice_basis([self._project(r) for r in rest], len(free))
-        self.basis_pivot = [next(j for j, x in enumerate(h) if x) for h in self.basis]
-
-        raw_h_bits = [1 << (n_cols + k) for k in range(len(self.basis))]
+        basis, pivots = _hermite_basis(row for _, row in rows)
+        bit = {j: 1 << k for k, j in enumerate(pivots)}
+        units = {j for j in pivots if basis[j][j] == 1}
+        free = [c for c in range(len(arc_col) + len(delta_col)) if c not in units]
+        pos = {c: k for k, c in enumerate(free)}
+        # u_c - e_c for each unit-pivot column c, over the free positions
+        unit_tail = {
+            c: [(pos[f], y) for f, y in basis[c].items() if f != c] for c in units
+        }
+        self.basis: list[list[int]] = []  # H, dense over the free columns
+        self.basis_pivot: list[int] = []
+        raw_h_bits: list[int] = []
+        for j in pivots:
+            if j not in units:
+                h = [0] * len(free)
+                for c, x in basis[j].items():
+                    h[pos[c]] = x
+                self.basis.append(h)
+                self.basis_pivot.append(pos[j])
+                raw_h_bits.append(bit[j])
 
         def coords(v: dict[int, int]) -> tuple[list[int], int]:
             # v's residue mod T, and its coordinates in T's basis mod 2
-            residue, mask = self._reduce(self._project(v), raw_h_bits)
-            odd = sum(1 << c for c, x in v.items() if x % 2 and c in self.image)
+            p = [0] * len(free)
+            odd = 0
+            for c, x in v.items():
+                if c in pos:
+                    p[pos[c]] += x
+                    continue
+                if x % 2:
+                    odd |= bit[c]
+                for f, y in unit_tail[c]:
+                    p[f] -= x * y
+            residue, mask = self._reduce(p, raw_h_bits)
             return residue, mask | odd
 
         spans: list[list[int]] = [[] for _ in range(mu)]
@@ -166,45 +189,6 @@ class _Mesh:
         self.arcs = [
             key(_sparse([(arc_col.get(a), 1)]), kappa[a]) for a in range(d.n_arcs)
         ]
-
-    def _substitute(self, v: dict[int, int]) -> dict[int, int]:
-        """v with each eliminated column c replaced by image[c]."""
-        image = self.image
-        return _sparse(
-            (f, x * y) for c, x in v.items() for f, y in image.get(c, {c: 1}).items()
-        )
-
-    def _eliminate_units(self, rows: list[dict[int, int]]) -> list[dict[int, int]]:
-        """Fill `image` from the rows that keep a unit entry when reduced by
-        the rows before them, and return the others, reduced.  A row
-        eliminates its last unit column.  On a braid closure whose arcs are
-        numbered in order of first appearance along the crossings, that is
-        the arc the crossing starts, which no image names yet."""
-        image = self.image
-        rest = []
-        for row in rows:
-            r = self._substitute(row)
-            units = [c for c, x in r.items() if x in (1, -1)]
-            if not units:
-                rest.append(r)
-                continue
-            c = max(units)
-            sign = r.pop(c)
-            for e, img in image.items():
-                if c in img:
-                    y = img.pop(c)
-                    image[e] = _sparse(
-                        [*img.items(), *((f, -sign * y * x) for f, x in r.items())]
-                    )
-            image[c] = {f: -sign * x for f, x in r.items()}
-        return rest
-
-    def _project(self, v: dict[int, int]) -> list[int]:
-        """p(v), dense over the free columns."""
-        out = [0] * len(self.free_pos)
-        for c, x in self._substitute(v).items():
-            out[self.free_pos[c]] = x
-        return out
 
     def _reduce(self, w: list[int], bits: list[int]) -> tuple[list[int], int]:
         """w reduced by H, each pivot entry into [0, pivot): the canonical

@@ -191,6 +191,47 @@ def test_figt_witness_maps_generators_to_unit_vectors(modules):
         assert sum(mod.parity(elt)) % 2 == 0
 
 
+def _verify(mod, witness, free_gens, torsion_gens, shape):
+    group = mod.group
+    return arcquandle._verify_unit_decomposition(
+        mod,
+        witness["ordering"],
+        [group.element(c) for c in free_gens],
+        witness["free_units"],
+        [group.element(c) for c in torsion_gens],
+        witness["torsion_units"],
+        shape,
+    )
+
+
+def test_unit_decomposition_check_rejects_what_markings_and_orders_miss(
+    modules, perfbench_module
+):
+    # ldprime, Z^2 x Z/2 x Z/2: three times the second free generator has
+    # its marking and its infinite order, but index 3 in what it replaces
+    mod = modules["ldprime"]
+    w = characteristic_compatibility(mod).witness
+    free, torsion = w["free_generators"], w["torsion_generators"]
+    assert _verify(mod, w, free, torsion, [2, 2]) == w["unit_images"]
+    tripled = [free[0], [3 * x for x in free[1]]]
+    with pytest.raises(InternalCheckError, match="do not generate"):
+        _verify(mod, w, tripled, torsion, [2, 2])
+
+    # chain (2,8), Z x Z/2 x Z/8: the generator g of order 2 shifted by
+    # twice the one of order 8 keeps its marking, has order 4 and still
+    # generates, but orders 4 and 8 multiply past |Z/2 x Z/8|
+    gen = perfbench_module("gen")
+    word = gen.chain_word([2, 8], random.Random(1))
+    mod = build_link_module(parse_diagram(gen.to_text(gen.closure(word, 3))))
+    w = characteristic_compatibility(mod).witness
+    free, (g, h) = w["free_generators"], w["torsion_generators"]
+    assert [mod.group.element(c).order() for c in (g, h)] == [2, 8]
+    assert _verify(mod, w, free, [g, h], [2, 8]) == w["unit_images"]
+    shifted = [x + 2 * y for x, y in zip(g, h)]
+    with pytest.raises(InternalCheckError, match="exceed cyclic orders"):
+        _verify(mod, w, free, [shifted, h], [4, 8])
+
+
 @pytest.mark.parametrize("name", FINITE)
 def test_compatibility_matches_quandle_comparison(name, modules):
     # the abstract verdict must agree with the concrete isomorphism test

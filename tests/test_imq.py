@@ -392,6 +392,37 @@ def test_mesh_equals_saturation_on_random_closures(random_closures):
     assert with_armless_element > 0
 
 
+# twist-chain regions with mu >= 3, each R2-padded to the given length
+# (0: unpadded) and drawn twice: as generated, with arcs numbered in order
+# of first appearance along the crossings, and with the "arcs" list
+# shuffled before parsing, which numbers them in another order
+MU_GE_3_CHAINS = (((2, 2), 40), ((2, 6), 44), ((2, 2, 2), 30), ((2, 4, 2), 60), ((3, 4, 2), 0))
+
+
+@pytest.mark.parametrize(
+    "regions, target",
+    MU_GE_3_CHAINS,
+    ids=["_".join(map(str, r)) + f"-pad{t}" for r, t in MU_GE_3_CHAINS],
+)
+def test_mesh_equals_saturation_on_padded_and_renumbered_chains(
+    regions, target, perfbench_module
+):
+    gen = perfbench_module("gen")
+    rng = random.Random(3)
+    strands = len(regions) + 1
+    word = gen.chain_word(list(regions), rng)
+    if target:
+        word = gen.pad_r2(word, strands, target, rng)
+    obj = gen.closure(word, strands)
+    shuffled = dict(obj, arcs=rng.sample(obj["arcs"], len(obj["arcs"])))
+    drawn = [parse_diagram(gen.to_text(o)) for o in (obj, shuffled)]
+    assert drawn[0].arc_names != drawn[1].arc_names
+    for d in drawn:
+        mod = build_link_module(d)
+        assert mod.mu >= 3
+        _assert_same(_mesh(mod), saturate(mod), d.arc_names)
+
+
 # twist-chain regions with mu <= 2 and det <= 36; each is drawn plain,
 # R2-padded, and R2-padded then redrawn
 MU_LE_2_CHAINS = (

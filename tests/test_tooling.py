@@ -19,6 +19,18 @@ from imqlink import cli
 # code calls
 DOCUMENTED_API = {"fixture_text", "parse_quandle"}
 
+# package functions that no package code calls and that only the
+# benchmark tracer's LAYERS names
+TRACE_ONLY = {
+    "abelian.int_det",
+    "abelian.subgroup_contains",
+    "abelian.subgroup_type",
+    "diagram.make_even",
+    "linkmodule.link_determinant",
+    "quandle.automorphisms",
+    "quandle.characteristic_subquandle",
+}
+
 
 def test_every_traced_name_resolves(perfbench_module):
     trace = perfbench_module("trace")
@@ -30,11 +42,9 @@ def test_every_traced_name_resolves(perfbench_module):
     assert set(trace.COUNT_HOOKS) <= traced
 
 
-def test_every_public_function_has_a_caller(perfbench_module):
-    # a top-level function in the package, public or private, is called
-    # from package code, wrapped by the tracer, or documented API; one only
-    # the tests call belongs in tests/oracles.py
-    traced = {n for names in perfbench_module("trace").LAYERS.values() for n in names}
+def _uncalled() -> set[str]:
+    # the top-level functions of the package that no package code names
+    # outside their own body, as module.name
     package = Path(imqlink.__file__).parent
     trees = {p: ast.parse(p.read_text()) for p in package.rglob("*.py")}
     uses: dict[str, list[tuple[Path, int]]] = {}
@@ -44,12 +54,10 @@ def test_every_public_function_has_a_caller(perfbench_module):
                 uses.setdefault(node.id, []).append((path, node.lineno))
             elif isinstance(node, ast.Attribute):
                 uses.setdefault(node.attr, []).append((path, node.lineno))
-    uncalled = []
+    uncalled = set()
     for path, tree in trees.items():
         for fn in tree.body:
             if not isinstance(fn, ast.FunctionDef):
-                continue
-            if fn.name in traced or fn.name in DOCUMENTED_API:
                 continue
             callers = [
                 (p, line)
@@ -57,8 +65,25 @@ def test_every_public_function_has_a_caller(perfbench_module):
                 if not (p == path and fn.lineno <= line <= fn.end_lineno)
             ]
             if not callers:
-                uncalled.append(f"{path.stem}.{fn.name}")
-    assert uncalled == []
+                uncalled.add(f"{path.stem}.{fn.name}")
+    return uncalled
+
+
+def test_every_public_function_has_a_caller(perfbench_module):
+    # a top-level function in the package, public or private, is called
+    # from package code, wrapped by the tracer, or documented API; one only
+    # the tests call belongs in tests/oracles.py
+    traced = {n for names in perfbench_module("trace").LAYERS.values() for n in names}
+    kept = traced | DOCUMENTED_API
+    assert sorted(f for f in _uncalled() if f.split(".")[1] not in kept) == []
+
+
+def test_trace_only_functions_are_pinned(perfbench_module):
+    # the functions only the tracer's LAYERS keeps: once LAYERS drops them
+    # they move to tests/oracles.py
+    layers = perfbench_module("trace").LAYERS
+    traced = {f"{layer}.{n}" for layer, names in layers.items() for n in names}
+    assert _uncalled() & traced == TRACE_ONLY
 
 
 def _long_options(parser: argparse.ArgumentParser) -> set[str]:
