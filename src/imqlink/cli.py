@@ -219,7 +219,10 @@ def cmd_report(args) -> int:
     _emit(rep, args.format)
     if args.dump_quandle:
         if res is not None:
-            Path(args.dump_quandle).write_text(serialize_quandle(res.quandle))
+            try:
+                Path(args.dump_quandle).write_text(serialize_quandle(res.quandle))
+            except OSError as e:
+                raise UsageError(f"cannot write {args.dump_quandle}: {e}") from e
         else:
             print("no finite presented quandle to dump", file=sys.stderr)
             code = EXIT_VALIDATION
@@ -315,16 +318,21 @@ def _load_cache(path: Path) -> tuple[dict[str, dict], bool]:
     """The cached reports by key, and whether the file exists with every
     non-blank line a record, so that rewriting it would give it back the
     same dict.  A record is an object with a string "key" and an object
-    "report"; any other line is corrupt."""
+    "report"; any other line, undecodable UTF-8 included, is corrupt."""
     cache: dict[str, dict] = {}
     clean = path.exists()
     if clean:
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
+        try:
+            data = path.read_bytes()
+        except OSError as e:
+            raise UsageError(f"cannot read cache {path}: {e}") from e
+        for raw in data.splitlines():
             try:
+                line = raw.decode()
+                if not line.strip():
+                    continue
                 entry = json.loads(line)
-            except ValueError:
+            except ValueError:  # UnicodeDecodeError is one
                 entry = None
             if (
                 isinstance(entry, dict)
@@ -340,9 +348,12 @@ def _load_cache(path: Path) -> tuple[dict[str, dict], bool]:
 def _write_cache(path: Path, cache: dict[str, dict]) -> None:
     """Rewrite the cache atomically, through a temp file of its own in the
     cache's directory, so concurrent runs never write into one file."""
-    fd, tmp = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
-    )
+    try:
+        fd, tmp = tempfile.mkstemp(
+            prefix=path.name + ".", suffix=".tmp", dir=path.parent
+        )
+    except OSError as e:
+        raise UsageError(f"cannot write cache {path}: {e}") from e
     try:
         with os.fdopen(fd, "w") as fh:
             for key in sorted(cache):

@@ -194,7 +194,8 @@ def parse_diagram(text: str) -> LinkDiagram:
             raise DiagramSyntaxError(f"component {ci} must be a map with 'arcs'")
         arcs = tuple(arc_id(a) for a in comp["arcs"])
         xs = comp.get("crossings", [])
-        if not isinstance(xs, list) or not all(isinstance(x, int) for x in xs):
+        # bool is an int, but true/false would give the diagram a second key
+        if not isinstance(xs, list) or not all(type(x) is int for x in xs):
             raise DiagramSyntaxError(f"component {ci} 'crossings' must be ints")
         components.append(Component(arcs=arcs, crossings=tuple(xs)))
 

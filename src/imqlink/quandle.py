@@ -2,9 +2,11 @@
 
 A table `op` of size n x n encodes x |> y = op[x][y], and R_y is the right
 translation x -> x |> y.  On top of the raw tables this module provides
-orbits, translation and displacement groups, core quandles of finite
-abelian groups and their characteristic subquandles, exhaustive
-isomorphism search, and the abelian group presented by a quandle.
+orbits, the displacement group as the set of its permutations (what the
+semiregularity check reads; its abstract group is the tests' oracle
+`literal_displacement_group`), core quandles of finite abelian groups and
+their characteristic subquandles, exhaustive isomorphism search, and the
+abelian group presented by a quandle.
 
 The axioms and the abelian group are checked on a generating set G
 (`FiniteQuandle.generators`): a set from which the maps R_g, g in G,
@@ -69,8 +71,6 @@ isomorphism, II", J. Symbolic Comput. 60 (2014)), without its refinement.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import FgAbGroup, GroupElt, cokernel, row_lattice_basis
@@ -103,7 +103,7 @@ class FiniteQuandle:
             if len(row) != self.n or any(not 0 <= v < self.n for v in row):
                 raise ValueError(f"malformed table row {x}")
         self.labels = dict(labels) if labels else {}
-        self._dis: DisGroup | None = None  # set by displacement_group
+        self._dis: frozenset[Perm] | None = None  # set by displacement_group
 
     def apply(self, x: int, y: int) -> int:
         return self.op[x][y]
@@ -266,105 +266,52 @@ def orbits(q: FiniteQuandle) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class DisGroup:
-    """The displacement group: all products of evenly many translations,
-    held both as permutations and as an abstract abelian group.  Immutable,
-    as every caller of `displacement_group` on one table shares it."""
-
-    perms: tuple[Perm, ...]
-    group: FgAbGroup
-
-
-def _perm_inverse(g: Perm) -> Perm:
-    out = [0] * len(g)
-    for x, v in enumerate(g):
-        out[v] = x
-    return tuple(out)
-
-
-def displacement_group(q: FiniteQuandle) -> DisGroup:
-    """Closure of the translation products beta_y * beta_0; raises
-    CapExceeded past DISPLACEMENT_CAP permutations and ValueError if the
-    closure is not abelian (it always is for a valid table).  Built once
-    per table, and kept on it."""
+def displacement_group(q: FiniteQuandle) -> frozenset[Perm]:
+    """The displacement group as a set of permutations: the closure of the
+    products beta_y * beta_0.  Raises CapExceeded past DISPLACEMENT_CAP
+    permutations and ValueError if two of them do not commute (they always
+    do for a valid table).  Built once per table, and kept on it.  Its
+    abstract group is computed only by the tests' oracle
+    `literal_displacement_group`."""
     if q._dis is None:
         q._dis = _displacement_closure(q)
     return q._dis
 
 
-def _displacement_closure(q: FiniteQuandle) -> DisGroup:
+def _displacement_closure(q: FiniteQuandle) -> frozenset[Perm]:
+    """Each product c not yet in the group H built so far must commute with
+    the products kept before it; then H, abelian, grows to the union of the
+    cosets c^k H, up to the first power of c that lies in H."""
     n = q.n
     if n == 0:
         raise ValueError("empty quandle")
-    betas = [q.translation(y) for y in range(n)]
-    base = betas[0]
-    candidates: list[Perm] = []
-    seen: set[Perm] = set()
-    for y in range(n):
-        g = _compose(betas[y], base)
-        if g not in seen:
-            seen.add(g)
-            candidates.append(g)
-
-    # keep only candidates outside the closure of the ones already kept;
-    # the word vectors then live in a low-rank lattice and the relation
-    # matrix stays tiny even when every candidate is distinct
-    ident = tuple(range(n))
-    word: dict[Perm, tuple[int, ...]] = {ident: ()}
+    base = q.translation(0)
+    group = {tuple(range(n))}
     gens: list[Perm] = []
-    stepper: list[tuple[int, int, Perm]] = []
-
-    def reclose() -> None:
-        queue = deque(word)
-        while queue:
-            cur = queue.popleft()
-            vec = word[cur]
-            for i, sign, g in stepper:
-                nxt = _compose(g, cur)
-                if nxt not in word:
-                    if len(word) >= DISPLACEMENT_CAP:
-                        raise CapExceeded("displacement closure cap exceeded")
-                    word[nxt] = tuple(
-                        v + (sign if j == i else 0) for j, v in enumerate(vec)
-                    )
-                    queue.append(nxt)
-
-    for g in candidates:
-        if g in word:
+    for y in range(n):
+        c = _compose(q.translation(y), base)
+        if c in group:
             continue
-        i = len(gens)
-        gens.append(g)
-        word = {p: v + (0,) for p, v in word.items()}
-        stepper.append((i, 1, g))
-        stepper.append((i, -1, _perm_inverse(g)))
-        reclose()
-    for a, b in itertools.combinations(gens, 2):
-        if _compose(a, b) != _compose(b, a):
+        if any(_compose(c, g) != _compose(g, c) for g in gens):
             raise ValueError("displacement generators do not commute")
-
-    # second pass collects the relations among the kept generators
-    relations: set[tuple[int, ...]] = set()
-    for cur, vec in word.items():
-        for i, sign, g in stepper:
-            nxt = _compose(g, cur)
-            nvec = tuple(v + (sign if j == i else 0) for j, v in enumerate(vec))
-            diff = tuple(a - b for a, b in zip(nvec, word[nxt]))
-            if any(diff):
-                relations.add(diff)
-    group = cokernel([list(r) for r in sorted(relations)], len(gens)).group
-    if group.order() != len(word):
-        raise ValueError("displacement presentation does not match closure size")
-    return DisGroup(perms=tuple(word), group=group)
+        gens.append(c)
+        subgroup = list(group)  # H
+        power = c
+        while power not in group:
+            if len(group) + len(subgroup) > DISPLACEMENT_CAP:
+                raise CapExceeded("displacement closure cap exceeded")
+            group.update(_compose(power, h) for h in subgroup)
+            power = _compose(c, power)
+    return frozenset(group)
 
 
-def is_semiregular(q: FiniteQuandle, dis: DisGroup | None = None) -> bool:
+def is_semiregular(q: FiniteQuandle) -> bool:
     """True when only the identity displacement has a fixed point; reads
     the table's displacement group, built once."""
-    dis = dis or displacement_group(q)
     ident = tuple(range(q.n))
     return all(
-        p == ident or all(p[x] != x for x in range(q.n)) for p in dis.perms
+        p == ident or all(p[x] != x for x in range(q.n))
+        for p in displacement_group(q)
     )
 
 

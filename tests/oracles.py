@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -51,7 +52,6 @@ from imqlink.quandle import (
     UnionFind,
     characteristic_subquandle,
     check_axioms,
-    displacement_group,
     is_isomorphic,
     orbits,
 )
@@ -453,6 +453,74 @@ def literal_group_from_quandle(q: FiniteQuandle) -> FgAbGroup:
     return cokernel(group_relation_rows(q), q.n).group
 
 
+def _perm_inverse(g: Perm) -> Perm:
+    out = [0] * len(g)
+    for x, v in enumerate(g):
+        out[v] = x
+    return tuple(out)
+
+
+def literal_displacement_group(q: FiniteQuandle) -> tuple[tuple[Perm, ...], FgAbGroup]:
+    """The displacement group as its permutations, in the order a search
+    from the identity reaches them, and as an abstract abelian group: the
+    oracle for `quandle.displacement_group`, which keeps only the set.
+
+    The products beta_y * beta_0 outside the closure of those kept before
+    are kept; every permutation carries its word over the kept products,
+    and the differences of words that reach one permutation present the
+    group.  Raises ValueError if two kept products do not commute, or if
+    the presented group's order is not the number of permutations."""
+    n = q.n
+    if n == 0:
+        raise ValueError("empty quandle")
+    base = q.translation(0)
+    ident = tuple(range(n))
+    word: dict[Perm, tuple[int, ...]] = {ident: ()}
+    gens: list[Perm] = []
+    stepper: list[tuple[int, int, Perm]] = []
+    for y in range(n):
+        g = quandle._compose(q.translation(y), base)
+        if g in word:
+            continue
+        i = len(gens)
+        gens.append(g)
+        word = {p: v + (0,) for p, v in word.items()}
+        stepper += [(i, 1, g), (i, -1, _perm_inverse(g))]
+        queue = deque(word)
+        while queue:
+            cur = queue.popleft()
+            for j, sign, step in stepper:
+                nxt = quandle._compose(step, cur)
+                if nxt not in word:
+                    vec = list(word[cur])
+                    vec[j] += sign
+                    word[nxt] = tuple(vec)
+                    queue.append(nxt)
+    for a, b in itertools.combinations(gens, 2):
+        if quandle._compose(a, b) != quandle._compose(b, a):
+            raise ValueError("displacement generators do not commute")
+
+    relations: set[tuple[int, ...]] = set()
+    for cur, vec in word.items():
+        for j, sign, step in stepper:
+            nvec = list(vec)
+            nvec[j] += sign
+            diff = tuple(a - b for a, b in zip(nvec, word[quandle._compose(step, cur)]))
+            if any(diff):
+                relations.add(diff)
+    group = cokernel([list(r) for r in sorted(relations)], len(gens)).group
+    if group.order() != len(word):
+        raise ValueError("displacement presentation does not match closure size")
+    return tuple(word), group
+
+
+def literal_is_semiregular(q: FiniteQuandle) -> bool:
+    """Only the identity among the oracle's displacements fixes a point."""
+    perms, _ = literal_displacement_group(q)
+    ident = tuple(range(q.n))
+    return all(p == ident or all(p[x] != x for x in range(q.n)) for p in perms)
+
+
 # ---------------------------------------------------------------------------
 # abelian groups and integer matrices
 
@@ -620,13 +688,13 @@ def displacement_matches_kernel(qa: ArcQuandle) -> DisKernelReport:
     """Every displacement of the coset quandle must be x -> x + k for a
     kernel element k, and the displacement group must be isomorphic to
     the kernel."""
-    dis = displacement_group(qa.quandle)
+    perms, dis_group = literal_displacement_group(qa.quandle)
     kernel_group = subgroup_type(qa.module.group, qa.kernel)
-    group_matches = dis.group == kernel_group
+    group_matches = dis_group == kernel_group
     kernel_set = set(qa.kernel)
     index = {e: i for i, e in enumerate(qa.elements)}
     all_translations = True
-    for p in dis.perms:
+    for p in perms:
         k = qa.elements[p[0]] - qa.elements[0]
         if k not in kernel_set or any(
             p[i] != index[e + k] for i, e in enumerate(qa.elements)
@@ -637,7 +705,7 @@ def displacement_matches_kernel(qa: ArcQuandle) -> DisKernelReport:
         ok=group_matches and all_translations,
         group_matches=group_matches,
         all_translations=all_translations,
-        dis_group=dis.group,
+        dis_group=dis_group,
         kernel_group=kernel_group,
     )
 

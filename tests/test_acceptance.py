@@ -16,6 +16,8 @@ from oracles import (
     determinant_by_minors,
     elements_of_order_dividing_2,
     literal_characteristic_compatibility,
+    literal_displacement_group,
+    literal_is_semiregular,
     quotient_by_subgroup,
 )
 from imqlink.abelian import FgAbGroup, cokernel, solve_in_row_space
@@ -195,11 +197,15 @@ def test_criterion_09_property_suites(diagrams, modules, arc_quandles, imq_resul
             assert check_axioms(core) == []
         else:
             _axiom_sample(core, rng)
-        dis = displacement_group(core)
+        perms, group = literal_displacement_group(core)
+        assert displacement_group(core) == set(perms)
         two_torsion = list(elements_of_order_dividing_2(a))
-        assert dis.group == quotient_by_subgroup(a, two_torsion)
-        assert is_semiregular(core, dis)
+        assert group == quotient_by_subgroup(a, two_torsion)
+        assert is_semiregular(core) == literal_is_semiregular(core) is True
         cq = characteristic_subquandle(a)
+        cq_perms, _ = literal_displacement_group(cq)
+        assert displacement_group(cq) == set(cq_perms)
+        assert is_semiregular(cq) == literal_is_semiregular(cq)
         k = sum(1 for t in a.torsion if t % 2 == 0)
         assert len(orbits(cq)) == k + 1
 

@@ -35,6 +35,7 @@ from imqlink.quandle import (
     UnionFind,
     automorphisms,
     check_axioms,
+    displacement_group,
     is_isomorphic,
     is_semiregular,
     orbits,
@@ -45,6 +46,7 @@ from oracles import (
     displacement_matches_kernel,
     literal_characteristic_compatibility,
     literal_coset_table,
+    literal_displacement_group,
     literal_marking_search,
     orbit_component,
     random_marking,
@@ -130,6 +132,8 @@ def test_displacement_matches_kernel(name, arc_quandles):
     report = displacement_matches_kernel(arc_quandles[name])
     assert report.ok
     qa = arc_quandles[name]
+    perms, _ = literal_displacement_group(qa.quandle)
+    assert displacement_group(qa.quandle) == set(perms)
     assert report.dis_group == subgroup_type(qa.module.group, qa.kernel)
 
 

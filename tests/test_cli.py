@@ -3,6 +3,7 @@ with caching, and the exit code contract."""
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -33,6 +34,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv):
+    """A fresh interpreter that imports this package, installed or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_report_unknot(tmp_path, capsys):
@@ -527,14 +540,8 @@ def test_corpus_pool_has_no_more_workers_than_uncached_diagrams(
 
 def test_cli_import_leaves_process_pool_unloaded():
     # only `corpus --jobs N` with N > 1 needs a process pool
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, imqlink.cli; print('concurrent.futures' in sys.modules)",
-        ],
-        capture_output=True,
-        text=True,
+    proc = run_python(
+        "-c", "import sys, imqlink.cli; print('concurrent.futures' in sys.modules)"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -598,6 +605,49 @@ def test_warm_corpus_rewrites_a_cache_with_a_corrupt_line(tmp_path, capsys):
     assert cache.stat().st_ino != before.st_ino
 
 
+def test_warm_corpus_rewrites_a_cache_with_an_undecodable_line(tmp_path, capsys):
+    corpus, cache = _cold_run(tmp_path, capsys)
+    records = cache.read_bytes().splitlines()
+    cache.write_bytes(b"\n".join([records[0], b"\xff" + records[1][1:], records[1]]) + b"\n")
+    _warm_run(capsys, corpus, cache)
+    assert cache.read_bytes().splitlines() == records
+
+
+def test_cache_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "hopf2.json").write_text(fixture_text("hopf2"))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code, out, err = run(capsys, "corpus", str(corpus), "--cache", str(cache))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage error: cannot read cache {cache}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_cache_path_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "hopf2.json").write_text(fixture_text("hopf2"))
+    cache = tmp_path / "missing" / "run.cache"
+    code, out, err = run(capsys, "corpus", str(corpus), "--cache", str(cache))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage error: cannot write cache {cache}: ")
+    assert len(err.splitlines()) == 1
+    assert not cache.parent.exists()
+
+
+def test_dump_quandle_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    path = write_fixture(tmp_path, "trefoil")
+    out_path = tmp_path / "missing" / "trefoil.quandle"
+    code, _, err = run(capsys, "report", path, "--dump-quandle", str(out_path))
+    assert code == 1
+    assert err.startswith(f"usage error: cannot write {out_path}: ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -624,11 +674,7 @@ def test_corpus_rejects_missing_dir(tmp_path, capsys):
 
 def test_console_script(tmp_path):
     path = write_fixture(tmp_path, "hopf2")
-    proc = subprocess.run(
-        [sys.executable, "-m", "imqlink.cli", "--format", "machine", "report", path],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "imqlink.cli", "--format", "machine", "report", path)
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["determinant"] == 4
@@ -787,11 +833,7 @@ def test_main_carries_no_flag_over_to_a_later_call(tmp_path, capsys):
     code, out, _ = run(capsys, "--no-imq", "--format", "machine", "compare", fig8, fig8)
     assert code == 0 and json.loads(out)["imq_isomorphic"] is None
     code, second, _ = run(capsys, "report", trefoil)
-    fresh = subprocess.run(
-        [sys.executable, "-m", "imqlink.cli", "report", trefoil],
-        capture_output=True,
-        text=True,
-    )
+    fresh = run_python("-m", "imqlink.cli", "report", trefoil)
     assert (code, second) == (fresh.returncode, fresh.stdout)
     assert "presented quandle: 3 elements" in second
 

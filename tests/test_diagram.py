@@ -56,6 +56,10 @@ def test_arc_names_may_be_implicit():
             "unknown arc name",
         ),
         ('{"components": [{"arcs": "a"}]}', "component 0"),
+        (
+            '{"components": [{"arcs": ["a"], "crossings": [true]}]}',
+            "component 0 'crossings' must be ints",
+        ),
     ],
 )
 def test_syntax_errors(text, fragment):

@@ -14,6 +14,7 @@ from oracles import (
     Saturator,
     build_partition_quandle,
     literal_axiom_violations,
+    literal_displacement_group,
     literal_group_from_quandle,
     longitude_fixes_orbit,
     open_deduction,
@@ -208,13 +209,12 @@ def test_group_reconstruction(name, imq_results, modules):
 @pytest.mark.parametrize("name", FINITE)
 def test_displacements_commute_and_act_orbitwise(name, imq_results):
     q = imq_results[name].quandle
-    dis = displacement_group(q)  # raises if generators fail to commute
+    perms, group = literal_displacement_group(q)  # raises if not abelian
+    assert displacement_group(q) == set(perms)
     for orb in orbits(q):
-        assert dis.group.order() % len(orb) == 0
-        stabilizer = [
-            p for p in dis.perms if all(p[x] == x for x in orb)
-        ]
-        assert len(stabilizer) == dis.group.order() // len(orb)
+        assert group.order() % len(orb) == 0
+        stabilizer = [p for p in perms if all(p[x] == x for x in orb)]
+        assert len(stabilizer) == group.order() // len(orb)
 
 
 DIS_GROUPS = {
@@ -228,10 +228,12 @@ DIS_GROUPS = {
 
 @pytest.mark.parametrize("name", FINITE)
 def test_displacement_group_values(name, imq_results):
-    dis = displacement_group(imq_results[name].quandle)
+    q = imq_results[name].quandle
+    perms, group = literal_displacement_group(q)
+    assert displacement_group(q) == set(perms)
     rank, torsion = DIS_GROUPS[name]
-    assert dis.group.free_rank == rank
-    assert dis.group.torsion == torsion
+    assert group.free_rank == rank
+    assert group.torsion == torsion
 
 
 @pytest.mark.parametrize("name", FINITE)

@@ -1,5 +1,6 @@
 """The isomorphism search against the literal backtracking search it
-replaced, and the orbits against union-find.
+replaced, the orbits against union-find, and the displacement group
+against the literal closure with its presentation.
 
 `oracles.literal_iso_search` assigns elements in candidate order and checks
 each pair once both sides are set; `quandle._iso_search` sets forced images
@@ -23,6 +24,8 @@ from conftest import FINITE
 from oracles import (
     automorphism_classes,
     is_isomorphism,
+    literal_displacement_group,
+    literal_is_semiregular,
     literal_iso_search,
     literal_orbits,
 )
@@ -38,7 +41,9 @@ from imqlink.quandle import (
     FiniteQuandle,
     _iso_candidates,
     core_quandle,
+    displacement_group,
     is_isomorphic,
+    is_semiregular,
     orbits,
     subquandle,
 )
@@ -214,6 +219,20 @@ def _closed_random_subset(q: FiniteQuandle, rng: random.Random) -> list[int]:
         grown = bool(new)
         members |= new
     return sorted(members)
+
+
+def test_displacement_group_equals_the_literal_closure(tables):
+    """The package's displacement set is the oracle's closure on every
+    table, and the semiregularity verdict is the oracle's fixed-point scan;
+    the hopf2 IMQ has a nontrivial displacement with a fixed point."""
+    verdicts = {}
+    for name, (q, _) in tables.items():
+        perms, _ = literal_displacement_group(q)
+        assert displacement_group(q) == set(perms), name
+        verdicts[name] = is_semiregular(q)
+        assert verdicts[name] == literal_is_semiregular(q), name
+    assert verdicts["hopf2:imq"] is False
+    assert verdicts["hopf2:qa"] is True
 
 
 def test_orbits_equal_union_find(tables):

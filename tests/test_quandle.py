@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import prod
+from math import gcd, prod
 
 import pytest
 from oracles import (
@@ -13,6 +13,8 @@ from oracles import (
     elements_of_order_dividing_2,
     is_isomorphism,
     literal_axiom_violations,
+    literal_displacement_group,
+    literal_is_semiregular,
     quotient_by_subgroup,
 )
 from sympy import factorint
@@ -96,10 +98,12 @@ def test_orbits_of_core_are_doubling_cosets():
 
 
 def test_displacement_of_dihedral():
-    dis = displacement_group(_core_of([5]))
-    assert dis.group == FgAbGroup(0, (5,))
-    assert tuple(range(5)) in dis.perms
-    assert is_semiregular(_core_of([5]), dis)
+    q = _core_of([5])
+    perms, group = literal_displacement_group(q)
+    assert group == FgAbGroup(0, (5,))
+    assert displacement_group(q) == set(perms)
+    assert tuple(range(5)) in displacement_group(q)
+    assert is_semiregular(q)
 
 
 def test_displacement_cap(monkeypatch):
@@ -185,6 +189,33 @@ def test_displacement_rejects_nonmedial():
     assert violations and all("mediality" in v for v in violations)
     with pytest.raises(ValueError, match="do not commute"):
         displacement_group(q)
+
+
+def test_displacement_closure_of_alexander_quandles():
+    # x |> y = t x + (1 - t) y on Z/n, t a unit: the products beta_y beta_0
+    # are x -> t^2 x + (1 - t) y, and commute iff (1 - t)(t^2 - 1) = 0 mod n.
+    # For n = 9 and t = 4 or 7 they commute with t^2 != 1, and the square
+    # of a product is no product: the closure must take every power
+    powers_needed = 0
+    for n in range(2, 13):
+        for t in range(1, n):
+            if gcd(t, n) != 1:
+                continue
+            q = FiniteQuandle(
+                [[(t * x + (1 - t) * y) % n for y in range(n)] for x in range(n)]
+            )
+            if (1 - t) * (t * t - 1) % n:
+                with pytest.raises(ValueError, match="do not commute"):
+                    displacement_group(q)
+                with pytest.raises(ValueError, match="do not commute"):
+                    literal_displacement_group(q)
+                continue
+            perms, _ = literal_displacement_group(q)
+            assert displacement_group(q) == set(perms), (n, t)
+            base = q.translation(0)
+            betas = {quandle._compose(q.translation(y), base) for y in range(n)}
+            powers_needed += any(quandle._compose(c, c) not in betas for c in betas)
+    assert powers_needed == 2
 
 
 @pytest.mark.parametrize(
@@ -427,10 +458,11 @@ def test_random_group_core_suite():
         k = sum(1 for t in a.torsion if t % 2 == 0)
         assert len(orbits(core)) == 2**k
 
-        dis = displacement_group(core)
+        perms, group = literal_displacement_group(core)
+        assert displacement_group(core) == set(perms)
         two_torsion = list(elements_of_order_dividing_2(a))
-        assert dis.group == quotient_by_subgroup(a, two_torsion)
-        assert is_semiregular(core, dis)
+        assert group == quotient_by_subgroup(a, two_torsion)
+        assert is_semiregular(core) == literal_is_semiregular(core) is True
 
         cq = characteristic_subquandle(a)
         if cq.n <= 20:
@@ -438,7 +470,10 @@ def test_random_group_core_suite():
         else:
             _sampled_axiom_check(cq, rng)
         assert len(orbits(cq)) == k + 1
-        assert displacement_group(cq).group == dis.group
+        cq_perms, cq_group = literal_displacement_group(cq)
+        assert displacement_group(cq) == set(cq_perms)
+        assert cq_group == group
+        assert is_semiregular(cq) == literal_is_semiregular(cq)
 
 
 def _partitions(e: int):
@@ -485,7 +520,8 @@ def test_semiregular_orbits_model_core_of_displacement():
     # copy of the core of the displacement group
     for torsion in ([2, 4], [12], [3, 6]):
         q = _core_of(torsion)
-        dis = displacement_group(q)
-        model = core_quandle(dis.group)
+        perms, group = literal_displacement_group(q)
+        assert displacement_group(q) == set(perms)
+        model = core_quandle(group)
         for orbit in orbits(q):
             assert is_isomorphic(subquandle(q, orbit), model) is not None
