@@ -16,15 +16,16 @@ form, in the same order, so diag, U, V and V's inverse come out identical
 entry for entry; the dense form is kept as a test oracle.  The witness
 check U * A * V == diag still compares every entry, on the sparse rows.
 
-A relation matrix whose quotient is needed only up to isomorphism can
-first go through `row_lattice_basis`, which reduces its rows, also sparse,
-by unimodular steps to a Hermite basis of at most one row per column; its
-certificate is that every input row ends as a basis row or reduces to
-zero.  The abelian group of a quandle, the arc module and the weight
-kernel of a diagram all go through it: on some drawings the Smith form of
-the weight kernel's literal rows grows entries of over a hundred digits.
-The IMQ's displacement mesh keys its elements by the same basis, taken
-sparse from `_hermite_basis`.
+`cokernel` is the one place that presents a quotient lattice.  It reduces
+the rows, sparse, by unimodular steps to a Hermite basis of at most one row
+per column (`_hermite_basis`), whose certificate is that every input row
+ends as a basis row or reduces to zero.  `_unit_split` then drops the unit
+pivots: modulo the basis each unit-pivot generator is minus the rest of its
+row, which lies on the other columns, the free ones.  The Smith form runs
+only on the remaining rows over the free columns: one row on two columns
+for the crossing rows of T(2, n).  On some drawings the Smith form of the
+literal rows grows entries of over a hundred digits.  The IMQ's
+displacement mesh keys its elements by the same basis and the same split.
 `_gf2_echelon` and `_gf2_reduce` are the package's one eliminator over
 GF(2); the coset quandle's marking questions and the parity part of the
 IMQ's displacement mesh both use them.
@@ -256,13 +257,29 @@ def _hermite_basis(rows: Iterable[Row]) -> tuple[dict[int, Row], list[int]]:
     return basis, pivots
 
 
-def row_lattice_basis(rows: Matrix, n_cols: int) -> Matrix:
-    """A basis of the lattice the rows span, in Hermite normal form
-    (`_hermite_basis`): one dense row per pivot column, in column order."""
-    if any(len(row) != n_cols for row in rows):
-        raise ValueError("ragged matrix")
-    basis, pivots = _hermite_basis({j: x for j, x in enumerate(row) if x} for row in rows)
-    return _dense([basis[j] for j in pivots], n_cols)
+def _unit_split(
+    basis: dict[int, Row], pivots: list[int], n_cols: int
+) -> tuple[list[int], list[Row], dict[int, Row]]:
+    """Split a Hermite basis of a lattice L in Z^n_cols (`_hermite_basis`)
+    at its unit pivots.
+
+    A pivot of 1 is the only nonzero entry of its column, so the basis row
+    at a unit pivot c is e_c plus a tail on the other columns, the free
+    ones, and every other basis row lies on the free columns too.  Modulo
+    L, e_c is minus that tail.  So Z^n_cols / L is Z^free modulo the other
+    rows.  Returns the free columns in order; the image of each e_c over
+    positions in the free columns (e_c itself at a free column, minus the
+    tail at a unit pivot); and the other rows over those positions, by
+    pivot column in order."""
+    units = {j for j in pivots if basis[j][j] == 1}
+    free = [c for c in range(n_cols) if c not in units]
+    pos = {c: k for k, c in enumerate(free)}
+    image = [
+        {pos[f]: -y for f, y in basis[c].items() if f != c} if c in units else {pos[c]: 1}
+        for c in range(n_cols)
+    ]
+    rest = {j: {pos[c]: x for c, x in basis[j].items()} for j in pivots if j not in units}
+    return free, image, rest
 
 
 def _gf2_reduce(basis: list[int], v: int) -> int:
@@ -558,66 +575,72 @@ class GroupElt:
 
 @dataclass
 class Presentation:
-    """Quotient of Z^n_gens by the row space of a relation matrix."""
+    """Z^n_gens modulo a lattice L, as `cokernel` splits it.
+
+    Modulo L each generator is one sparse row over the free columns of L's
+    Hermite basis (`_unit_split`), and snf is the Smith form U H V of the
+    basis rows H left on those columns.  An element's canonical coordinates
+    are its row times V, read at the positions of the free coordinates,
+    then of the torsion coordinates (diagonal 0, then 2 and up)."""
 
     n_gens: int
     snf: SmithForm
     group: FgAbGroup
-    _free_positions: list[int]
-    _torsion_positions: list[int]
+    _gen_rows: list[Row]  # generator i over positions in _columns
+    _columns: list[int]  # the free columns
+    _read: list[int]  # the positions of the coordinates, in order
+
+    def _image(self, row: Row) -> GroupElt:
+        v = self.snf.v
+        return self.group.element(
+            [sum(x * v[k][j] for k, x in row.items()) for j in self._read]
+        )
 
     def to_canonical(self, gen_vector: list[int]) -> GroupElt:
         """Image in the quotient of a Z-combination of generators."""
         if len(gen_vector) != self.n_gens:
             raise ValueError("generator vector length mismatch")
-        y = vec_mat(gen_vector, self.snf.v, self.n_gens)
-        coords = [y[j] for j in self._free_positions] + [
-            y[j] for j in self._torsion_positions
-        ]
-        return self.group.element(coords)
+        coeffs = {i: x for i, x in enumerate(gen_vector) if x}
+        return self._image(_combination(coeffs, self._gen_rows))
 
     def generator_image(self, i: int) -> GroupElt:
-        """to_canonical of the unit vector at i: row i of V, read at the
-        free and torsion positions."""
-        row = self.snf.v[i]
-        return self.group.element(
-            [row[j] for j in self._free_positions]
-            + [row[j] for j in self._torsion_positions]
-        )
+        """to_canonical of the unit vector at i: generator i's row."""
+        return self._image(self._gen_rows[i])
 
     def lift(self, elt: GroupElt) -> list[int]:
-        """A generator vector mapping to elt under to_canonical."""
+        """A generator vector mapping to elt under to_canonical, zero off
+        the free columns."""
         if elt.group != self.group:
             raise ValueError("element of a different group")
-        y = [0] * self.n_gens
-        r = self.group.free_rank
-        for k, j in enumerate(self._free_positions):
-            y[j] = elt.coords[k]
-        for k, j in enumerate(self._torsion_positions):
-            y[j] = elt.coords[r + k]
-        return vec_mat(y, self.snf.v_inv, self.n_gens)
+        y = [0] * len(self._columns)
+        for j, x in zip(self._read, elt.coords):
+            y[j] = x
+        out = [0] * self.n_gens
+        for c, x in zip(self._columns, vec_mat(y, self.snf.v_inv, len(y))):
+            out[c] = x
+        return out
 
 
 def cokernel(rows: Matrix, n_gens: int) -> Presentation:
-    """The abelian group Z^n_gens modulo the row space of rows."""
-    snf = smith_normal_form(rows, n_gens)
+    """The abelian group Z^n_gens modulo the row space of rows.
 
-    def diag_at(j: int) -> int:
-        return snf.diag[j] if j < len(snf.diag) else 0
-
-    free_positions = [j for j in range(n_gens) if diag_at(j) == 0]
-    torsion_positions = [j for j in range(n_gens) if diag_at(j) >= 2]
-    group = FgAbGroup(
-        free_rank=len(free_positions),
-        torsion=tuple(diag_at(j) for j in torsion_positions),
-    )
-    return Presentation(
-        n_gens=n_gens,
-        snf=snf,
-        group=group,
-        _free_positions=free_positions,
-        _torsion_positions=torsion_positions,
-    )
+    The rows enter `_hermite_basis` by leading column, the last first: the
+    basis is the same in every order, and in this one a new pivot seldom
+    has basis rows above it to reduce.  `_unit_split` drops its unit
+    pivots, and the Smith form runs on the other basis rows over the free
+    columns only."""
+    if any(len(row) != n_gens for row in rows):
+        raise ValueError("ragged matrix")
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    sparse.sort(key=lambda row: min(row, default=n_gens), reverse=True)
+    free, image, rest = _unit_split(*_hermite_basis(sparse), n_gens)
+    snf = smith_normal_form(_dense(list(rest.values()), len(free)), len(free))
+    diag = snf.diag + [0] * (len(free) - len(snf.diag))
+    group = FgAbGroup(diag.count(0), tuple(t for t in diag if t >= 2))
+    # the free coordinates, then the torsion ones (a unit factor has none)
+    read = [j for j, t in enumerate(diag) if t == 0]
+    read += [j for j, t in enumerate(diag) if t >= 2]
+    return Presentation(n_gens, snf, group, image, free, read)
 
 
 def solve_in_row_space(rows: Matrix, n_cols: int, target: list[int]) -> list[int] | None:

@@ -318,9 +318,13 @@ def _load_cache(path: Path) -> tuple[dict[str, dict], bool]:
     """The cached reports by key, and whether the file exists with every
     non-blank line a record, so that rewriting it would give it back the
     same dict.  A record is an object with a string "key" and an object
-    "report"; any other line, undecodable UTF-8 included, is corrupt."""
+    "report"; any other line, undecodable UTF-8 included, is corrupt.
+    A run with no cache file ends by writing one, so a missing directory
+    for it is a usage error here, before any report is computed."""
     cache: dict[str, dict] = {}
     clean = path.exists()
+    if not clean and not path.parent.is_dir():
+        raise UsageError(f"cannot write cache {path}: no directory {path.parent}")
     if clean:
         try:
             data = path.read_bytes()

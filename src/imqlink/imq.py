@@ -58,7 +58,7 @@ import itertools
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
-from .abelian import _gf2_echelon, _gf2_reduce, _hermite_basis
+from .abelian import _dense, _gf2_echelon, _gf2_reduce, _hermite_basis, _unit_split
 from .arcquandle import ArcQuandle, build_arc_quandle
 from .diagram import LinkDiagram
 from .linkmodule import InternalCheckError, LinkModule, check_imq_bound
@@ -80,13 +80,14 @@ class _Mesh:
     element; see the module docstring for the mesh.
 
     The keys come from one basis of T: `_hermite_basis` of all the rows of
-    the R_k and C_k.  In Hermite form a pivot of 1 is the only nonzero
-    entry of its column, so the basis splits into unit rows u_c, one per
-    unit-pivot column c, and the rows H of the other pivots, which live on
-    the other columns, the free ones.  Every v in D is the sum of v[c] u_c
-    over the unit-pivot columns c plus a vector p(v) on the free columns;
-    reducing p(v) by H gives v's canonical residue mod T and v's
-    coordinates on H.  Its coordinate on u_c is v[c] itself.
+    the R_k and C_k, split by `_unit_split`.  A pivot of 1 is the only
+    nonzero entry of its column, so the basis splits into unit rows u_c,
+    one per unit-pivot column c, and the rows H of the other pivots, which
+    live on the other columns, the free ones.  Every v in D is the sum of
+    v[c] u_c over the unit-pivot columns c plus a vector p(v) on the free
+    columns, the sum of v's entries times their images there; reducing
+    p(v) by H gives v's canonical residue mod T and v's coordinates on H.
+    Its coordinate on u_c is v[c] itself.
 
     As 2T <= S_i <= T, v mod S_i is that residue together with v's
     coordinates on the basis mod 2, taken modulo the image of R_i + C_i in
@@ -133,38 +134,22 @@ class _Mesh:
                     rows.append((k, _sparse([delta(i, j), delta(k, j, -1), delta(k, i)])))
 
         basis, pivots = _hermite_basis(row for _, row in rows)
+        free, image, rest = _unit_split(basis, pivots, len(arc_col) + len(delta_col))
         bit = {j: 1 << k for k, j in enumerate(pivots)}
-        units = {j for j in pivots if basis[j][j] == 1}
-        free = [c for c in range(len(arc_col) + len(delta_col)) if c not in units]
-        pos = {c: k for k, c in enumerate(free)}
-        # u_c - e_c for each unit-pivot column c, over the free positions
-        unit_tail = {
-            c: [(pos[f], y) for f, y in basis[c].items() if f != c] for c in units
-        }
-        self.basis: list[list[int]] = []  # H, dense over the free columns
-        self.basis_pivot: list[int] = []
-        raw_h_bits: list[int] = []
-        for j in pivots:
-            if j not in units:
-                h = [0] * len(free)
-                for c, x in basis[j].items():
-                    h[pos[c]] = x
-                self.basis.append(h)
-                self.basis_pivot.append(pos[j])
-                raw_h_bits.append(bit[j])
+        unit_bit = {j: bit[j] for j in pivots if j not in rest}
+        self.basis: list[list[int]] = _dense(list(rest.values()), len(free))  # H
+        self.basis_pivot = [min(h) for h in rest.values()]
+        raw_h_bits = [bit[j] for j in rest]
 
         def coords(v: dict[int, int]) -> tuple[list[int], int]:
             # v's residue mod T, and its coordinates in T's basis mod 2
             p = [0] * len(free)
             odd = 0
             for c, x in v.items():
-                if c in pos:
-                    p[pos[c]] += x
-                    continue
-                if x % 2:
-                    odd |= bit[c]
-                for f, y in unit_tail[c]:
-                    p[f] -= x * y
+                if x % 2 and c in unit_bit:
+                    odd |= unit_bit[c]
+                for f, y in image[c].items():
+                    p[f] += x * y
             residue, mask = self._reduce(p, raw_h_bits)
             return residue, mask | odd
 

@@ -9,11 +9,10 @@ coalesce.  The cokernel carries two extra structures: the weight map w
 Since w is onto Z, the module splits as M = Z (+) ker(w).  So ker(w), the
 first homology of the double branched cover, is M with one free factor
 dropped, and the determinant is |ker(w)| (0 when infinite); both are read
-off M's invariant factors once, in `build_link_module`, from the Smith
-form of the crossing rows' Hermite basis.  That function also presents
-ker(w) literally, as the crossing rows plus a unit row at one arc reduced
-to their Hermite basis (`weight_kernel`), and raises InternalCheckError
-unless the two agree.
+off M's invariant factors once, in `build_link_module`, from the
+`cokernel` of the crossing rows.  That function also presents ker(w)
+literally, as the cokernel of the crossing rows plus a unit row at one arc
+(`weight_kernel`), and raises InternalCheckError unless the two agree.
 
 w and p are linear in the canonical coordinates of M, so each module
 keeps their values on the unit coordinates, from the lift of each, and
@@ -26,22 +25,15 @@ import itertools
 from dataclasses import dataclass, field
 from math import prod
 
-from .abelian import (
-    FgAbGroup,
-    GroupElt,
-    Matrix,
-    Presentation,
-    cokernel,
-    row_lattice_basis,
-)
+from .abelian import FgAbGroup, GroupElt, Matrix, Presentation, cokernel
 from .diagram import LinkDiagram, component_walk
 from .quandle import CapExceeded
 
 # The most elements a report lists of the torsion T, the coset quandle Q_A
 # or the presented quandle, whose tables hold n^2 entries.  Near it a
 # `--no-imq` report of chain (13,13,12), |T| = |Q_A| = 2028, peaks at
-# 159 MiB RSS in 7.7 s, and a full one of chain (2,2,341), |IMQ| = 2046,
-# at 105 MiB in 17-24 s (2 vCPUs, Python 3.11).
+# 104 MiB RSS in 6.4 s, and a full one of chain (2,2,341), |IMQ| = 2046,
+# at 101 MiB in 20 s (ru_maxrss of a fresh process, 2 vCPUs, Python 3.11).
 LISTING_CAP = 2048
 
 
@@ -132,10 +124,10 @@ def build_link_module(d: LinkDiagram) -> LinkModule:
             per_comp[d.kappa[arc]] += coeff
         if any(v % 2 for v in per_comp):
             raise InternalCheckError(f"relation row {i} has odd component sum")
-    # the Smith form runs on the rows' Hermite basis: on long random braid
-    # closures the Smith form of the literal rows grows its entries for
-    # minutes
-    pres = cokernel(row_lattice_basis(_leading_last(rows), d.n_arcs), d.n_arcs)
+    # cokernel takes the Smith form of what the rows' unit pivots leave: one
+    # row on two columns for T(2, n); on long random braid closures the
+    # Smith form of the literal rows grows its entries for minutes
+    pres = cokernel(rows, d.n_arcs)
     r = pres.group.free_rank
     k = sum(1 for t in pres.group.torsion if t % 2 == 0)
     if not (1 <= r <= d.mu and r + k == d.mu):
@@ -173,19 +165,7 @@ def weight_kernel(mod: LinkModule, base_arc: int = 0) -> FgAbGroup:
     unit[base_arc] = 1
     # the literal crossing rows, not the module's basis of them, so that
     # this stays a computation independent of build_link_module's
-    rows = _leading_last(relation_matrix(mod.diagram) + [unit])
-    return cokernel(row_lattice_basis(rows, n), n).group
-
-
-def _leading_last(rows: Matrix) -> Matrix:
-    """The rows by leading column, the last first.  Their Hermite basis is
-    the same in every order; in this one a new pivot seldom has basis rows
-    above it to reduce."""
-    return sorted(
-        rows,
-        key=lambda row: next((j for j, x in enumerate(row) if x), len(row)),
-        reverse=True,
-    )
+    return cokernel(relation_matrix(mod.diagram) + [unit], n).group
 
 
 def link_determinant(mod: LinkModule) -> int:

@@ -73,7 +73,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .abelian import FgAbGroup, GroupElt, cokernel, row_lattice_basis
+from .abelian import FgAbGroup, GroupElt, cokernel
 
 
 class CapExceeded(RuntimeError):
@@ -554,8 +554,8 @@ def group_from_quandle(q: FiniteQuandle) -> FgAbGroup:
     + row(x2, b) - 2 row(a, b) with x1 = x |> b, x2 = x1 |> a.  Each element
     z outside G, first reached as z = x |> g, is written over G by its own
     row: g(z) = 2g(g) - g(x).  The other rows, rewritten over G, are n |G|
-    - (n - |G|) rows on |G| columns; they are reduced to a Hermite basis,
-    and the Smith form runs on that."""
+    - (n - |G|) rows on |G| columns, and `cokernel` takes them as they
+    are."""
     gens = q.generators
     col = {g: i for i, g in enumerate(gens)}
     vec: list[list[int]] = [[]] * q.n  # g(z) over G
@@ -575,8 +575,7 @@ def group_from_quandle(q: FiniteQuandle) -> FgAbGroup:
             )
             if any(r):
                 rows.add(r)
-    basis = row_lattice_basis([list(r) for r in sorted(rows)], len(gens))
-    return cokernel(basis, len(gens)).group
+    return cokernel([list(r) for r in sorted(rows)], len(gens)).group
 
 
 def serialize_quandle(q: FiniteQuandle) -> str:

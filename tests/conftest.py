@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from imqlink.arcquandle import build_arc_quandle
 from imqlink.diagram import parse_diagram
@@ -19,6 +20,11 @@ from imqlink.linkmodule import build_link_module, link_determinant
 FINITE = ("hopf2", "sixthree", "trefoil", "fig8", "t22t24")
 INFINITE = ("fig5l", "figt", "lprime", "ldprime")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# every Hypothesis test draws the same examples on every run and keeps no
+# example database, so a run of the suite is reproducible
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @contextmanager

@@ -16,13 +16,15 @@ from imqlink.abelian import (
     Matrix,
     Presentation,
     SmithForm,
+    _dense,
     _ext_gcd,
     _gf2_echelon,
     _gf2_reduce,
+    _hermite_basis,
     _nearest_quotient,
     _stacked_relations,
-    cokernel,
     int_det,
+    smith_normal_form,
     subgroup_contains,
     subgroup_type,
 )
@@ -366,6 +368,25 @@ def literal_smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithF
     return SmithForm(m=m, n=n, diag=diag, u=u, v=v, v_inv=v_inv)
 
 
+def literal_cokernel_group(rows: Matrix, n_cols: int, smith=None) -> FgAbGroup:
+    """Z^n_cols modulo the row space of rows, read off the literal Smith
+    form of the rows as given, with no Hermite step or unit split.  smith
+    may be `abelian.smith_normal_form`, which takes the dense form's steps
+    on sparse rows, for matrices too large for the dense one."""
+    sf = (smith or literal_smith_normal_form)(rows, n_cols)
+    diag = sf.diag + [0] * (n_cols - len(sf.diag))
+    return FgAbGroup(diag.count(0), tuple(t for t in diag if t >= 2))
+
+
+def row_lattice_basis(rows: Matrix, n_cols: int) -> Matrix:
+    """`abelian._hermite_basis` of the rows, as one dense row per pivot
+    column, in column order."""
+    if any(len(row) != n_cols for row in rows):
+        raise ValueError("ragged matrix")
+    basis, pivots = _hermite_basis({j: x for j, x in enumerate(row) if x} for row in rows)
+    return _dense([basis[j] for j in pivots], n_cols)
+
+
 def _literal_reduce_above_pivots(basis: dict[int, list[int]], upto: int) -> None:
     """`abelian._reduce_above_pivots` on dense rows."""
     pivots = sorted(basis)
@@ -382,7 +403,7 @@ def _literal_reduce_above_pivots(basis: dict[int, list[int]], upto: int) -> None
 
 
 def literal_row_lattice_basis(rows: Matrix, n_cols: int) -> Matrix:
-    """`abelian.row_lattice_basis` on dense lists: the same steps in the
+    """`row_lattice_basis` on dense lists: the same steps in the
     same order, each rewriting a whole row, and every pivot column after a
     row's pivot scanned when the row is reduced."""
     basis: dict[int, list[int]] = {}
@@ -450,7 +471,7 @@ def group_relation_rows(q: FiniteQuandle) -> list[list[int]]:
 def literal_group_from_quandle(q: FiniteQuandle) -> FgAbGroup:
     """The quandle's abelian group as the cokernel of every relation row,
     with no reduction before the Smith form."""
-    return cokernel(group_relation_rows(q), q.n).group
+    return literal_cokernel_group(group_relation_rows(q), q.n, smith_normal_form)
 
 
 def _perm_inverse(g: Perm) -> Perm:
@@ -508,7 +529,7 @@ def literal_displacement_group(q: FiniteQuandle) -> tuple[tuple[Perm, ...], FgAb
             diff = tuple(a - b for a, b in zip(nvec, word[quandle._compose(step, cur)]))
             if any(diff):
                 relations.add(diff)
-    group = cokernel([list(r) for r in sorted(relations)], len(gens)).group
+    group = literal_cokernel_group([list(r) for r in sorted(relations)], len(gens))
     if group.order() != len(word):
         raise ValueError("displacement presentation does not match closure size")
     return tuple(word), group
@@ -540,7 +561,7 @@ def subgroups_equal(group: FgAbGroup, gens_a: list[GroupElt], gens_b: list[Group
 
 def quotient_by_subgroup(group: FgAbGroup, gens: list[GroupElt]) -> FgAbGroup:
     """Isomorphism type of group / <gens>."""
-    return cokernel(_stacked_relations(group, gens), group.n_coords).group
+    return literal_cokernel_group(_stacked_relations(group, gens), group.n_coords)
 
 
 def minor_gcds(rows: Matrix, n_cols: int) -> list[int]:

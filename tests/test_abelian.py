@@ -19,7 +19,6 @@ from imqlink.abelian import (
     int_det,
     left_kernel_basis,
     mat_mul,
-    row_lattice_basis,
     smith_normal_form,
     solve_in_row_space,
     subgroup_contains,
@@ -35,11 +34,13 @@ from oracles import (
     dense_mat_mul,
     group_relation_rows,
     identity_matrix,
+    literal_cokernel_group,
     literal_group_from_quandle,
     literal_row_lattice_basis,
     literal_smith_normal_form,
     minor_gcds,
     quotient_by_subgroup,
+    row_lattice_basis,
     subgroups_equal,
 )
 
@@ -128,7 +129,7 @@ def _pad30_matrix(with_unit_row):
 
 
 def _pad30_weight_kernel_basis():
-    # what weight_kernel hands to the Smith form
+    # the weight-kernel rows' Hermite basis, which cokernel splits
     rows, n = _pad30_matrix(True)
     return row_lattice_basis(rows, n), n
 
@@ -309,7 +310,7 @@ def test_row_lattice_basis_equals_literal_form_on_weight_kernel_rows(name, modul
     _, rows, basis, n = _diagram_matrices(name, modules)
     assert basis == literal_row_lattice_basis(rows, n)
     assert row_lattice_basis(rows[::-1], n) == basis
-    assert cokernel(basis, n).group == cokernel(rows, n).group
+    assert cokernel(basis, n).group == literal_cokernel_group(rows, n)
 
 
 _SMALL_MATRICES = st.integers(0, 5).flatmap(
@@ -328,6 +329,23 @@ def test_sparse_forms_equal_literal_forms_on_small_matrices(case):
     rows, n = case
     _assert_same_smith_form(rows, n)
     assert row_lattice_basis(rows, n) == literal_row_lattice_basis(rows, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SMALL_MATRICES)
+def test_cokernel_presents_the_literal_quotient_on_small_matrices(case):
+    rows, n = case
+    pres = cokernel(rows, n)
+    group = pres.group
+    assert group == literal_cokernel_group(rows, n)
+    for row in rows:
+        assert pres.to_canonical(row).is_zero()
+    for i in range(n):
+        assert pres.generator_image(i) == pres.to_canonical([int(k == i) for k in range(n)])
+    samples = [group.unit(k) for k in range(group.n_coords)]
+    samples.append(group.element([3 * k - 5 for k in range(group.n_coords)]))
+    for x in samples:
+        assert pres.to_canonical(pres.lift(x)) == x
 
 
 def test_row_lattice_basis_small_cases():

@@ -16,6 +16,7 @@ from oracles import (
     determinant_by_minors,
     elements_of_order_dividing_2,
     literal_characteristic_compatibility,
+    literal_cokernel_group,
     literal_displacement_group,
     literal_is_semiregular,
     quotient_by_subgroup,
@@ -241,7 +242,7 @@ def test_criterion_09_property_suites(diagrams, modules, arc_quandles, imq_resul
     for name in FIXTURE_NAMES:
         d = diagrams[name]
         rows = relation_matrix(d)
-        full = cokernel(rows, d.n_arcs).group
+        full = literal_cokernel_group(rows, d.n_arcs)
         for i in range(len(rows)):
             reduced = rows[:i] + rows[i + 1 :]
             assert cokernel(reduced, d.n_arcs).group == full

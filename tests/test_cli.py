@@ -626,17 +626,28 @@ def test_cache_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-def test_cache_path_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+def test_cache_path_in_a_missing_directory_is_a_usage_error(
+    tmp_path, capsys, monkeypatch
+):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "hopf2.json").write_text(fixture_text("hopf2"))
     cache = tmp_path / "missing" / "run.cache"
+    reports = []
+
+    def no_report(*args, **kwargs):
+        reports.append(args)
+        raise RuntimeError("a report was computed before the cache check")
+
+    # the check comes before any work
+    monkeypatch.setattr(cli, "build_report", no_report)
     code, out, err = run(capsys, "corpus", str(corpus), "--cache", str(cache))
     assert code == 1
     assert out == ""
     assert err.startswith(f"usage error: cannot write cache {cache}: ")
     assert len(err.splitlines()) == 1
     assert not cache.parent.exists()
+    assert reports == []
 
 
 def test_dump_quandle_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
