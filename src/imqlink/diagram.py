@@ -73,21 +73,19 @@ class LinkDiagram:
 def validate_diagram(d: LinkDiagram) -> list[str]:
     """All invariant violations, each prefixed with a rule id.  Empty = valid."""
     bad: list[str] = []
+    n = d.n_arcs
 
-    def arc_ok(a: int) -> bool:
-        return 0 <= a < d.n_arcs
-
-    if len(d.arc_names) != d.n_arcs:
-        bad.append(f"arc-names: {len(d.arc_names)} names for {d.n_arcs} arcs")
+    if len(d.arc_names) != n:
+        bad.append(f"arc-names: {len(d.arc_names)} names for {n} arcs")
     for i, c in enumerate(d.crossings):
         for a in (c.over, *c.under):
-            if not arc_ok(a):
+            if not 0 <= a < n:
                 bad.append(f"arc-range: crossing {i} references arc {a}")
 
     seen: dict[int, int] = {}
     for ci, comp in enumerate(d.components):
         for a in comp.arcs:
-            if not arc_ok(a):
+            if not 0 <= a < n:
                 bad.append(f"arc-range: component {ci} references arc {a}")
             elif a in seen:
                 bad.append(
@@ -96,13 +94,17 @@ def validate_diagram(d: LinkDiagram) -> list[str]:
                 )
             else:
                 seen[a] = ci
-    for a in range(d.n_arcs):
-        if a not in seen:
-            bad.append(f"arc-unassigned: arc {a} is in no component")
+    # seen holds distinct arcs in range, so it misses one iff it is short
+    if len(seen) != n:
+        for a in range(n):
+            if a not in seen:
+                bad.append(f"arc-unassigned: arc {a} is in no component")
 
-    used: dict[int, int] = {}
+    n_crossings = len(d.crossings)
+    used = [0] * n_crossings
     for ci, comp in enumerate(d.components):
-        k = len(comp.arcs)
+        arcs = comp.arcs
+        k = len(arcs)
         if len(comp.crossings) != k and not (k == 1 and not comp.crossings):
             bad.append(
                 f"alignment: component {ci} has {k} arcs but "
@@ -110,20 +112,21 @@ def validate_diagram(d: LinkDiagram) -> list[str]:
             )
             continue
         for j, x in enumerate(comp.crossings):
-            if not 0 <= x < len(d.crossings):
+            if not 0 <= x < n_crossings:
                 bad.append(f"crossing-range: component {ci} references crossing {x}")
                 continue
-            used[x] = used.get(x, 0) + 1
-            pair = tuple(sorted((comp.arcs[j], comp.arcs[(j + 1) % k])))
-            if d.crossings[x].under_multiset() != pair:
+            used[x] += 1
+            a, b = arcs[j], arcs[(j + 1) % k]
+            pair = (a, b) if a <= b else (b, a)
+            have = d.crossings[x].under_multiset()
+            if have != pair:
                 bad.append(
                     f"alignment: component {ci} walk step {j} expects under pair "
-                    f"{pair}, crossing {x} has {d.crossings[x].under_multiset()}"
+                    f"{pair}, crossing {x} has {have}"
                 )
-    for x in range(len(d.crossings)):
-        n = used.get(x, 0)
-        if n != 1:
-            bad.append(f"crossing-used-once: crossing {x} used {n} times")
+    for x, times in enumerate(used):
+        if times != 1:
+            bad.append(f"crossing-used-once: crossing {x} used {times} times")
     return bad
 
 
@@ -161,6 +164,9 @@ def parse_diagram(text: str) -> LinkDiagram:
             raise DiagramSyntaxError(f"bad arc name: {name!r}")
         return name
 
+    # a name is checked once, when it first goes into index; a later
+    # reference is one lookup, and only a miss (or an unhashable name)
+    # falls back to the check
     names: list[str] = []
     index: dict[str, int] = {}
     if "arcs" in obj:
@@ -174,25 +180,29 @@ def parse_diagram(text: str) -> LinkDiagram:
             names.append(name)
 
         def arc_id(name: str) -> int:
+            try:
+                return index[name]
+            except (KeyError, TypeError):
+                pass
             check_name(name)
-            if name not in index:
-                raise DiagramSyntaxError(f"unknown arc name: {name!r}")
-            return index[name]
+            raise DiagramSyntaxError(f"unknown arc name: {name!r}")
 
     else:
 
         def arc_id(name: str) -> int:
-            check_name(name)
-            if name not in index:
-                index[name] = len(names)
-                names.append(name)
-            return index[name]
+            try:
+                return index[name]
+            except (KeyError, TypeError):
+                pass
+            index[check_name(name)] = len(names)
+            names.append(name)
+            return len(names) - 1
 
     components = []
     for ci, comp in enumerate(raw_components):
         if not isinstance(comp, dict) or not isinstance(comp.get("arcs"), list):
             raise DiagramSyntaxError(f"component {ci} must be a map with 'arcs'")
-        arcs = tuple(arc_id(a) for a in comp["arcs"])
+        arcs = tuple([arc_id(a) for a in comp["arcs"]])
         xs = comp.get("crossings", [])
         # bool is an int, but true/false would give the diagram a second key
         if not isinstance(xs, list) or not all(type(x) is int for x in xs):
@@ -203,8 +213,7 @@ def parse_diagram(text: str) -> LinkDiagram:
     for i, c in enumerate(raw_crossings):
         if not isinstance(c, list) or len(c) != 3:
             raise DiagramSyntaxError(f"crossing {i} must be [over, under, under]")
-        over, u1, u2 = (arc_id(x) for x in c)
-        crossings.append(Crossing(over=over, under=(u1, u2)))
+        crossings.append(Crossing(arc_id(c[0]), (arc_id(c[1]), arc_id(c[2]))))
 
     d = LinkDiagram(
         n_arcs=len(names),

@@ -2,9 +2,12 @@
 
 Every crossing (over a, unders b, b') contributes the relation
 2*a - b - b' over the free abelian group on the arcs; coinciding arcs
-coalesce.  The cokernel carries two extra structures: the weight map w
-(every arc class has weight 1) and the component-parity map p into
-(Z/2)^mu.  The pair (w, p) drives all re-indexing and equivalence logic.
+coalesce.  `relation_matrix` keeps each relation as a sparse row of at most
+three entries, and `cokernel` takes those rows as they are, so no step
+from the diagram to the module holds an n x n matrix.  The cokernel
+carries two extra structures: the weight map w (every arc class has
+weight 1) and the component-parity map p into (Z/2)^mu.  The pair (w, p)
+drives all re-indexing and equivalence logic.
 
 Since w is onto Z, the module splits as M = Z (+) ker(w).  So ker(w), the
 first homology of the double branched cover, is M with one free factor
@@ -25,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import prod
 
-from .abelian import FgAbGroup, GroupElt, Matrix, Presentation, cokernel
+from .abelian import FgAbGroup, GroupElt, Presentation, Row, cokernel
 from .diagram import LinkDiagram, component_walk
 from .quandle import CapExceeded
 
@@ -37,15 +40,15 @@ from .quandle import CapExceeded
 LISTING_CAP = 2048
 
 
-def relation_matrix(d: LinkDiagram) -> Matrix:
-    """One row per crossing: 2*over - under - under', coalesced."""
+def relation_matrix(d: LinkDiagram) -> list[Row]:
+    """One sparse row {arc: coefficient} per crossing: 2*over - under -
+    under', coalesced, zeros dropped, so at most three entries."""
     rows = []
     for c in d.crossings:
-        row = [0] * d.n_arcs
-        row[c.over] += 2
-        row[c.under[0]] -= 1
-        row[c.under[1]] -= 1
-        rows.append(row)
+        row = {c.over: 2}
+        for u in c.under:
+            row[u] = row.get(u, 0) - 1
+        rows.append({a: x for a, x in row.items() if x})
     return rows
 
 
@@ -115,14 +118,15 @@ class InternalCheckError(AssertionError):
 
 def build_link_module(d: LinkDiagram) -> LinkModule:
     rows = relation_matrix(d)
+    kappa = d.kappa
     # weight and parity must kill every relation row
     for i, row in enumerate(rows):
-        if sum(row) != 0:
+        if sum(row.values()) != 0:
             raise InternalCheckError(f"relation row {i} has nonzero weight")
-        per_comp = [0] * d.mu
-        for arc, coeff in enumerate(row):
-            per_comp[d.kappa[arc]] += coeff
-        if any(v % 2 for v in per_comp):
+        per_comp: dict[int, int] = {}
+        for arc, coeff in row.items():
+            per_comp[kappa[arc]] = per_comp.get(kappa[arc], 0) + coeff
+        if any(v % 2 for v in per_comp.values()):
             raise InternalCheckError(f"relation row {i} has odd component sum")
     # cokernel takes the Smith form of what the rows' unit pivots leave: one
     # row on two columns for T(2, n); on long random braid closures the
@@ -160,12 +164,10 @@ def weight_kernel(mod: LinkModule, base_arc: int = 0) -> FgAbGroup:
     cover."""
     if not 0 <= base_arc < mod.diagram.n_arcs:
         raise ValueError("base_arc out of range")
-    n = mod.diagram.n_arcs
-    unit = [0] * n
-    unit[base_arc] = 1
     # the literal crossing rows, not the module's basis of them, so that
     # this stays a computation independent of build_link_module's
-    return cokernel(relation_matrix(mod.diagram) + [unit], n).group
+    rows = relation_matrix(mod.diagram) + [{base_arc: 1}]
+    return cokernel(rows, mod.diagram.n_arcs).group
 
 
 def link_determinant(mod: LinkModule) -> int:

@@ -73,7 +73,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .abelian import FgAbGroup, GroupElt, cokernel
+from .abelian import FgAbGroup, GroupElt, _sparse_rows, cokernel
 
 
 class CapExceeded(RuntimeError):
@@ -575,7 +575,7 @@ def group_from_quandle(q: FiniteQuandle) -> FgAbGroup:
             )
             if any(r):
                 rows.add(r)
-    return cokernel([list(r) for r in sorted(rows)], len(gens)).group
+    return cokernel(_sparse_rows(sorted(rows)), len(gens)).group
 
 
 def serialize_quandle(q: FiniteQuandle) -> str:

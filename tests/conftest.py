@@ -5,11 +5,13 @@ from __future__ import annotations
 import importlib.util
 import signal
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from imqlink.arcquandle import build_arc_quandle
 from imqlink.diagram import parse_diagram
@@ -22,7 +24,11 @@ INFINITE = ("fig5l", "figt", "lprime", "ldprime")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # every Hypothesis test draws the same examples on every run and keeps no
-# example database, so a run of the suite is reproducible
+# example database, so a run of the suite is reproducible; what Hypothesis
+# still stores (the literals it collects from the sources) goes to a
+# directory outside the checkout, removed when the run ends
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="imqlink-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
 

@@ -368,11 +368,13 @@ def literal_smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithF
     return SmithForm(m=m, n=n, diag=diag, u=u, v=v, v_inv=v_inv)
 
 
-def literal_cokernel_group(rows: Matrix, n_cols: int, smith=None) -> FgAbGroup:
-    """Z^n_cols modulo the row space of rows, read off the literal Smith
-    form of the rows as given, with no Hermite step or unit split.  smith
-    may be `abelian.smith_normal_form`, which takes the dense form's steps
-    on sparse rows, for matrices too large for the dense one."""
+def literal_cokernel_group(rows, n_cols: int, smith=None) -> FgAbGroup:
+    """Z^n_cols modulo the row space of rows, dense or sparse as `cokernel`
+    takes them, read off the literal Smith form of the dense rows as given,
+    with no Hermite step or unit split.  smith may be
+    `abelian.smith_normal_form`, which takes the dense form's steps on
+    sparse rows, for matrices too large for the dense one."""
+    rows = [_dense([row], n_cols)[0] if isinstance(row, dict) else row for row in rows]
     sf = (smith or literal_smith_normal_form)(rows, n_cols)
     diag = sf.diag + [0] * (n_cols - len(sf.diag))
     return FgAbGroup(diag.count(0), tuple(t for t in diag if t >= 2))
@@ -582,10 +584,15 @@ def minor_gcds(rows: Matrix, n_cols: int) -> list[int]:
 # the arc module
 
 
+def dense_relation_matrix(d: LinkDiagram) -> Matrix:
+    """`linkmodule.relation_matrix` as dense rows, one entry per arc."""
+    return _dense(relation_matrix(d), d.n_arcs)
+
+
 def determinant_by_minors(d: LinkDiagram, base_arc: int = 0) -> int:
     """Independent determinant computation: gcd of all maximal minors of
     the relation matrix avoiding the base arc's column."""
-    rows = relation_matrix(d)
+    rows = dense_relation_matrix(d)
     n = d.n_arcs
     if len(rows) < n - 1:
         return 0

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from imqlink import abelian, quandle
 from imqlink.abelian import (
     FgAbGroup,
+    _sparse_rows,
     cokernel,
     int_det,
     left_kernel_basis,
@@ -28,10 +29,11 @@ from imqlink.abelian import (
 from imqlink.diagram import parse_diagram
 from imqlink.fixtures import FIXTURE_NAMES
 from imqlink.imq import compute_imq
-from imqlink.linkmodule import build_link_module, relation_matrix
+from imqlink.linkmodule import build_link_module
 from conftest import FINITE
 from oracles import (
     dense_mat_mul,
+    dense_relation_matrix,
     group_relation_rows,
     identity_matrix,
     literal_cokernel_group,
@@ -122,7 +124,7 @@ def _group_from_quandle_matrix():
 
 def _pad30_matrix(with_unit_row):
     d = parse_diagram((DIAGRAMS / "chain_2_3_pad30.json").read_text())
-    rows = relation_matrix(d)
+    rows = dense_relation_matrix(d)
     if with_unit_row:  # the weight-kernel presentation at arc 0
         rows.append([1] + [0] * (d.n_arcs - 1))
     return rows, d.n_arcs
@@ -278,7 +280,7 @@ def test_row_lattice_basis_spans_the_relation_lattice_in_every_row_order(
         assert all(basis == bases[0] for basis in bases)
         basis = bases[0]
         assert basis == literal_row_lattice_basis(rows, q.n)
-        assert cokernel(basis, q.n).group == mod.group
+        assert cokernel(_sparse_rows(basis), q.n).group == mod.group
         assert all(solve_in_row_space(basis, q.n, row) is not None for row in rows)
         assert all(solve_in_row_space(rows, q.n, row) is not None for row in basis)
     finally:
@@ -293,7 +295,7 @@ def _diagram_matrices(name, modules):
         d = parse_diagram((DIAGRAMS / f"{name}.json").read_text())
     else:
         d = modules[name].diagram
-    rows = relation_matrix(d)
+    rows = dense_relation_matrix(d)
     kernel_rows = rows + [[1] + [0] * (d.n_arcs - 1)]
     return rows, kernel_rows, row_lattice_basis(kernel_rows, d.n_arcs), d.n_arcs
 
@@ -310,7 +312,7 @@ def test_row_lattice_basis_equals_literal_form_on_weight_kernel_rows(name, modul
     _, rows, basis, n = _diagram_matrices(name, modules)
     assert basis == literal_row_lattice_basis(rows, n)
     assert row_lattice_basis(rows[::-1], n) == basis
-    assert cokernel(basis, n).group == literal_cokernel_group(rows, n)
+    assert cokernel(_sparse_rows(basis), n).group == literal_cokernel_group(rows, n)
 
 
 _SMALL_MATRICES = st.integers(0, 5).flatmap(
@@ -335,7 +337,7 @@ def test_sparse_forms_equal_literal_forms_on_small_matrices(case):
 @given(_SMALL_MATRICES)
 def test_cokernel_presents_the_literal_quotient_on_small_matrices(case):
     rows, n = case
-    pres = cokernel(rows, n)
+    pres = cokernel(_sparse_rows(rows), n)
     group = pres.group
     assert group == literal_cokernel_group(rows, n)
     for row in rows:
@@ -388,16 +390,22 @@ def test_int_det_matches_sympy():
 
 
 def test_group_canonical_form_and_order():
-    g = cokernel([[2, 0], [0, 3]], 2).group
+    g = cokernel([{0: 2}, {1: 3}], 2).group
     assert g == FgAbGroup(0, (6,))
     assert g.order() == 6
     assert g.describe() == "Z/6"
     assert len(list(g.elements())) == 6
 
-    h = cokernel([[2, 0, 0]], 3).group
+    h = cokernel([{0: 2}], 3).group
     assert h == FgAbGroup(2, (2,))
     assert h.order() == 0
     assert h.describe() == "Z^2 x Z/2"
+
+
+def test_cokernel_rejects_bad_sparse_rows():
+    for rows in ([{0: 0}], [{2: 1}], [{-1: 1}], [{0: 1}, {0: 2, 1: 0}]):
+        with pytest.raises(ValueError):
+            cokernel(rows, 2)
 
 
 def test_group_rejects_bad_torsion():
@@ -421,7 +429,7 @@ def test_element_arithmetic_and_orders():
 
 
 def test_presentation_round_trip():
-    pres = cokernel([[2, 1, 0], [0, 3, 1], [0, 0, 4]], 3)
+    pres = cokernel([{0: 2, 1: 1}, {1: 3, 2: 1}, {2: 4}], 3)
     assert pres.group.order() == 24
     for target in pres.group.elements():
         vec = pres.lift(target)

@@ -11,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from imqlink.abelian import FgAbGroup, cokernel, int_det, solve_in_row_space
+from imqlink.abelian import (
+    FgAbGroup,
+    _hermite_basis,
+    _hermite_order,
+    _scaled_sum,
+    cokernel,
+    int_det,
+    solve_in_row_space,
+)
 from imqlink.diagram import make_even, parse_diagram
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.linkmodule import (
@@ -24,6 +32,7 @@ from imqlink.linkmodule import (
     weight_kernel,
 )
 from oracles import (
+    dense_relation_matrix,
     determinant_by_minors,
     double_kernel_subgroup_check,
     evenized_longitudes,
@@ -150,7 +159,7 @@ RANDOM_CLOSURE_WORD = [
 def _first_minor(d):
     """|det| of the crossing rows without row 0 and column 0: on a diagram
     with as many crossings as arcs, every first minor is +-det."""
-    rows = relation_matrix(d)
+    rows = dense_relation_matrix(d)
     assert len(rows) == d.n_arcs
     return abs(int_det([row[1:] for row in rows[1:]]))
 
@@ -177,8 +186,9 @@ def test_module_of_a_long_random_closure_finishes(perfbench_module):
 LITERAL_RUNS_LONG = {5}
 
 
-def test_module_of_random_closures_equals_literal_smith_form(perfbench_module):
-    gen = perfbench_module("gen")
+def _random_closures(gen):
+    """(seed, diagram) for 20 seeded braid closures of 40-70 letters on 4-6
+    strands."""
     for seed in range(20):
         rng = random.Random(seed)
         n = rng.randint(4, 6)
@@ -186,7 +196,20 @@ def test_module_of_random_closures_equals_literal_smith_form(perfbench_module):
             rng.choice((1, -1)) * rng.randint(1, n - 1)
             for _ in range(rng.randint(40, 70))
         ]
-        d = parse_diagram(gen.to_text(gen.closure(word, n)))
+        yield seed, parse_diagram(gen.to_text(gen.closure(word, n)))
+
+
+def _padded_chains(gen):
+    """Six chain closures padded by `gen.pad_r2` to 57 letters."""
+    for k, regions in enumerate([(2, 3), (2, 2, 2), (3, 3), (2, 4), (4, 4, 4), (2, 3, 2)]):
+        rng = random.Random(k)
+        word = gen.pad_r2(gen.chain_word(list(regions), rng), len(regions) + 1, 57, rng)
+        yield parse_diagram(gen.to_text(gen.closure(word, len(regions) + 1)))
+
+
+def test_module_of_random_closures_equals_literal_smith_form(perfbench_module):
+    gen = perfbench_module("gen")
+    for seed, d in _random_closures(gen):
         mod = build_link_module(d)
         assert mod.determinant == _first_minor(d), seed
         if seed not in LITERAL_RUNS_LONG:
@@ -208,6 +231,38 @@ def test_module_memory_stays_small_on_a_long_torus_knot(perfbench_module):
     assert mod.group == FgAbGroup(1, (511,))
     assert (mod.pres.snf.m, mod.pres.snf.n) == (1, 2)
     assert peak < 10 * 2**20
+
+
+def test_module_memory_is_linear_in_the_arcs(perfbench_module):
+    # sparse crossing rows all the way to the Hermite basis: doubling the
+    # arcs about doubles the peak, which dense n x n rows would quadruple
+    gen = perfbench_module("gen")
+    peaks = {}
+    for n in (1023, 2047):
+        d = parse_diagram(gen.to_text(gen.closure([1] * n, 2)))
+        tracemalloc.start()
+        try:
+            mod = build_link_module(d)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mod.group == FgAbGroup(1, (n,))
+    assert peaks[2047] < 8 * 2**20
+    assert peaks[2047] < 2.5 * peaks[1023]
+
+
+def test_hermite_basis_is_the_same_in_every_insertion_order(perfbench_module):
+    # cokernel's order only changes the cost: the basis equals the one
+    # from the rows as given and from the leading-column order, last first
+    gen = perfbench_module("gen")
+    diagrams = [d for _, d in _random_closures(gen)] + list(_padded_chains(gen))
+    for d in diagrams:
+        rows = relation_matrix(d)
+        for matrix in (rows, rows + [{0: 1}]):  # the module's, the weight kernel's
+            want = _hermite_basis(_hermite_order(matrix))
+            assert _hermite_basis(matrix) == want
+            last_first = sorted(matrix, key=lambda row: min(row, default=d.n_arcs), reverse=True)
+            assert _hermite_basis(last_first) == want
 
 
 def test_module_shape_relation():
@@ -239,13 +294,14 @@ def test_weight_kernel_base_arc_independent(name, diagrams, modules):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_any_single_relation_row_is_redundant(name, diagrams):
     d = diagrams[name]
-    rows = relation_matrix(d)
+    rows, dense = relation_matrix(d), dense_relation_matrix(d)
     full = literal_cokernel_group(rows, d.n_arcs)
     assert cokernel(rows, d.n_arcs).group == full
     for i in range(len(rows)):
         reduced = rows[:i] + rows[i + 1 :]
         assert cokernel(reduced, d.n_arcs).group == full
-        assert solve_in_row_space(reduced, d.n_arcs, rows[i]) is not None
+        others = dense[:i] + dense[i + 1 :]
+        assert solve_in_row_space(others, d.n_arcs, dense[i]) is not None
 
 
 def test_cokernel_invariant_under_row_moves():
@@ -254,9 +310,9 @@ def test_cokernel_invariant_under_row_moves():
     base = literal_cokernel_group(rows, d.n_arcs)
     assert cokernel(rows, d.n_arcs).group == base
     assert cokernel(rows[::-1], d.n_arcs).group == base
-    negated = [[-v for v in rows[0]]] + rows[1:]
+    negated = [{a: -x for a, x in rows[0].items()}] + rows[1:]
     assert cokernel(negated, d.n_arcs).group == base
-    appended = rows + [[a + b for a, b in zip(rows[0], rows[1])]]
+    appended = rows + [_scaled_sum(1, rows[0], 1, rows[1])]
     assert cokernel(appended, d.n_arcs).group == base
 
 
