@@ -10,13 +10,10 @@ O(nnz(a) * cols(b)) multiply-adds.
 The Smith normal form keeps unimodular witnesses U, V and V's inverse,
 which is what lets a :class:`Presentation` translate between generator
 coordinates and canonical coordinates of the quotient group.  It works on
-sparse rows (column -> nonzero entry) for the matrix and all three
-witnesses, so a step costs what the nonzeros it touches cost, not a full
-row or column: on the 57-arc relation matrix of a padded chain it takes
-about a third of the dense form's time.  Its steps are those of the dense
-form, in the same order, so diag, U, V and V's inverse come out identical
-entry for entry; the dense form is kept as a test oracle.  The witness
-check U * A * V == diag still compares every entry, on the sparse rows.
+dense lists.  Its inputs are small: the rows a Hermite basis leaves once
+its unit pivots are split off (at most 4 x 4 from `cokernel` on the
+benchmark's workloads), and the stacked relation matrices of the subgroup
+questions (at most 7 x 4 there).
 
 `cokernel` is the one place that presents a quotient lattice.  It reduces
 the rows, sparse, by unimodular steps to a Hermite basis of at most one row
@@ -329,14 +326,10 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
     """Smith normal form with witnesses.
 
     Deterministic: the pivot is the nonzero entry of smallest absolute
-    value, ties broken by lowest row index then lowest column index.
-
-    The working matrix, U, V's columns and V's inverse are sparse rows
-    (column -> nonzero value), so every step costs what its nonzeros cost.
-    Once pivot t is placed, rows and columns before t hold only their
-    diagonal entry, so column steps touch rows t.. only.  The steps are
-    those of the dense elimination in the same order, so diag and the
-    three witnesses equal the dense form's; they are returned dense.
+    value, ties broken by lowest row index then lowest column index.  The
+    caller's rows are copied, not changed, and each row or column step
+    rewrites a whole row or column of the copy: the inputs are small (see
+    the module docstring).
     """
     m = len(rows)
     if n_cols is None:
@@ -344,12 +337,10 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
     n = n_cols
     if any(len(row) != n for row in rows):
         raise ValueError("ragged matrix")
-    given = _sparse_rows(rows)
-    a = [dict(row) for row in given]
-    u = [{i: 1} for i in range(m)]
-    v_cols = [{j: 1} for j in range(n)]
-    v_inv = [{j: 1} for j in range(n)]
-    t = 0
+    a = [row[:] for row in rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    v_inv = [row[:] for row in v]
 
     def swap_rows(i: int, j: int) -> None:
         if i != j:
@@ -358,117 +349,65 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
 
     def swap_cols(i: int, j: int) -> None:
         if i != j:
-            for r in range(t, m):
-                row = a[r]
-                x = row.pop(i, 0)
-                y = row.pop(j, 0)
-                if y:
-                    row[i] = y
-                if x:
-                    row[j] = x
-            v_cols[i], v_cols[j] = v_cols[j], v_cols[i]
+            for row in itertools.chain(a, v):
+                row[i], row[j] = row[j], row[i]
             v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(dst: int, src: int, q: int) -> None:
-        if q == 0:
-            return
-        _add_scaled(a[dst], a[src], q)
-        _add_scaled(u[dst], u[src], q)
+        if q:
+            a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst: int, src: int, q: int) -> None:
-        if q == 0:
-            return
-        for r in range(t, m):
-            row = a[r]
-            y = row.get(src)
-            if y:
-                x = row.get(dst, 0) + q * y
-                if x:
-                    row[dst] = x
-                else:
-                    del row[dst]
-        _add_scaled(v_cols[dst], v_cols[src], q)
-        _add_scaled(v_inv[src], v_inv[dst], -q)
+        if q:
+            for row in itertools.chain(a, v):
+                row[dst] += q * row[src]
+            v_inv[src] = [x - q * y for x, y in zip(v_inv[src], v_inv[dst])]
 
-    def negate_row(i: int) -> None:
-        a[i] = {k: -x for k, x in a[i].items()}
-        u[i] = {k: -x for k, x in u[i].items()}
-
-    def find_pivot() -> tuple[int, int] | None:
-        # rows in order, so a tie with an earlier row keeps the earlier
-        # entry, and a unit is the pivot once the rest of its row is read
-        best = None
-        for i in range(t, m):
-            for j, x in a[i].items():
-                key = (abs(x), i, j)
-                if best is None or key < best:
-                    best = key
-            if best is not None and best[0] == 1:
-                break
-        return None if best is None else (best[1], best[2])
-
+    t = 0
     while t < min(m, n):
-        pos = find_pivot()
-        if pos is None:
+        entries = [(abs(x), i, j) for i in range(t, m) for j, x in enumerate(a[i]) if x]
+        if not entries:
             break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
+        _, i, j = min(entries)
+        swap_rows(t, i)
+        swap_cols(t, j)
         while True:
-            # clear column t, re-pivoting on any nonzero remainder; a step
-            # at row i (column j) leaves the later rows (columns) as they
-            # were, so which of them to visit is known up front
+            # clear column t, re-pivoting on any nonzero remainder
             dirty = False
-            for i in [i for i in range(t + 1, m) if t in a[i]]:
-                q = _nearest_quotient(a[i][t], a[t][t])
-                add_row(i, t, -q)
-                if t in a[i]:
-                    swap_rows(t, i)
-                    dirty = True
-            for j in sorted(j for j in a[t] if j > t):
-                q = _nearest_quotient(a[t][j], a[t][t])
-                add_col(j, t, -q)
-                if j in a[t]:
-                    swap_cols(t, j)
-                    dirty = True
-            if dirty:
-                continue
-            if any(t in a[i] for i in range(t + 1, m)):
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    add_row(i, t, -_nearest_quotient(a[i][t], a[t][t]))
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    add_col(j, t, -_nearest_quotient(a[t][j], a[t][t]))
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty or any(a[i][t] for i in range(t + 1, m)):
                 continue
             # pivot must divide every remaining entry to build the chain;
             # otherwise fold the offending row in and clear again
             d = a[t][t]
-            if d == 1 or d == -1:
-                break
-            offender = next(
-                (i for i in range(t + 1, m) if any(x % d for x in a[i].values())),
-                None,
-            )
+            offender = next((i for i in range(t + 1, m) if any(x % d for x in a[i])), None)
             if offender is None:
                 break
             add_row(t, offender, 1)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
 
-    diag = [a[i].get(i, 0) for i in range(min(m, n))]
-    v_rows: list[Row] = [{} for _ in range(n)]
-    for j, col in enumerate(v_cols):
-        for i, x in col.items():
-            v_rows[i][j] = x
+    diag = [a[i][i] for i in range(min(m, n))]
     # internal consistency: witnesses really do transform A to diag, every
-    # entry compared (a sparse row equals its target with zeros dropped)
-    for i in range(m):
-        want = {i: diag[i]} if i < len(diag) and diag[i] else {}
-        if _combination(_combination(u[i], given), v_rows) != want:
-            raise AssertionError("smith_normal_form witness check failed")
-    return SmithForm(
-        m=m,
-        n=n,
-        diag=diag,
-        u=_dense(u, m),
-        v=_dense(v_rows, n),
-        v_inv=_dense(v_inv, n),
-    )
+    # entry compared
+    want = [[diag[i] if i == j else 0 for j in range(n)] for i in range(m)]
+    if mat_mul(mat_mul(u, rows, n), v, n) != want:
+        raise AssertionError("smith_normal_form witness check failed")
+    return SmithForm(m=m, n=n, diag=diag, u=u, v=v, v_inv=v_inv)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,8 @@ def validate_diagram(d: LinkDiagram) -> list[str]:
     bad: list[str] = []
     n = d.n_arcs
 
+    if not d.components:
+        bad.append("no-components: the diagram has no components")
     if len(d.arc_names) != n:
         bad.append(f"arc-names: {len(d.arc_names)} names for {n} arcs")
     for i, c in enumerate(d.crossings):
@@ -111,6 +113,8 @@ def validate_diagram(d: LinkDiagram) -> list[str]:
                 f"{len(comp.crossings)} crossings"
             )
             continue
+        if not k:
+            bad.append(f"empty-component: component {ci} has no arcs")
         for j, x in enumerate(comp.crossings):
             if not 0 <= x < n_crossings:
                 bad.append(f"crossing-range: component {ci} references crossing {x}")

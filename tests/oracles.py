@@ -255,9 +255,9 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def literal_smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
-    """`abelian.smith_normal_form` on dense lists: the same pivot rule and
-    the same steps, each row or column step rewriting a whole row or
-    column, and the witness check by the literal triple-loop product."""
+    """`abelian.smith_normal_form` written out literally: the same pivot
+    rule, searched over columns t and up only, the same steps, and the
+    witness check by the triple-loop product."""
     m = len(rows)
     if n_cols is None:
         n_cols = len(rows[0]) if rows else 0
@@ -372,8 +372,8 @@ def literal_cokernel_group(rows, n_cols: int, smith=None) -> FgAbGroup:
     """Z^n_cols modulo the row space of rows, dense or sparse as `cokernel`
     takes them, read off the literal Smith form of the dense rows as given,
     with no Hermite step or unit split.  smith may be
-    `abelian.smith_normal_form`, which takes the dense form's steps on
-    sparse rows, for matrices too large for the dense one."""
+    `abelian.smith_normal_form`, which takes the literal form's steps and
+    checks its witnesses through `mat_mul`, skipping the zero entries."""
     rows = [_dense([row], n_cols)[0] if isinstance(row, dict) else row for row in rows]
     sf = (smith or literal_smith_normal_form)(rows, n_cols)
     diag = sf.diag + [0] * (n_cols - len(sf.diag))
@@ -472,7 +472,9 @@ def group_relation_rows(q: FiniteQuandle) -> list[list[int]]:
 
 def literal_group_from_quandle(q: FiniteQuandle) -> FgAbGroup:
     """The quandle's abelian group as the cokernel of every relation row,
-    with no reduction before the Smith form."""
+    with no reduction before the Smith form.  Those are up to |Q|^2 rows
+    on |Q| columns, so it runs the package's form, whose witness check
+    skips zero entries, not the literal triple loop."""
     return literal_cokernel_group(group_relation_rows(q), q.n, smith_normal_form)
 
 

@@ -145,16 +145,16 @@ BENCH_SIZED = {
 
 
 def _assert_same_smith_form(rows, n_cols):
-    sparse = smith_normal_form(rows, n_cols)
-    dense = literal_smith_normal_form(rows, n_cols)
+    got = smith_normal_form(rows, n_cols)
+    literal = literal_smith_normal_form(rows, n_cols)
     for field in ("m", "n", "diag", "u", "v", "v_inv"):
-        assert getattr(sparse, field) == getattr(dense, field), field
+        assert getattr(got, field) == getattr(literal, field), field
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_SIZED))
 def test_smith_on_bench_sized_matrices_matches_dense_products(name):
-    # the sparse-row form against the dense one, whose witness check is
-    # the literal triple-loop product
+    # the package's form, whose witness check goes through mat_mul, against
+    # the literal one, whose witness check is the triple-loop product
     rows, n_cols = BENCH_SIZED[name]()
     assert len(rows) >= 30
     _assert_same_smith_form(rows, n_cols)
@@ -174,6 +174,24 @@ def test_smith_rank_deficient():
 def test_smith_empty_and_zero():
     assert smith_normal_form([], 3).diag == []
     assert smith_normal_form([[0, 0]], 2).diag == [0]
+
+
+def test_smith_leaves_its_input_rows_unchanged():
+    # the pivot 2 is in row 1, so rows 0 and 1 swap; it does not divide
+    # the 3 in row 2, which is folded into row 0; row 2 then has a
+    # multiple of row 0 added, and rows 1 and 2 swap
+    rows = [[0, 0, 0], [0, 0, 2], [3, 0, 0]]
+    before = [row[:] for row in rows]
+    ids = [id(row) for row in rows]
+    sf = smith_normal_form(rows, 3)
+    assert sf.diag == literal_smith_normal_form(rows, 3).diag
+    assert rows == before and [id(row) for row in rows] == ids
+
+
+def test_smith_rejects_a_short_row():
+    for n_cols in (2, None):
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            smith_normal_form([[1, 2], [3]], n_cols)
 
 
 def test_smith_matches_sympy_on_random_matrices():

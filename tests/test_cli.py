@@ -330,6 +330,24 @@ def test_validation_error_exit(tmp_path, capsys):
     assert "validation error" in err
 
 
+@pytest.mark.parametrize(
+    "text", ('{"components": []}', '{"components": [{"arcs": []}]}'),
+    ids=("no-components", "empty-component"),
+)
+def test_empty_diagram_exits_2_under_every_command(text, tmp_path, capsys):
+    p = tmp_path / "e.json"
+    p.write_text(text)
+    for argv in (("report", str(p)), ("compare", str(p), str(p))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "validation error" in err, argv
+    code, out, _ = run(
+        capsys, "--format", "machine", "corpus", str(tmp_path),
+        "--cache", str(tmp_path / "cache"),
+    )
+    assert code == 2
+    assert [(r["name"], r["exit"]) for r in json.loads(out)["rows"]] == [("e", 2)]
+
+
 def test_usage_error_exit(capsys):
     code, _, err = run(capsys, "report")
     assert code == 1

@@ -282,6 +282,18 @@ PARSE_CONTRACT = [
         "crossing-used-once: crossing 1 used 0 times",
         id="crossing-out-of-range",
     ),
+    pytest.param(
+        '{"components": []}',
+        DiagramValidationError,
+        "no-components: the diagram has no components",
+        id="no-components",
+    ),
+    pytest.param(
+        '{"components": [{"arcs": []}]}',
+        DiagramValidationError,
+        "empty-component: component 0 has no arcs",
+        id="empty-component",
+    ),
 ]
 
 
