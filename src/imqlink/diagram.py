@@ -91,7 +91,9 @@ def validate_diagram(d: LinkDiagram) -> list[str]:
                 bad.append(f"arc-range: component {ci} references arc {a}")
             elif a in seen:
                 bad.append(
-                    f"arc-in-multiple-components: arc {a} in components "
+                    f"arc-repeated: component {ci} lists arc {a} twice"
+                    if seen[a] == ci
+                    else f"arc-in-multiple-components: arc {a} in components "
                     f"{seen[a]} and {ci}"
                 )
             else:

@@ -290,14 +290,13 @@ def compute_imq(mod: LinkModule) -> ImqResult:
     else:
         mesh = _Mesh(d)
         op, arc_element = _list_closure(mesh.arcs, mesh.product, bound)
-    return _finish(d, op, arc_element, len(op))
+    return _finish(d, op, arc_element)
 
 
-def _finish(
-    d: LinkDiagram, op: list[list[int]], arc_element: list[int], created: int
-) -> ImqResult:
+def _finish(d: LinkDiagram, op: list[list[int]], arc_element: list[int]) -> ImqResult:
     """Label each element by its arcs and check the table: the quandle
-    axioms, every crossing relation, and one orbit per component."""
+    axioms, every crossing relation, and one orbit per component.  Every
+    element of the table counts as created."""
     labels: dict[int, object] = {i: () for i in range(len(op))}
     for a, e in enumerate(arc_element):
         labels[e] = (*labels[e], d.arc_names[a])
@@ -313,7 +312,7 @@ def _finish(
     if len(orbits(q)) != d.mu:
         raise InternalCheckError("orbit count differs from component count")
     return ImqResult(
-        quandle=q, arc_element=arc_element, diagram=d, elements_created=created
+        quandle=q, arc_element=arc_element, diagram=d, elements_created=len(op)
     )
 
 

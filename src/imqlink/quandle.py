@@ -65,7 +65,27 @@ ends the branch.  It is exhaustive:
 
 These are the propagation and forward-checking steps of
 individualisation-refinement (B. McKay and A. Piperno, "Practical graph
-isomorphism, II", J. Symbolic Comput. 60 (2014)), without its refinement.
+isomorphism, II", J. Symbolic Comput. 60 (2014)), without its refinement,
+which on a quandle never splits the starting colours.  The search starts
+from one signature per element, the size of its orbit and the number of
+fixed points of R_x (`_iso_candidates`), and the refinement would add
+nothing to it:
+
+- each R_y is an automorphism, so the orbits of `orbits` are the orbits
+  of the inner automorphism group;
+- the signature is constant on each orbit, since R_{x |> y} = R_y R_x R_y^-1
+  has as many fixed points as R_x;
+- a refinement step colours x by c(x) and the multisets of (c(y), c(x |> y))
+  and of (c(y), c(y |> x)) over all y.  As x |> y lies in the orbit of x
+  and y |> x in the orbit of y, these are the multisets of (c(y), c(x))
+  and of (c(y), c(y)): they depend only on c(x) and the histogram of the
+  colours over the table;
+- so no step splits a colour class, the refinement stops after one round,
+  and two tables' refined colour histograms agree exactly when their
+  signature histograms do.
+
+Inner automorphisms also let `is_isomorphic` try one image per orbit for
+the first element it branches on; the argument is in its docstring.
 """
 
 from __future__ import annotations
@@ -365,50 +385,34 @@ def subquandle(q: FiniteQuandle, members: list[int]) -> FiniteQuandle:
     return FiniteQuandle(op, labels=labels)
 
 
-def _fingerprints(q: FiniteQuandle, orbs: list[list[int]]) -> list[int]:
-    """Operation-aware color refinement, seeded by the orbits of q;
-    isomorphic quandles get equal color histograms and isomorphisms
-    preserve colors."""
-    orb_of = {}
-    for orb in orbs:
+def _signatures(q: FiniteQuandle) -> list[tuple[int, int]]:
+    """Per element x, the size of its orbit and the number of fixed points
+    of R_x."""
+    size = [0] * q.n
+    for orb in orbits(q):
         for x in orb:
-            orb_of[x] = len(orb)
-    fixed = [sum(1 for x in range(q.n) if q.op[x][y] == x) for y in range(q.n)]
-    color = [hash((orb_of[x], fixed[x])) for x in range(q.n)]
-    for _ in range(q.n):
-        nxt = [
-            hash(
-                (
-                    color[x],
-                    tuple(sorted((color[y], color[q.op[x][y]]) for y in range(q.n))),
-                    tuple(sorted((color[y], color[q.op[y][x]]) for y in range(q.n))),
-                )
-            )
-            for x in range(q.n)
-        ]
-        if len(set(nxt)) == len(set(color)):
-            color = nxt
-            break
-        color = nxt
-    return color
+            size[x] = len(orb)
+    fixed = [sum(row[x] == y for y, row in enumerate(q.op)) for x in range(q.n)]
+    return list(zip(size, fixed))
 
 
 def _iso_candidates(q1: FiniteQuandle, q2: FiniteQuandle) -> list[list[int]] | None:
-    """Per element x of q1, the elements of q2 with the fingerprint of x;
-    None when orbit sizes or fingerprints already tell q1 and q2 apart.
-    Automorphism searches pass q1 is q2, and each invariant is then
-    computed once."""
-    if q1.n != q2.n:
+    """Per element x of q1, the elements of q2 with the signature of x (see
+    `_signatures`); None when the two tables' signature histograms differ,
+    which includes tables of different sizes.  Every isomorphism keeps the
+    signature, so none is lost.  This is the partition the colour
+    refinement of individualisation-refinement would reach: by the module
+    docstring it never splits the signature classes.  The elements of one
+    signature share one list.  Automorphism searches pass q1 is q2, and the
+    signatures are then computed once."""
+    s1 = _signatures(q1)
+    s2 = s1 if q2 is q1 else _signatures(q2)
+    if sorted(s1) != sorted(s2):
         return None
-    o1 = orbits(q1)
-    o2 = o1 if q2 is q1 else orbits(q2)
-    if sorted(len(o) for o in o1) != sorted(len(o) for o in o2):
-        return None
-    c1 = _fingerprints(q1, o1)
-    c2 = c1 if q2 is q1 else _fingerprints(q2, o2)
-    if sorted(c1) != sorted(c2):
-        return None
-    return [[y for y in range(q2.n) if c2[y] == c] for c in c1]
+    by_sig: dict[tuple[int, int], list[int]] = {}
+    for y, s in enumerate(s2):
+        by_sig.setdefault(s, []).append(y)
+    return [by_sig[s] for s in s1]
 
 
 def _most_constrained(dom: list[int], done: int, used: int, n: int) -> int:
@@ -531,10 +535,22 @@ def _iso_search(
 
 def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> list[int] | None:
     """A witness bijection f with f(x |> y) = f(x) |> f(y), or None; the
-    search is exhaustive, so None disproves isomorphism."""
+    search is exhaustive, so None disproves isomorphism.
+
+    The element x0 of q1 with the fewest candidates, where the search
+    branches first, keeps only the least element of each orbit of q2 among
+    them.  No verdict changes when q2 is a quandle: if f is an isomorphism
+    with f(x0) = y, some product g of right translations of q2 sends y to
+    the least element m of its orbit, and g is an automorphism of q2, so
+    g f is an isomorphism with g f(x0) = m.  As g keeps every orbit, it
+    keeps every signature, so g f respects every candidate list."""
     candidates = _iso_candidates(q1, q2)
     if candidates is None:
         return None
+    if q1.n:
+        least = {orb[0] for orb in orbits(q2)}
+        x0 = min(range(q1.n), key=lambda x: len(candidates[x]))
+        candidates[x0] = [y for y in candidates[x0] if y in least]
     res = _iso_search(q1, q2, candidates, want_all=False)
     return res[0] if res else None
 

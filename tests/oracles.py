@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd, prod
 
 from imqlink import quandle
@@ -100,6 +100,52 @@ def literal_orbits(q: FiniteQuandle) -> list[list[int]]:
         for y in range(q.n):
             uf.union(x, q.op[x][y])
     return uf.classes()
+
+
+def fingerprints(q: FiniteQuandle, orbs: list[list[int]]) -> list[int]:
+    """Operation-aware colour refinement, seeded by orbit sizes and the
+    fixed points of each R_x and run until a round splits no colour class;
+    isomorphic quandles get equal colour histograms and isomorphisms
+    preserve colours."""
+    orb_of = {}
+    for orb in orbs:
+        for x in orb:
+            orb_of[x] = len(orb)
+    fixed = [sum(1 for x in range(q.n) if q.op[x][y] == x) for y in range(q.n)]
+    color = [hash((orb_of[x], fixed[x])) for x in range(q.n)]
+    for _ in range(q.n):
+        nxt = [
+            hash(
+                (
+                    color[x],
+                    tuple(sorted((color[y], color[q.op[x][y]]) for y in range(q.n))),
+                    tuple(sorted((color[y], color[q.op[y][x]]) for y in range(q.n))),
+                )
+            )
+            for x in range(q.n)
+        ]
+        if len(set(nxt)) == len(set(color)):
+            color = nxt
+            break
+        color = nxt
+    return color
+
+
+def fingerprint_candidates(
+    q1: FiniteQuandle, q2: FiniteQuandle
+) -> list[list[int]] | None:
+    """Per element x of q1, the elements of q2 with the fingerprint of x;
+    None when orbit sizes or fingerprints already tell q1 and q2 apart:
+    the oracle for `quandle._iso_candidates`."""
+    if q1.n != q2.n:
+        return None
+    o1, o2 = orbits(q1), orbits(q2)
+    if sorted(len(o) for o in o1) != sorted(len(o) for o in o2):
+        return None
+    c1, c2 = fingerprints(q1, o1), fingerprints(q2, o2)
+    if sorted(c1) != sorted(c2):
+        return None
+    return [[y for y in range(q2.n) if c2[y] == c] for c in c1]
 
 
 def literal_iso_search(
@@ -1352,4 +1398,4 @@ def saturate(
     for (x, y), z in s.table.items():
         op[relabel[x]][relabel[y]] = relabel[z]
     arc_element = [relabel[s.find(gen[a])] for a in range(d.n_arcs)]
-    return _finish(d, op, arc_element, s.created)
+    return replace(_finish(d, op, arc_element), elements_created=s.created)

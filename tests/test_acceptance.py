@@ -1,13 +1,14 @@
 """Acceptance sweep: one test per headline claim of the engine.
 
 Each test pins the exact values for one deliverable, so `pytest -v` on
-this file reads as a ten-line report card.  Everything here is also
+this file reads as an eleven-line report card.  Everything here is also
 covered in finer grain by the per-module suites; failures there explain
 failures here.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import time
 
@@ -28,6 +29,7 @@ from imqlink.arcquandle import (
     marking_equivalent,
     reindexing_sensitivity,
 )
+from imqlink.cli import main
 from imqlink.diagram import make_even
 from imqlink.fixtures import FIXTURE_NAMES
 from imqlink.imq import check_size_bounds
@@ -276,3 +278,25 @@ def test_criterion_10_size_bounds_on_every_finite_fixture(modules, imq_results):
             assert q.n * 2 ** (mu - 1) >= mu * det
             for orbit in orbits(q):
                 assert 2 * len(orbit) <= det
+
+
+def test_criterion_11_same_double_cover_different_imq(tmp_path, capsys, perfbench_module):
+    # twist chains with regions (2,4,4), (4,4,2) and (4,2,4): each double
+    # branched cover is L(2,1)#L(4,1)#L(4,1), the connected sum of the
+    # covers of the summands, and each pair carries equivalent markings,
+    # isomorphic coset quandles and non-isomorphic presented quandles
+    gen = perfbench_module("gen")
+    for first, second in (((2, 4, 4), (4, 2, 4)), ((4, 4, 2), (4, 2, 4))):
+        paths = []
+        for regions in (first, second):
+            word = gen.chain_word(list(regions), random.Random(1))
+            path = tmp_path / ("chain_" + "_".join(map(str, regions)) + ".json")
+            path.write_text(gen.to_text(gen.closure(word, len(regions) + 1)))
+            paths.append(str(path))
+        assert main(["--format", "machine", "compare", *paths]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["h1_isomorphic"] is True
+        assert rec["marking_equivalent"] == "equivalent"
+        assert rec["arc_quandle_isomorphic"] is True
+        assert rec["imq_isomorphic"] is False
+        assert rec["implication_chain_ok"] is True

@@ -264,13 +264,27 @@ PARSE_CONTRACT = [
     pytest.param(
         _trefoil(True, "components", "b"),
         DiagramValidationError,
-        "arc-in-multiple-components: arc 1 in components 0 and 0; "
+        "arc-repeated: component 0 lists arc 1 twice; "
         "arc-unassigned: arc 0 is in no component; "
         "alignment: component 0 walk step 0 expects under pair (1, 1), "
         "crossing 0 has (0, 1); "
         "alignment: component 0 walk step 2 expects under pair (1, 2), "
         "crossing 2 has (0, 2)",
         id="arc-twice",
+    ),
+    pytest.param(
+        # hopf2 with its third component walking arc "a" instead of "c"
+        '{"arcs": ["a", "b", "b\'", "c"], "crossings": [["a", "b", "b\'"], '
+        '["b\'", "a", "a"], ["c", "b", "b\'"], ["b", "c", "c"]], '
+        '"components": [{"arcs": ["a"], "crossings": [1]}, '
+        '{"arcs": ["b", "b\'"], "crossings": [0, 2]}, '
+        '{"arcs": ["a"], "crossings": [3]}]}',
+        DiagramValidationError,
+        "arc-in-multiple-components: arc 0 in components 0 and 2; "
+        "arc-unassigned: arc 3 is in no component; "
+        "alignment: component 2 walk step 0 expects under pair (0, 0), "
+        "crossing 3 has (3, 3)",
+        id="arc-in-two-components",
     ),
     pytest.param(
         '{"arcs": ["a", "b"], "crossings": [["a", "a", "b"], ["b", "b", "a"]], '

@@ -355,7 +355,7 @@ def _mesh(mod):
     # the displacement mesh's table, which compute_imq lists only for mu >= 3
     mesh = imq._Mesh(mod.diagram)
     op, arc_element = imq._list_closure(mesh.arcs, mesh.product, 10_000)
-    return imq._finish(mod.diagram, op, arc_element, len(op))
+    return imq._finish(mod.diagram, op, arc_element)
 
 
 @pytest.mark.parametrize("name", FINITE + tuple(sorted(CREATED_LARGE)))

@@ -1,14 +1,15 @@
 """The isomorphism search against the literal backtracking search it
-replaced, the orbits against union-find, and the displacement group
-against the literal closure with its presentation.
+replaced, its candidates against the colour refinement they replaced, the
+orbits against union-find, and the displacement group against the literal
+closure with its presentation.
 
 `oracles.literal_iso_search` assigns elements in candidate order and checks
 each pair once both sides are set; `quandle._iso_search` sets forced images
 and narrows domains through left-translation fibres.  They must return the
 same isomorphisms on the Q_A and IMQ tables of the finite fixtures, the gate
-diagrams and seeded twist chains.  Two copies of the package search with one
-step taken out show that the node bound and the closure check below each
-catch a search that lost a step."""
+diagrams and seeded twist chains.  Copies of the package with one step
+taken out show that the candidate check, the node bounds and the closure
+check below each catch a search that lost a step."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import pytest
 from conftest import FINITE
 from oracles import (
     automorphism_classes,
+    fingerprint_candidates,
     is_isomorphism,
     literal_displacement_group,
     literal_is_semiregular,
@@ -178,6 +180,37 @@ def test_is_isomorphic_agrees_with_the_literal_search(tables):
             yes += witness is not None
             no += witness is None
     assert yes and no
+
+
+def _candidate_mismatches(module, tables) -> set[str]:
+    """The tables, and the relabelled pairs of tables of equal size, on
+    which `module._iso_candidates` differs from the colour refinement it
+    replaced, `None` verdicts included."""
+    rng = random.Random(10)
+    items = list(tables.items())
+    bad = set()
+    for i, (name1, (q1, _)) in enumerate(items):
+        for name2, (q2, _) in items[i:]:
+            if q2.n != q1.n:
+                continue
+            other = q1 if name2 == name1 else _relabelled(q2, rng)
+            if module._iso_candidates(q1, other) != fingerprint_candidates(q1, other):
+                bad.add(name1 if other is q1 else f"{name1}/{name2}")
+    return bad
+
+
+def test_candidates_equal_the_colour_refinement(tables):
+    assert _candidate_mismatches(quandle, tables) == set()
+
+
+def test_signature_without_fixed_points_loses_candidates(tables, monkeypatch):
+    # on these IMQs orbits of one size differ in the fixed points of R_x
+    mutant = _mutant(
+        monkeypatch, "return list(zip(size, fixed))", "return list(zip(size, size))"
+    )
+    assert {"chain_2_2_2:imq", "chain_2_6:imq", "hopf2:imq"} <= _candidate_mismatches(
+        mutant, tables
+    )
 
 
 def _core(*torsion: int) -> FiniteQuandle:
@@ -350,3 +383,43 @@ def test_search_without_the_fibre_check_exceeds_the_node_bound(monkeypatch):
     )
     with pytest.raises(_NodeBoundExceeded):
         _hard_classes(monkeypatch, mutant, "chain_4_4_4")
+
+
+# chains whose presented quandles are not isomorphic, though the orbit
+# sizes and fixed points leave every element many candidates: a search that
+# tries every orbit of q2 for its first branching element takes 28,033 and
+# 22,849 branch nodes; one that tries the least element of each, under 900
+NON_ISOMORPHIC_IMQS = [((2, 4, 8), (2, 8, 4)), ((4, 4, 6), (4, 6, 4))]
+FIRST_BRANCH_NODE_BOUND = 2000
+
+
+def _chain_imq(gen, regions: tuple[int, ...]) -> FiniteQuandle:
+    word = gen.chain_word(list(regions), random.Random(1))
+    text = gen.to_text(gen.closure(word, len(regions) + 1))
+    return compute_imq(build_link_module(parse_diagram(text))).quandle
+
+
+@pytest.fixture(scope="module")
+def non_isomorphic_imqs(perfbench_module):
+    gen = perfbench_module("gen")
+    return [(_chain_imq(gen, a), _chain_imq(gen, b)) for a, b in NON_ISOMORPHIC_IMQS]
+
+
+def test_one_point_per_orbit_bounds_the_first_branch(non_isomorphic_imqs, monkeypatch):
+    _watch_nodes(monkeypatch, quandle, FIRST_BRANCH_NODE_BOUND)
+    for q1, q2 in non_isomorphic_imqs:
+        assert is_isomorphic(q1, q2) is None
+
+
+def test_search_of_every_first_image_exceeds_the_node_bound(
+    non_isomorphic_imqs, monkeypatch
+):
+    mutant = _mutant(
+        monkeypatch,
+        "\n        candidates[x0] = [y for y in candidates[x0] if y in least]",
+        "",
+    )
+    _watch_nodes(monkeypatch, mutant, FIRST_BRANCH_NODE_BOUND)
+    with pytest.raises(_NodeBoundExceeded):
+        for q1, q2 in non_isomorphic_imqs:
+            mutant.is_isomorphic(q1, q2)
