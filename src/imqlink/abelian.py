@@ -28,8 +28,10 @@ crossing rows of T(2, n).  On some drawings the Smith form of the literal
 rows grows entries of over a hundred digits.  The IMQ's displacement mesh
 keys its elements by the same basis and the same split.
 `_gf2_echelon` and `_gf2_reduce` are the package's one eliminator over
-GF(2); the coset quandle's marking questions and the parity part of the
-IMQ's displacement mesh both use them.
+GF(2); the coset quandle's marking questions, its re-indexing search and
+the parity part of the IMQ's displacement mesh all use them.  The coset
+quandle's unimodular lift of a GF(2) matrix runs no elimination of its
+own: it is read off Smith forms.
 """
 
 from __future__ import annotations
@@ -154,14 +156,6 @@ def _scaled_sum(a: int, x: Row, b: int, y: Row) -> Row:
     out = {k: a * v for k, v in x.items()} if a else {}
     if b:
         _add_scaled(out, y, b)
-    return out
-
-
-def _combination(coeffs: Row, rows: list[Row]) -> Row:
-    """The sparse row sum of x * rows[k] over coeffs' entries x at k."""
-    out: Row = {}
-    for k, x in coeffs.items():
-        _add_scaled(out, rows[k], x)
     return out
 
 
@@ -337,7 +331,7 @@ def smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithForm:
     n = n_cols
     if any(len(row) != n for row in rows):
         raise ValueError("ragged matrix")
-    a = [row[:] for row in rows]
+    a = [list(row) for row in rows]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
     v_inv = [row[:] for row in v]
@@ -544,20 +538,13 @@ class Presentation:
             [sum(x * v[k][j] for k, x in row.items()) for j in self._read]
         )
 
-    def to_canonical(self, gen_vector: list[int]) -> GroupElt:
-        """Image in the quotient of a Z-combination of generators."""
-        if len(gen_vector) != self.n_gens:
-            raise ValueError("generator vector length mismatch")
-        coeffs = {i: x for i, x in enumerate(gen_vector) if x}
-        return self._image(_combination(coeffs, self._gen_rows))
-
     def generator_image(self, i: int) -> GroupElt:
-        """to_canonical of the unit vector at i: generator i's row."""
+        """The image of generator i in the quotient: its row."""
         return self._image(self._gen_rows[i])
 
     def lift(self, elt: GroupElt) -> list[int]:
-        """A generator vector mapping to elt under to_canonical, zero off
-        the free columns."""
+        """A generator vector whose Z-combination of generators maps to elt,
+        zero off the free columns."""
         if elt.group != self.group:
             raise ValueError("element of a different group")
         y = [0] * len(self._columns)

@@ -77,8 +77,11 @@ the second at every level a.  Why this is exact:
   parities and tau keeps that sum, so psi keeps the weight mod 2, and B has
   first column e_1; psi is invertible mod W, so the lower block of B is
   invertible.  Lift B with that first column, its first row by 0/1 and its
-  lower block by `_gf2_unimodular_lift`, and shift by torsion lifts of the
-  W parts: the free generators keep their weights and phi lifts psi.
+  lower block A by a unimodular integer matrix congruent to it mod 2: with
+  U A V = D the Smith form, det A is odd, so D = I mod 2 and
+  A = U^-1 V^-1 mod 2, a product of unimodular matrices
+  (`_gf2_unimodular_lift`).  Shift by torsion lifts of the W parts: the
+  free generators keep their weights and phi lifts psi.
 - Since P_a nests and dim P_a = dim U_a on both sides, it suffices that
   tau sends the parity of each even torsion unit into P_a at that unit's
   own level.
@@ -133,9 +136,10 @@ from .abelian import (
     _gf2_echelon,
     _gf2_reduce,
     _stacked_relations,
+    mat_mul,
     smith_normal_form,
 )
-from .linkmodule import InternalCheckError, LinkModule, check_listing_cap
+from .linkmodule import InternalCheckError, LinkModule, check_listing_cap, size_bounds
 from .quandle import FiniteQuandle, UnionFind, is_semiregular, orbits
 
 Bits = tuple[int, ...]
@@ -173,26 +177,13 @@ def _gf2_solve(cols: list[int], target: int) -> int:
 
 def _gf2_unimodular_lift(rows: list[list[int]]) -> list[list[int]]:
     """Integer matrix of determinant +-1 congruent mod 2 to the given
-    invertible GF(2) matrix, by replaying elementary row operations."""
-    m = len(rows)
-    g = [[x % 2 for x in r] for r in rows]
-    ops: list[tuple[str, int, int]] = []
-    for col in range(m):
-        piv = next(i for i in range(col, m) if g[i][col])
-        if piv != col:
-            g[col], g[piv] = g[piv], g[col]
-            ops.append(("swap", col, piv))
-        for i in range(m):
-            if i != col and g[i][col]:
-                g[i] = [(a + b) % 2 for a, b in zip(g[i], g[col])]
-                ops.append(("add", i, col))
-    out = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for kind, i, j in reversed(ops):
-        if kind == "swap":
-            out[i], out[j] = out[j], out[i]
-        else:
-            out[i] = [a - b for a, b in zip(out[i], out[j])]
-    return out
+    invertible GF(2) matrix A.  With U A V = D its Smith form, D has odd
+    determinant, so every diagonal entry is odd and A = U^-1 V^-1 mod 2.
+    U is unimodular, so its own Smith form U' U V' = I gives
+    U^-1 = V' U'; the lift is V' U' V^-1."""
+    snf = smith_normal_form(rows, len(rows))
+    inv = smith_normal_form(snf.u, len(rows))
+    return mat_mul(mat_mul(inv.v, inv.u), snf.v_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +245,7 @@ def _coset_table(
             elems.append(e)
             comp_of.append(i)
     mu = mod.mu
-    expected = mu * det
-    if expected % (1 << (mu - 1)):
-        raise InternalCheckError("size formula not integral")
-    if len(elems) != expected // (1 << (mu - 1)):
+    if len(elems) != size_bounds(det, mu)[0]:
         raise InternalCheckError("coset count disagrees with size formula")
 
     # 2y - x on coordinate tuples, reduced by the group's moduli exactly as
@@ -526,9 +514,10 @@ def _flag_reindexing(
     in ascending order: component i first when pinned, then the others in
     ascending order.  So without a pin the first full tau is the least.
     Each level is rewritten over a basis whose vectors have distinct last
-    components in that order; the level's vectors on the components set so
-    far are spanned by the basis vectors whose last component is set.  So
-    after setting a component the search checks that the image of each
+    components in that order, the echelon basis of `_gf2_echelon` on the
+    components in reverse order; the level's vectors on the components set
+    so far are spanned by the basis vectors whose last component is set.
+    So after setting a component the search checks that the image of each
     basis vector ending at it lies in the level of dst.  That is every
     condition the set components decide, and a full tau that passes maps
     each level into, hence onto, the level of dst, whose dimension is the
@@ -545,19 +534,14 @@ def _flag_reindexing(
     pos = [0] * mu
     for c, i in enumerate(order):
         pos[i] = c
+    # bit k of a reversed vector is the component order[mu - 1 - k], so the
+    # pivot of an echelon row, its lowest bit, is its last position
+    to_rev, from_rev = [mu - 1 - c for c in pos], order[::-1]
     checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(mu)]
     for level1, level2 in zip(levels1, levels2, strict=True):
-        rows: dict[int, int] = {}  # by last position, over positions
-        for v in level1:
-            v = _image(v, pos)
-            while v:
-                last = v.bit_length() - 1
-                if last not in rows:
-                    rows[last] = v
-                    break
-                v ^= rows[last]
-        for last, v in rows.items():
-            checks[last].append((_image(v, order), level2))
+        for v in _gf2_echelon([_image(v, to_rev) for v in level1])[0]:
+            last = mu - (v & -v).bit_length()
+            checks[last].append((_image(v, from_rev), level2))
     domains = [[t for t in range(mu) if colours2[t] == colours1[i]] for i in order]
     if pin is not None:
         domains[0] = [pin[1]] if pin[1] in domains[0] else []

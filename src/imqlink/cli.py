@@ -42,6 +42,7 @@ from .linkmodule import (
     check_listing_cap,
     longitude_zero_subset,
     longitudes,
+    size_bounds,
     torsion_parity_profile,
 )
 from .quandle import (
@@ -142,9 +143,8 @@ def build_report(
             "size": qa.quandle.n,
             "orbit_sizes": sorted(len(o) for o in orbits(qa.quandle)),
         }
-        checks["arc_quandle_size_formula"] = (
-            qa.quandle.n * (1 << (d.mu - 1)) == d.mu * det
-        )
+        lower, upper = size_bounds(det, d.mu)
+        checks["arc_quandle_size_formula"] = qa.quandle.n == lower
         sens = reindexing_sensitivity(mod)
         report["component_classes"] = [list(c) for c in sens.classes]
         if not run_imq:
@@ -160,8 +160,6 @@ def build_report(
             checks["imq_group_reconstruction"] = group_from_quandle(q) == mod.group
             surjection_to_arc_quandle(res, qa)  # raises on failure
             checks["surjection_onto_arc_quandle"] = True
-            lower = (d.mu * det) // (1 << (d.mu - 1))
-            upper = (d.mu * det) // 2
             report["imq_strictly_between_bounds"] = (
                 d.mu > 1 and lower < q.n < upper
             )

@@ -175,7 +175,8 @@ def parse_diagram(text: str) -> LinkDiagram:
     # falls back to the check
     names: list[str] = []
     index: dict[str, int] = {}
-    if "arcs" in obj:
+    declared = "arcs" in obj
+    if declared:
         if not isinstance(obj["arcs"], list):
             raise DiagramSyntaxError("non-list 'arcs'")
         for name in obj["arcs"]:
@@ -185,24 +186,17 @@ def parse_diagram(text: str) -> LinkDiagram:
             index[name] = len(names)
             names.append(name)
 
-        def arc_id(name: str) -> int:
-            try:
-                return index[name]
-            except (KeyError, TypeError):
-                pass
-            check_name(name)
+    def arc_id(name: str) -> int:
+        try:
+            return index[name]
+        except (KeyError, TypeError):
+            pass
+        check_name(name)
+        if declared:
             raise DiagramSyntaxError(f"unknown arc name: {name!r}")
-
-    else:
-
-        def arc_id(name: str) -> int:
-            try:
-                return index[name]
-            except (KeyError, TypeError):
-                pass
-            index[check_name(name)] = len(names)
-            names.append(name)
-            return len(names) - 1
+        index[name] = len(names)
+        names.append(name)
+        return len(names) - 1
 
     components = []
     for ci, comp in enumerate(raw_components):

@@ -48,8 +48,9 @@ which checks the quandle axioms, every crossing relation and the orbit
 count on the table.  The axioms are checked on the rows of the table's
 greedy generating set (`FiniteQuandle.generators`), which the `quandle`
 docstring shows to be exact: n^2 |G| checks, |G| being 2 for T(2, n) and
-4 for chain (6,6,6).  `surjection_to_arc_quandle` then fills its map by
-one search from the arc elements, and checks it on every pair.
+4 for chain (6,6,6).  `surjection_to_arc_quandle` then extends its map
+along the steps by which that generating set reaches each element, and
+checks it on every pair.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 from .abelian import _dense, _gf2_echelon, _gf2_reduce, _hermite_basis, _unit_split
 from .arcquandle import ArcQuandle, build_arc_quandle
 from .diagram import LinkDiagram
-from .linkmodule import InternalCheckError, LinkModule, check_imq_bound
+from .linkmodule import InternalCheckError, LinkModule, check_imq_bound, size_bounds
 from .quandle import FiniteQuandle, check_axioms, orbits
 
 
@@ -321,10 +322,11 @@ def surjection_to_arc_quandle(res: ImqResult, qa: ArcQuandle) -> list[int]:
     the whole table; verified to be a surjective quandle homomorphism
     matching components orbit by orbit.
 
-    The map is filled by one breadth-first search from the arc elements
-    under the right translations by arc elements.  `compute_imq` checked
-    the table's axioms, so R_{x |> y} = R_y R_x R_y, and that search
-    reaches the whole subquandle the arcs generate.  Every pair is then
+    The map is extended along the table's greedy generating set
+    (`FiniteQuandle._reach`), which `compute_imq`'s axiom check has already
+    built: each element reached as x |> g maps to f(x) |> f(g).
+    `compute_imq` numbers the arc elements first, and they generate the
+    table, so every generator is an arc element.  Every pair is then
     checked."""
     if qa.module.diagram is not res.diagram and qa.module.diagram != res.diagram:
         raise ValueError("quandles come from different diagrams")
@@ -336,24 +338,23 @@ def surjection_to_arc_quandle(res: ImqResult, qa: ArcQuandle) -> list[int]:
         if cur is not None and cur != target:
             raise InternalCheckError("arc generators map inconsistently")
         f[res.arc_element[a]] = target
-    arcs = list(dict.fromkeys(res.arc_element))
-    queue = arcs[:]
-    for x in queue:  # the loop sees the elements appended in it
-        row, fx = res.quandle.op[x], qa.quandle.op[f[x]]
-        for a in arcs:
-            z, img = row[a], fx[f[a]]
+    op = qa.quandle.op
+    for z, via in res.quandle._reach.items():
+        if via is None:
             if f[z] is None:
-                f[z] = img
-                queue.append(z)
-            elif f[z] != img:
-                raise InternalCheckError("map does not respect the operation")
-    if any(v is None for v in f):
-        raise InternalCheckError("quandle not generated by its arc elements")
+                raise InternalCheckError("quandle not generated by its arc elements")
+            continue
+        x, g = via
+        img = op[f[x]][f[g]]
+        if f[z] is None:
+            f[z] = img
+        elif f[z] != img:
+            raise InternalCheckError("map does not respect the operation")
     if set(f) != set(range(qa.quandle.n)):
         raise InternalCheckError("map is not surjective")
     for x in range(res.quandle.n):
         for y in range(res.quandle.n):
-            if f[res.quandle.op[x][y]] != qa.quandle.op[f[x]][f[y]]:
+            if f[res.quandle.op[x][y]] != op[f[x]][f[y]]:
                 raise InternalCheckError("homomorphism check failed")
     for orb in orbits(res.quandle):
         comps = {qa.component_of[f[x]] for x in orb}
@@ -364,17 +365,14 @@ def surjection_to_arc_quandle(res: ImqResult, qa: ArcQuandle) -> list[int]:
         ]
         if len(comps) != 1 or {res.diagram.kappa[a] for a in gens} != comps:
             raise InternalCheckError("orbits do not map component to component")
-    return [v for v in f if v is not None]
+    return f
 
 
 def check_size_bounds(q: FiniteQuandle, det: int, mu: int) -> bool:
-    """Exact size for one component; the sandwich mu*det/2 >= n >=
-    mu*det/2^(mu-1) plus the per-orbit det/2 bound otherwise."""
-    if det == 0:
-        raise ValueError("bounds need a nonzero determinant")
-    det = abs(det)
-    if mu == 1:
-        return q.n == det
-    if 2 * q.n > mu * det or q.n * (1 << (mu - 1)) < mu * det:
+    """The paper's bounds (`size_bounds`): exact size for one component;
+    the sandwich mu*det/2 >= n >= mu*det/2^(mu-1) plus the per-orbit det/2
+    bound otherwise."""
+    lower, upper = size_bounds(det, mu)
+    if not lower <= q.n <= upper:
         return False
-    return all(2 * len(orb) <= det for orb in orbits(q))
+    return mu == 1 or all(2 * len(orb) <= abs(det) for orb in orbits(q))

@@ -14,7 +14,7 @@ first homology of the double branched cover, is M with one free factor
 dropped, and the determinant is |ker(w)| (0 when infinite); both are read
 off M's invariant factors once, in `build_link_module`, from the
 `cokernel` of the crossing rows.  That function also presents ker(w)
-literally, as the cokernel of the crossing rows plus a unit row at one arc
+literally, as the cokernel of the crossing rows plus a unit row at arc 0
 (`weight_kernel`), and raises InternalCheckError unless the two agree.
 
 w and p are linear in the canonical coordinates of M, so each module
@@ -158,15 +158,12 @@ def build_link_module(d: LinkDiagram) -> LinkModule:
     return mod
 
 
-def weight_kernel(mod: LinkModule, base_arc: int = 0) -> FgAbGroup:
-    """ker(weight), presented by the crossing rows plus a unit row at
-    base_arc; isomorphic to the first homology of the double branched
-    cover."""
-    if not 0 <= base_arc < mod.diagram.n_arcs:
-        raise ValueError("base_arc out of range")
+def weight_kernel(mod: LinkModule) -> FgAbGroup:
+    """ker(weight), presented by the crossing rows plus a unit row at arc
+    0; isomorphic to the first homology of the double branched cover."""
     # the literal crossing rows, not the module's basis of them, so that
     # this stays a computation independent of build_link_module's
-    rows = relation_matrix(mod.diagram) + [{base_arc: 1}]
+    rows = relation_matrix(mod.diagram) + [{0: 1}]
     return cokernel(rows, mod.diagram.n_arcs).group
 
 
@@ -239,12 +236,24 @@ def check_listing_cap(mod: LinkModule) -> None:
         )
 
 
+def size_bounds(det: int, mu: int) -> tuple[int, int]:
+    """The paper's bounds on |IMQ(L)| for det != 0, as (lower, upper).
+    The lower one is |Q_A| = mu det / 2^(mu-1); the upper one is det for a
+    knot, where |IMQ(K)| = det, and mu det / 2 for a link."""
+    if det == 0:
+        raise ValueError("bounds need a nonzero determinant")
+    det = abs(det)
+    if mu * det % (1 << (mu - 1)):
+        raise InternalCheckError("size formula not integral")
+    return mu * det // (1 << (mu - 1)), det if mu == 1 else mu * det // 2
+
+
 def check_imq_bound(mod: LinkModule) -> int:
-    """The paper's bound on |IMQ(L)| for det != 0, det for a knot and
-    mu det / 2 for a link.  Raise CapExceeded when T or the bound passes
-    the listing cap, so that no listing the cap could stop starts."""
+    """The upper bound of `size_bounds` on |IMQ(L)|.  Raise CapExceeded
+    when T or the bound passes the listing cap, so that no listing the cap
+    could stop starts."""
     check_listing_cap(mod)
-    bound = mod.determinant * max(mod.mu, 2) // 2
+    bound = size_bounds(mod.determinant, mod.mu)[1]
     if bound > LISTING_CAP:
         raise CapExceeded(
             f"resource cap: up to {bound} presented quandle elements to list, "

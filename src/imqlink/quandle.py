@@ -125,9 +125,6 @@ class FiniteQuandle:
         self.labels = dict(labels) if labels else {}
         self._dis: frozenset[Perm] | None = None  # set by displacement_group
 
-    def apply(self, x: int, y: int) -> int:
-        return self.op[x][y]
-
     def translation(self, y: int) -> Perm:
         """The permutation x -> x |> y."""
         return tuple(self.op[x][y] for x in range(self.n))

@@ -15,7 +15,9 @@ from imqlink.abelian import (
     GroupElt,
     Matrix,
     Presentation,
+    Row,
     SmithForm,
+    _add_scaled,
     _dense,
     _ext_gcd,
     _gf2_echelon,
@@ -31,7 +33,6 @@ from imqlink.abelian import (
 from imqlink.arcquandle import (
     ArcQuandle,
     _canonical_torsion_generators,
-    _gf2_unimodular_lift,
     _mod2_bits,
     _parity_block,
     _verify_unit_decomposition,
@@ -497,9 +498,25 @@ def literal_parity(mod: LinkModule, x: GroupElt) -> tuple[int, ...]:
     return tuple(v % 2 for v in out)
 
 
+def _combination(coeffs: Row, rows: list[Row]) -> Row:
+    """The sparse row sum of x * rows[k] over coeffs' entries x at k."""
+    out: Row = {}
+    for k, x in coeffs.items():
+        _add_scaled(out, rows[k], x)
+    return out
+
+
+def to_canonical(pres: Presentation, gen_vector: list[int]) -> GroupElt:
+    """Image in the quotient of a Z-combination of generators."""
+    if len(gen_vector) != pres.n_gens:
+        raise ValueError("generator vector length mismatch")
+    coeffs = {i: x for i, x in enumerate(gen_vector) if x}
+    return pres._image(_combination(coeffs, pres._gen_rows))
+
+
 def literal_generator_image(pres: Presentation, i: int) -> GroupElt:
-    """to_canonical of the unit vector at generator i, through vec_mat."""
-    return pres.to_canonical([1 if k == i else 0 for k in range(pres.n_gens)])
+    """to_canonical of the unit vector at generator i."""
+    return to_canonical(pres, [1 if k == i else 0 for k in range(pres.n_gens)])
 
 
 def group_relation_rows(q: FiniteQuandle) -> list[list[int]]:
@@ -858,6 +875,32 @@ def is_pure_summand(mod: LinkModule, gens: list[GroupElt], shape: list[int]) -> 
     return True
 
 
+def replay_unimodular_lift(rows: list[list[int]]) -> list[list[int]]:
+    """Integer matrix of determinant +-1 congruent mod 2 to the given
+    invertible GF(2) matrix, by replaying elementary row operations: the
+    construction `arcquandle._gf2_unimodular_lift` replaced by Smith forms,
+    kept so that `explicit_free_generators` shares nothing with it."""
+    m = len(rows)
+    g = [[x % 2 for x in r] for r in rows]
+    ops: list[tuple[str, int, int]] = []
+    for col in range(m):
+        piv = next(i for i in range(col, m) if g[i][col])
+        if piv != col:
+            g[col], g[piv] = g[piv], g[col]
+            ops.append(("swap", col, piv))
+        for i in range(m):
+            if i != col and g[i][col]:
+                g[i] = [(a + b) % 2 for a, b in zip(g[i], g[col])]
+                ops.append(("add", i, col))
+    out = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for kind, i, j in reversed(ops):
+        if kind == "swap":
+            out[i], out[j] = out[j], out[i]
+        else:
+            out[i] = [a - b for a, b in zip(out[i], out[j])]
+    return out
+
+
 def explicit_free_generators(
     mod: LinkModule,
     ordering: tuple[int, ...],
@@ -931,7 +974,7 @@ def explicit_free_generators(
 
     if free_slots and not extend(0):
         raise InternalCheckError("no invertible recombination of the free tail")
-    lift = _gf2_unimodular_lift(chosen) if chosen else []
+    lift = replay_unimodular_lift(chosen) if chosen else []
 
     gens = [first]
     for j, s in enumerate(free_slots):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from math import factorial, prod
 from pathlib import Path
 
@@ -13,7 +13,7 @@ import pytest
 from conftest import time_limit
 
 from imqlink import arcquandle, quandle
-from imqlink.abelian import subgroup_type
+from imqlink.abelian import _gf2_reduce, int_det, subgroup_type
 from imqlink.arcquandle import (
     ReindexingReport,
     build_arc_quandle,
@@ -50,6 +50,7 @@ from oracles import (
     literal_marking_search,
     orbit_component,
     random_marking,
+    replay_unimodular_lift,
 )
 
 FINITE = ("hopf2", "sixthree", "trefoil", "fig8", "t22t24")
@@ -707,3 +708,108 @@ def test_arc_quandles_of_equivalent_diagrams_isomorphic(arc_quandles):
         is_isomorphic(arc_quandles["trefoil"].quandle, arc_quandles["fig8"].quandle)
         is None
     )
+
+
+def _invertible_gf2_matrices() -> list[list[list[int]]]:
+    """Every invertible 0/1 matrix up to 3 x 3, then 40 seeded ones of each
+    size 4 to 6."""
+    out = []
+    for m in range(1, 4):
+        for bits in itertools.product((0, 1), repeat=m * m):
+            rows = [list(bits[i * m : (i + 1) * m]) for i in range(m)]
+            if int_det(rows) % 2:
+                out.append(rows)
+    rng = random.Random(25)
+    for m in range(4, 7):
+        found = 0
+        while found < 40:
+            rows = [[rng.randint(0, 1) for _ in range(m)] for _ in range(m)]
+            if int_det(rows) % 2:
+                out.append(rows)
+                found += 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "lift",
+    (arcquandle._gf2_unimodular_lift, replay_unimodular_lift),
+    ids=("smith", "replay"),
+)
+def test_unimodular_lift_is_congruent_mod_2(lift):
+    mats = _invertible_gf2_matrices()
+    assert sum(len(a) <= 3 for a in mats) == 175
+    assert lift([]) == []
+    for a in mats:
+        b = lift(a)
+        assert abs(int_det(b)) == 1
+        assert [[x % 2 for x in row] for row in b] == a
+
+
+def _seeded_flag_modules(gen) -> list:
+    """Seeded twist chains of one to five regions, even ones among them,
+    and split pairs of chains, whose determinant is zero; mu <= 6."""
+    mods = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        regions = [rng.choice((2, 3, 4, 6, 8)) for _ in range(rng.randint(1, 5))]
+        word = gen.chain_word(regions, rng)
+        n = len(regions) + 1
+        if seed % 3 == 0:
+            right = [rng.choice((2, 3, 4)) for _ in range(rng.randint(1, 2))]
+            word += [x + n if x > 0 else x - n for x in gen.chain_word(right, rng)]
+            n += len(right) + 1
+        mod = build_link_module(parse_diagram(json.dumps(gen.closure(word, n))))
+        if mod.mu <= 6:
+            mods.append(mod)
+    return mods
+
+
+def _keeping_the_flag(src, dst, mu: int) -> list[list[int]]:
+    """Every tau in S_mu, in lexicographic order, that maps each level of
+    the parity flag src into the same level of dst, hence onto it, as the
+    levels have equal dimensions."""
+    (levels1, _), (levels2, _) = src, dst
+    assert [len(l) for l in levels1] == [len(l) for l in levels2]
+    return [
+        list(tau)
+        for tau in itertools.permutations(range(mu))
+        if all(
+            not _gf2_reduce(list(level2), v)
+            for level1, level2 in zip(levels1, levels2)
+            for v in _mapped(set(level1), tau)
+        )
+    ]
+
+
+def test_flag_reindexing_is_the_least_tau_of_the_brute_force(
+    modules, perfbench_module
+):
+    # unpinned, the least tau that keeps every level; pinned to (i, j), the
+    # least with tau(i) = j; None when there is none.  Every module against
+    # itself, and every pair with one group
+    mods = list(modules.values())
+    mods += [
+        build_link_module(parse_diagram(path.read_text()))
+        for path in sorted(GATE_DIAGRAMS.glob("*.json"))
+    ]
+    mods = [m for m in mods if m.mu <= 6]
+    mods += _seeded_flag_modules(perfbench_module("gen"))
+    by_group = defaultdict(list)
+    for mod in mods:
+        by_group[mod.group, mod.mu].append(mod)
+    seen = Counter()
+    for group_mods in by_group.values():
+        for m1, m2 in itertools.combinations_with_replacement(group_mods[:4], 2):
+            src, dst, mu = arcquandle._parity_flag(m1), arcquandle._parity_flag(m2), m1.mu
+            keeping = _keeping_the_flag(src, dst, mu)
+            assert arcquandle._flag_reindexing(src, dst) == (keeping or [None])[0]
+            for i, j in itertools.product(range(mu), repeat=2):
+                want = next((tau for tau in keeping if tau[i] == j), None)
+                assert arcquandle._flag_reindexing(src, dst, (i, j)) == want
+                seen["pinned", want is not None] += 1
+            seen["split"] += m1.determinant == 0
+            seen["moved"] += bool(keeping) and keeping[0] != sorted(keeping[0])
+            seen["none"] += not keeping
+    assert len(mods) >= 150 and max(m.mu for m in mods) == 6
+    assert seen["split"] >= 40 and seen["moved"] >= 10 and seen["none"] >= 10
+    assert seen["pinned", True] >= 1500 and seen["pinned", False] >= 1000

@@ -584,3 +584,23 @@ def test_corruptions_outside_the_generators_fail_both_checks(name, perfbench_mod
             assert bad.generators == q.generators
         assert check_axioms(bad), kind
         assert literal_axiom_violations(bad), kind
+
+
+def test_surjection_rejects_a_generator_outside_the_arc_elements(
+    imq_results, arc_quandles
+):
+    # the trefoil's table with one element e appended, fixed by every
+    # right translation and with R_e the identity: a quandle, though not a
+    # medial one, that the arcs do not generate, so the greedy generating
+    # set holds e
+    res = imq_results["trefoil"]
+    op = res.quandle.op
+    n = len(op)
+    table = [[*row, x] for x, row in enumerate(op)] + [[n] * (n + 1)]
+    mutant = FiniteQuandle(table)
+    assert n in mutant.generators and n not in res.arc_element
+    bad = imq.ImqResult(mutant, res.arc_element, res.diagram, n + 1)
+    with pytest.raises(
+        linkmodule.InternalCheckError, match="not generated by its arc elements"
+    ):
+        surjection_to_arc_quandle(bad, arc_quandles["trefoil"])

@@ -28,6 +28,7 @@ from imqlink.linkmodule import (
     longitude_zero_subset,
     longitudes,
     relation_matrix,
+    size_bounds,
     torsion_parity_profile,
     weight_kernel,
 )
@@ -42,6 +43,7 @@ from oracles import (
     literal_torsion_parity_profile,
     literal_weight,
     subgroups_equal,
+    to_canonical,
 )
 
 DIAGRAMS = Path(__file__).with_name("diagrams")
@@ -287,8 +289,11 @@ def test_weight_kernel_base_arc_independent(name, diagrams, modules):
         mods.append(build_link_module(even))
     for mod in mods:
         assert mod.determinant == determinant_by_minors(mod.diagram)
+        assert weight_kernel(mod) == mod.kernel
+        rows = relation_matrix(mod.diagram)
         for arc in range(mod.diagram.n_arcs):
-            assert weight_kernel(mod, base_arc=arc) == mod.kernel
+            group = literal_cokernel_group(rows + [{arc: 1}], mod.diagram.n_arcs)
+            assert group == mod.kernel
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -417,7 +422,7 @@ def test_longitudes_match_the_evenized_module(name, diagrams, perfbench_module):
     longs = longitudes(mod)
     even_mod, even_longs = evenized_longitudes(d)
     pad = [0] * (even_mod.diagram.n_arcs - d.n_arcs)
-    carried = [even_mod.pres.to_canonical(mod.pres.lift(l) + pad) for l in longs]
+    carried = [to_canonical(even_mod.pres, mod.pres.lift(l) + pad) for l in longs]
     assert carried == even_longs
     assert [l.order() for l in longs] == [l.order() for l in even_longs]
     if d.mu >= 2:
@@ -516,3 +521,27 @@ def test_double_kernel_subgroup(name, modules):
     if link_determinant(mod) == 0:
         return
     assert double_kernel_subgroup_check(mod)
+
+
+def test_size_bounds_equal_the_closed_forms_of_twist_chains(perfbench_module):
+    # the lower bound is |Q_A| and the upper one det for a knot, mu det / 2
+    # for a link, as the benchmark generator states them; the seeded
+    # modules check that det and mu are the diagram's
+    gen = perfbench_module("gen")
+    rng = random.Random(25)
+    mus = Counter()
+    for k in range(200):
+        regions = [rng.choice((1, 2, 3, 4, 5, 6, 8)) for _ in range(rng.randint(1, 6))]
+        want = gen.expect_chain(regions)
+        assert size_bounds(want.det, want.mu) == (want.qa_size, want.imq_high)
+        assert want.imq_low == want.qa_size
+        if k < 40:
+            word = gen.chain_word(regions, rng)
+            text = gen.to_text(gen.closure(word, len(regions) + 1))
+            mod = build_link_module(parse_diagram(text))
+            assert (mod.determinant, mod.mu) == (want.det, want.mu)
+        mus[want.mu] += 1
+    assert len(mus) >= 5 and mus[1] >= 10
+    for mu in range(1, 5):
+        with pytest.raises(ValueError, match="nonzero"):
+            size_bounds(0, mu)

@@ -42,9 +42,20 @@ def test_every_traced_name_resolves(perfbench_module):
     assert set(trace.COUNT_HOOKS) <= traced
 
 
+def _overrides(module: str, cls: str, name: str) -> bool:
+    # a special method the language calls, or a method some base class of
+    # the package class has too
+    if name.startswith("__") and name.endswith("__"):
+        return True
+    klass = getattr(importlib.import_module(module), cls)
+    return any(hasattr(base, name) for base in klass.__mro__[1:])
+
+
 def _uncalled() -> set[str]:
-    # the top-level functions of the package that no package code names
-    # outside their own body, as module.name
+    # the top-level functions and the methods of top-level classes of the
+    # package that no package code names outside their own body, as
+    # module.name and module.Class.name; a method that overrides a base
+    # class's is called through the base and is left out
     package = Path(imqlink.__file__).parent
     trees = {p: ast.parse(p.read_text()) for p in package.rglob("*.py")}
     uses: dict[str, list[tuple[Path, int]]] = {}
@@ -56,23 +67,35 @@ def _uncalled() -> set[str]:
                 uses.setdefault(node.attr, []).append((path, node.lineno))
     uncalled = set()
     for path, tree in trees.items():
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef):
-                continue
+        module = ".".join(path.relative_to(package.parent).with_suffix("").parts)
+        defs = [
+            (f"{path.stem}.{fn.name}", fn)
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)
+        ]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defs += [
+                    (f"{path.stem}.{cls.name}.{fn.name}", fn)
+                    for fn in cls.body
+                    if isinstance(fn, ast.FunctionDef)
+                    and not _overrides(module, cls.name, fn.name)
+                ]
+        for qualname, fn in defs:
             callers = [
                 (p, line)
                 for p, line in uses.get(fn.name, [])
                 if not (p == path and fn.lineno <= line <= fn.end_lineno)
             ]
             if not callers:
-                uncalled.add(f"{path.stem}.{fn.name}")
+                uncalled.add(qualname)
     return uncalled
 
 
 def test_every_public_function_has_a_caller(perfbench_module):
-    # a top-level function in the package, public or private, is called
-    # from package code, wrapped by the tracer, or documented API; one only
-    # the tests call belongs in tests/oracles.py
+    # a top-level function or a method in the package, public or private,
+    # is called from package code, wrapped by the tracer, or documented
+    # API; one only the tests call belongs in tests/oracles.py
     traced = {n for names in perfbench_module("trace").LAYERS.values() for n in names}
     kept = traced | DOCUMENTED_API
     assert sorted(f for f in _uncalled() if f.split(".")[1] not in kept) == []
