@@ -92,7 +92,7 @@ determinant.  `_flag_reindexing` searches for tau one component at a time.
 The component classes come from the same flag.  Let det != 0, so r = 1 and
 T = ker w.  Orbit i of Q_A is x_i + 2T = {w = 1, p = e_i}, x_i an arc class
 of component i: T meets ker p in 2T (`marking_kernel` checks it), and
-`_coset_table` checks that the orbits are these cosets.  Components i and j
+`_cosets` checks that the orbits are these cosets.  Components i and j
 share a class (some automorphism of Q_A maps orbit i onto orbit j) iff some
 tau in S_mu maps every level P_a onto itself with tau(i) = j.  Why:
 
@@ -123,6 +123,47 @@ tau in S_mu maps every level P_a onto itself with tau(i) = j.  Why:
 So `reindexing_sensitivity` reads the classes off the flag, and builds no
 Q_A.  The search over Aut(Q_A) it replaced is the test oracle
 `automorphism_classes`.
+
+Q_A itself is checked on its mu coset representatives, not on its table
+(`_cosets`).  Let K be the marking kernel, which `marking_kernel` checks is
+2T, so a subgroup; r_i the class of the first arc of component i; and Q
+the union of the cosets r_i + K.  The checks the whole table once ran,
+kept as the test oracle `literal_coset_checks`, reject the same modules:
+
+- Distinct cosets.  r_i + K and r_j + K are equal or disjoint, and equal
+  iff r_i - r_j is in K.  So the mu |K| elements r_i + k are distinct iff
+  no r_i - r_j, i < j, is in K.
+- Closure.  For x = r_i + k and y = r_j + k',
+  x |> y = 2y - x = x + 2(r_j - r_i) + (2k' - k), and 2k' - k is in K.
+  So every x |> y lies in the coset of x iff every 2(r_j - r_i) is in K:
+  mu^2 checks.  If one is not, r_i |> r_j leaves the coset of r_i, and the
+  table either misses it or has an orbit meeting two cosets.
+- Orbits.  R_z R_y is x -> x + 2(z - y), so a word of even length in the
+  R_y is a translation by an element of D, the span of the 2(z - y) over
+  y, z in Q, and one of odd length maps x to 2y - x - d = x + 2(y - x) - d,
+  again in x + D.  So the orbit of x is x + D.  As
+  z - y = (r_j - r_1) - (r_l - r_1) + (k' - k), D is spanned by 2K and the
+  2(r_j - r_1); and 2K = 4T is spanned by the 4 e_c, e_c the torsion
+  units.  Under closure D lies in K, so the orbits are the cosets iff
+  D = K, which a search from 0 decides in |K| steps, each adding every
+  spanning element.
+- Semiregularity.  Dis(Q) is generated by the R_x R_y, so its elements
+  are translations by elements of D, and one with a fixed point x,
+  x + d = x in M, has d = 0 and fixes everything.  Distinct closed cosets
+  are always semiregular; nothing is left to check.
+- Size.  mu |K| must be the lower bound of `size_bounds`,
+  mu det / 2^(mu-1).
+
+So the report reads |Q_A| = mu |K| and its orbit sizes, |K| each, off
+the cosets, and builds no table.  The table (`_coset_table`) is built on
+its first read, from the checked cosets, and checks only itself against
+them (the generator check): for g in `FiniteQuandle.generators` and g0 the
+first of them, R_g R_g0 must be the translation by 2(e_g - e_g0), e_g the
+element numbered g, on every element, n |G| lookups.  The table is the
+operation 2y - x on the closed set Q, an involutory quandle, so by fact 2
+of the `quandle` docstring these maps generate its displacement group;
+every displacement of the table is then a translation, and it is
+semiregular by the argument above.
 """
 
 from __future__ import annotations
@@ -140,7 +181,7 @@ from .abelian import (
     smith_normal_form,
 )
 from .linkmodule import InternalCheckError, LinkModule, check_listing_cap, size_bounds
-from .quandle import FiniteQuandle, UnionFind, is_semiregular, orbits
+from .quandle import FiniteQuandle, UnionFind
 
 Bits = tuple[int, ...]
 
@@ -192,11 +233,21 @@ def _gf2_unimodular_lift(rows: list[list[int]]) -> list[list[int]]:
 
 @dataclass
 class ArcQuandle:
-    quandle: FiniteQuandle
+    """Q_A as its checked cosets: the elements, coset by coset, their
+    components and the marking kernel K.  The table is built on its first
+    read and kept on the module."""
+
     module: LinkModule
     elements: list[GroupElt]
     component_of: list[int]
     kernel: list[GroupElt]
+
+    @property
+    def quandle(self) -> FiniteQuandle:
+        mod = self.module
+        if mod.arc_quandle_table is None:
+            mod.arc_quandle_table = _coset_table(self)
+        return mod.arc_quandle_table
 
 
 def marking_kernel(mod: LinkModule) -> list[GroupElt]:
@@ -213,72 +264,113 @@ def marking_kernel(mod: LinkModule) -> list[GroupElt]:
 
 
 def build_arc_quandle(mod: LinkModule) -> ArcQuandle:
-    """The coset quandle of the module.  Its table is built on the first
-    call and kept on the module for every later one."""
+    """The coset quandle of the module.  Its cosets are listed and checked
+    on the first call and kept on the module for every later one; its
+    table waits for the first read of `ArcQuandle.quandle`."""
     if mod.arc_quandle_parts is None:
-        mod.arc_quandle_parts = _coset_table(mod)
-    q, elems, comp_of, kernel = mod.arc_quandle_parts
-    return ArcQuandle(
-        quandle=q, module=mod, elements=elems, component_of=comp_of, kernel=kernel
-    )
+        mod.arc_quandle_parts = _cosets(mod)
+    elems, comp_of, kernel = mod.arc_quandle_parts
+    return ArcQuandle(module=mod, elements=elems, component_of=comp_of, kernel=kernel)
 
 
-def _coset_table(
-    mod: LinkModule,
-) -> tuple[FiniteQuandle, list[GroupElt], list[int], list[GroupElt]]:
-    """The checked coset quandle, its elements, their components and the
-    marking kernel."""
+def _combine(
+    a: int, x: tuple[int, ...], b: int, y: tuple[int, ...], moduli: tuple[int, ...]
+) -> tuple[int, ...]:
+    """a x + b y on coordinate tuples, reduced by the group's moduli exactly
+    as GroupElt arithmetic reduces it; no GroupElt is built."""
+    return tuple([
+        (a * p + b * q) % m if m else a * p + b * q for p, q, m in zip(x, y, moduli)
+    ])
+
+
+def _cosets(mod: LinkModule) -> tuple[list[GroupElt], list[int], list[GroupElt]]:
+    """The elements of Q_A, coset r_i + K by coset, their components and
+    the marking kernel K, with r_i the class of the first arc of component
+    i.  Checked on the mu representatives, as the module docstring proves:
+    distinct mod K, as many as the size formula says, closed
+    (2(r_j - r_i) in K), and spanning K with 2K, so that the orbits are the
+    cosets.  The checks run on coordinate tuples."""
     det = mod.determinant
     if det == 0:
         raise ValueError("Q_A infinite; use algebraic comparisons")
     kernel = marking_kernel(mod)
+    group = mod.group
+    moduli = group.moduli
+    in_k = {k.coords for k in kernel}
+    reps = [mod.arc_class[comp.arcs[0]] for comp in mod.diagram.components]
+    coords = [r.coords for r in reps]
+    mu = len(reps)
+    if any(
+        _combine(1, x, -1, y, moduli) in in_k
+        for x, y in itertools.combinations(coords, 2)
+    ):
+        raise InternalCheckError("coset representatives collide")
+    if mu * len(kernel) != size_bounds(det, mu)[0]:
+        raise InternalCheckError("coset count disagrees with size formula")
+    if any(_combine(2, y, -2, x, moduli) not in in_k for x in coords for y in coords):
+        raise InternalCheckError("cosets not closed under the operation")
+
+    # the span D of 2K and the 2(r_j - r_1), listed by a search from 0;
+    # 2K = 4T is spanned by 4 e_c over the torsion units
+    r, torsion = group.free_rank, group.torsion
+    gens = [
+        (0,) * (r + c) + (4 % t,) + (0,) * (len(torsion) - c - 1)
+        for c, t in enumerate(torsion)
+    ]
+    gens += [_combine(2, y, -2, coords[0], moduli) for y in coords[1:]]
+    span = [group.zero().coords]
+    seen = set(span)
+    for x in span:  # the loop sees the elements appended in it
+        for g in gens:
+            y = _combine(1, x, 1, g, moduli)
+            if y not in seen:
+                seen.add(y)
+                span.append(y)
+    if seen != in_k:
+        raise InternalCheckError("orbits do not match cosets")
+
     elems: list[GroupElt] = []
     comp_of: list[int] = []
-    index: dict[tuple[int, ...], int] = {}  # by coordinates in mod.group
-    for i, comp in enumerate(mod.diagram.components):
-        rep = mod.arc_class[comp.arcs[0]]
-        for k in kernel:
-            e = rep + k
-            if e.coords in index:
-                raise InternalCheckError("coset representatives collide")
-            index[e.coords] = len(elems)
-            elems.append(e)
-            comp_of.append(i)
-    mu = mod.mu
-    if len(elems) != size_bounds(det, mu)[0]:
-        raise InternalCheckError("coset count disagrees with size formula")
+    for i, rep in enumerate(reps):
+        elems += [rep + k for k in kernel]
+        comp_of += [i] * len(kernel)
+    return elems, comp_of, kernel
 
-    # 2y - x on coordinate tuples, reduced by the group's moduli exactly as
-    # GroupElt arithmetic reduces them; no GroupElt is built per product
-    moduli = mod.group.moduli
+
+def _coset_table(qa: ArcQuandle) -> FiniteQuandle:
+    """The table of the checked cosets, x |> y = 2y - x, and the generator
+    check of semiregularity: R_g R_g0, for g in `FiniteQuandle.generators`
+    and g0 the first of them, is the translation by 2(e_g - e_g0) on every
+    element, n |G| lookups.  The cosets are closed, so every product is
+    found."""
+    elems = qa.elements
+    index = {e.coords: i for i, e in enumerate(elems)}  # by coordinates
+    moduli = qa.module.group.moduli
+
+    # 2y - x as `_combine` computes it, inlined: it runs n^2 times
     doubled = [tuple([2 * c for c in y.coords]) for y in elems]
-    try:
-        op = [
-            [
-                index[
-                    tuple([
-                        (d - c) % m if m else d - c
-                        for c, d, m in zip(x.coords, y2, moduli)
-                    ])
-                ]
-                for y2 in doubled
+    op = [
+        [
+            index[
+                tuple([
+                    (d - c) % m if m else d - c
+                    for c, d, m in zip(x.coords, y2, moduli)
+                ])
             ]
-            for x in elems
+            for y2 in doubled
         ]
-    except KeyError:
-        raise InternalCheckError("cosets not closed under the operation") from None
-    labels = {i: (comp_of[i], e) for i, e in enumerate(elems)}
+        for x in elems
+    ]
+    labels = {i: (qa.component_of[i], e) for i, e in enumerate(elems)}
     q = FiniteQuandle(op, labels=labels)
 
-    orbs = orbits(q)
-    if len(orbs) != mu:
-        raise InternalCheckError("orbit count differs from component count")
-    for orb in orbs:
-        if {comp_of[x] for x in orb} != {comp_of[orb[0]]} or len(orb) != len(kernel):
-            raise InternalCheckError("orbits do not match cosets")
-    if not is_semiregular(q):
-        raise InternalCheckError("arc quandle not semiregular")
-    return q, elems, comp_of, kernel
+    g0 = q.generators[0]
+    for g in q.generators:
+        shift = _combine(2, elems[g].coords, -2, elems[g0].coords, moduli)
+        for x, e in enumerate(elems):
+            if op[op[x][g0]][g] != index.get(_combine(1, e.coords, 1, shift, moduli)):
+                raise InternalCheckError("arc quandle not semiregular")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +525,8 @@ def _witness(
     targets = [pre[o0] ^ cbar[0]] + [v[j] for j in free_js]
     sols = [_gf2_solve(basis, x) for x in targets]
     rows = [[s >> i & 1 for i in range(r - 1)] for s in sols]
-    rows[1:] = _gf2_unimodular_lift(rows[1:])
+    if len(rows) > 1:  # at free rank 1 the block is 0 x 0
+        rows[1:] = _gf2_unimodular_lift(rows[1:])
     free_gens = []
     for row, s in zip(rows, sols):
         acc = torsion_sum(s << 1, lambda t: 1)  # s's unit bits are at i - 1

@@ -138,13 +138,15 @@ def build_report(
         report["arc_quandle"] = "infinite"
         report["imq"] = "infinite"
     else:
+        # the orbits of Q_A are its cosets, one per component, as
+        # build_arc_quandle checks; no table is built for them
         qa = build_arc_quandle(mod)
         report["arc_quandle"] = {
-            "size": qa.quandle.n,
-            "orbit_sizes": sorted(len(o) for o in orbits(qa.quandle)),
+            "size": len(qa.elements),
+            "orbit_sizes": [len(qa.kernel)] * d.mu,
         }
         lower, upper = size_bounds(det, d.mu)
-        checks["arc_quandle_size_formula"] = qa.quandle.n == lower
+        checks["arc_quandle_size_formula"] = len(qa.elements) == lower
         sens = reindexing_sensitivity(mod)
         report["component_classes"] = [list(c) for c in sens.classes]
         if not run_imq:

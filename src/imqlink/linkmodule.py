@@ -30,7 +30,7 @@ from math import prod
 
 from .abelian import FgAbGroup, GroupElt, Presentation, Row, cokernel
 from .diagram import LinkDiagram, component_walk
-from .quandle import CapExceeded
+from .quandle import CapExceeded, FiniteQuandle
 
 # The most elements a report lists of the torsion T, the coset quandle Q_A
 # or the presented quandle, whose tables hold n^2 entries.  Near it a
@@ -60,10 +60,14 @@ class LinkModule:
     arc_class: tuple[GroupElt, ...]
     kernel: FgAbGroup  # ker(weight)
     determinant: int
-    # the coset quandle's table, elements, components and kernel, set by
-    # the first build_arc_quandle call; nothing in it refers back to the
+    # the coset quandle's checked elements, components and kernel, set by
+    # the first build_arc_quandle call, and its table, set by the first
+    # read of ArcQuandle.quandle; nothing in them refers back to the
     # module, so no reference cycle delays freeing a dropped module
     arc_quandle_parts: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    arc_quandle_table: FiniteQuandle | None = field(
         default=None, init=False, repr=False, compare=False
     )
     # per canonical coordinate k: the weight of pres.lift(unit k), and its

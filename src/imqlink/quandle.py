@@ -2,8 +2,8 @@
 
 A table `op` of size n x n encodes x |> y = op[x][y], and R_y is the right
 translation x -> x |> y.  On top of the raw tables this module provides
-orbits, the displacement group as the set of its permutations (what the
-semiregularity check reads; its abstract group is the tests' oracle
+orbits, the displacement group as the set of its permutations (what
+`is_semiregular` reads; its abstract group is the tests' oracle
 `literal_displacement_group`), core quandles of finite abelian groups and
 their characteristic subquandles, exhaustive isomorphism search, and the
 abelian group presented by a quandle.

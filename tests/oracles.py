@@ -9,7 +9,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from math import gcd, prod
 
-from imqlink import quandle
+from imqlink import arcquandle, quandle
 from imqlink.abelian import (
     FgAbGroup,
     GroupElt,
@@ -755,6 +755,40 @@ def literal_coset_table(qa: ArcQuandle) -> list[list[int]]:
     products on reduced coordinate tuples."""
     index = {e: i for i, e in enumerate(qa.elements)}
     return [[index[y.smul(2) - x] for y in qa.elements] for x in qa.elements]
+
+
+def literal_coset_checks(mod: LinkModule) -> tuple[int, list[int]] | None:
+    """The checks the coset quandle once ran on its whole table, as the
+    oracle for `arcquandle._cosets` and the generator check of
+    `arcquandle._coset_table`: no two elements r_i + k collide, every
+    product 2y - x is found by lookup, the orbits of the table are the
+    cosets, one per component, and `quandle.is_semiregular` holds over the
+    whole displacement group.  The size and the sorted orbit sizes, or
+    None when a check fails.  K comes from `arcquandle.marking_kernel`,
+    read through the module, so that a test can corrupt it for both."""
+    kernel = arcquandle.marking_kernel(mod)
+    elems: list[GroupElt] = []
+    comp_of: list[int] = []
+    for i, comp in enumerate(mod.diagram.components):
+        rep = mod.arc_class[comp.arcs[0]]
+        elems += [rep + k for k in kernel]
+        comp_of += [i] * len(kernel)
+    index = {e: i for i, e in enumerate(elems)}
+    if len(index) != len(elems):
+        return None
+    try:
+        q = FiniteQuandle([[index[y.smul(2) - x] for y in elems] for x in elems])
+    except KeyError:
+        return None
+    orbs = orbits(q)
+    if len(orbs) != mod.mu or any(
+        {comp_of[x] for x in orb} != {comp_of[orb[0]]} or len(orb) != len(kernel)
+        for orb in orbs
+    ):
+        return None
+    if not quandle.is_semiregular(q):
+        return None
+    return len(elems), sorted(len(orb) for orb in orbs)
 
 
 def orbit_component(qa: ArcQuandle) -> dict[int, int]:

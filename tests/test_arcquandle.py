@@ -24,8 +24,9 @@ from imqlink.arcquandle import (
 )
 from imqlink.cli import main
 from imqlink.diagram import parse_diagram
-from imqlink.fixtures import fixture_text
+from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.linkmodule import (
+    LISTING_CAP,
     InternalCheckError,
     build_link_module,
     link_determinant,
@@ -45,6 +46,7 @@ from oracles import (
     compare_with_characteristic,
     displacement_matches_kernel,
     literal_characteristic_compatibility,
+    literal_coset_checks,
     literal_coset_table,
     literal_displacement_group,
     literal_marking_search,
@@ -96,8 +98,8 @@ def test_orbits_are_components(name, arc_quandles):
 
 @pytest.mark.parametrize("name", ("trefoil", "fig8", "t22t24"))
 def test_coset_table_closure_check_fires(name, diagrams, monkeypatch):
-    # shifting one kernel element by a free unit makes the sets the table
-    # is built on cosets of no subgroup, so some 2y - x falls outside them
+    # shifting one kernel element by a free unit makes the sets cosets of
+    # no subgroup: 0 leaves the kernel, and with it every 2(r_i - r_i)
     real = arcquandle.marking_kernel
 
     def shifted(mod):
@@ -684,6 +686,94 @@ def test_coset_table_matches_literal_oracle(name, modules, chain_modules):
     assert [qa.quandle.labels[i][1] for i in range(qa.quandle.n)] == qa.elements
 
 
+def _coset_check_modules(gen) -> list:
+    """Fresh modules, det != 0 and |Q_A| <= 256: the fixtures, the
+    diagrams in tests/diagrams/, and 40 seeded twist chains of one to
+    three regions (mu <= 4), each drawn plain, R2-padded, and R2-padded
+    then redrawn."""
+    texts = [fixture_text(name) for name in FIXTURE_NAMES]
+    texts += [path.read_text() for path in sorted(GATE_DIAGRAMS.glob("*.json"))]
+    for seed in range(40):
+        rng = random.Random(seed)
+        regions = [rng.choice((2, 3, 4, 5, 6, 8)) for _ in range(rng.randint(1, 3))]
+        strands = len(regions) + 1
+        word = gen.chain_word(regions, rng)
+        padded = gen.pad_r2(word, strands, len(word) + 8, rng)
+        obj = gen.closure(padded, strands)
+        for drawn in (gen.closure(word, strands), obj, gen.redraw(obj, rng)):
+            texts.append(gen.to_text(drawn))
+    mods = [build_link_module(parse_diagram(text)) for text in texts]
+    return [
+        m
+        for m in mods
+        if m.determinant
+        and prod(m.group.torsion) <= LISTING_CAP
+        and m.mu * abs(m.determinant) >> (m.mu - 1) <= 256
+    ]
+
+
+def _coset_step(mod) -> tuple[int, list[int]] | None:
+    """The size and orbit sizes that a report reads off the cosets step,
+    after the table and its generator check are built too; None when a
+    check fails."""
+    try:
+        qa = build_arc_quandle(mod)
+        qa.quandle
+    except InternalCheckError:
+        return None
+    return len(qa.elements), [len(qa.kernel)] * mod.mu
+
+
+def test_coset_checks_equal_the_literal_table_checks(perfbench_module):
+    mus = Counter()
+    for mod in _coset_check_modules(perfbench_module("gen")):
+        want = literal_coset_checks(mod)
+        assert want is not None
+        assert _coset_step(mod) == want
+        # orbit i is {w = 1, p = e_i}
+        qa = build_arc_quandle(mod)
+        assert all(
+            mod.parity(e) == tuple(int(j == i) for j in range(mod.mu))
+            for e, i in zip(qa.elements, qa.component_of)
+        )
+        mus[mod.mu] += 1
+    assert sorted(mus) == [1, 2, 3, 4, 5, 11] and sum(mus.values()) >= 120
+
+
+def _shift_one(mod, kernel):
+    # no subgroup: 0 is moved off by a free unit.  A one-element K moved
+    # so gives a translate of Q_A, which the table checks accept
+    if len(kernel) == 1:
+        return kernel
+    return [kernel[0] + mod.group.unit(0)] + kernel[1:]
+
+
+def _whole_torsion(mod, kernel):
+    # a subgroup holding every difference of representatives
+    return sorted(mod.group.torsion_elements(), key=lambda e: e.coords)
+
+
+def _doubled(mod, kernel):
+    # 2K, a proper subgroup where T has an even part
+    return sorted({k.smul(2) for k in kernel}, key=lambda e: e.coords)
+
+
+@pytest.mark.parametrize("corrupt", (_shift_one, _whole_torsion, _doubled))
+def test_coset_checks_reject_what_the_literal_table_checks_reject(
+    corrupt, monkeypatch, perfbench_module
+):
+    real = arcquandle.marking_kernel
+    mods = [
+        m for m in _coset_check_modules(perfbench_module("gen"))
+        if set(corrupt(m, real(m))) != set(real(m))
+    ]
+    monkeypatch.setattr(arcquandle, "marking_kernel", lambda m: corrupt(m, real(m)))
+    for mod in mods:
+        assert literal_coset_checks(mod) is None
+        assert _coset_step(mod) is None
+    assert len(mods) >= 40
+
+
 def test_t22t24_distinguished_component_has_small_doubling_fiber(arc_quandles):
     # the component no automorphism can move is the one whose orbit
     # elements have only two solutions of 2u = 2x in the module
@@ -743,6 +833,25 @@ def test_unimodular_lift_is_congruent_mod_2(lift):
         b = lift(a)
         assert abs(int_det(b)) == 1
         assert [[x % 2 for x in row] for row in b] == a
+
+
+def test_witness_lifts_no_empty_block(modules, monkeypatch, perfbench_module):
+    # at free rank 1, which every nonzero determinant has, the block of the
+    # free generators past the first is 0 x 0, and no lift is taken of it
+    real = arcquandle._gf2_unimodular_lift
+    sizes = Counter()
+
+    def counted(rows):
+        sizes[len(rows)] += 1
+        return real(rows)
+
+    monkeypatch.setattr(arcquandle, "_gf2_unimodular_lift", counted)
+    yes = Counter()
+    for mod in [*modules.values(), *_seeded_flag_modules(perfbench_module("gen"))]:
+        if characteristic_compatibility(mod).status == "yes":
+            yes[mod.group.free_rank] += 1
+    assert sizes[0] == 0 and sum(sizes.values()) == yes.total() - yes[1]
+    assert yes[1] >= 50 and yes.total() - yes[1] >= 5
 
 
 def _seeded_flag_modules(gen) -> list:

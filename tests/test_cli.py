@@ -772,16 +772,39 @@ def test_compare_computes_each_invariant_once(tmp_path, capsys, engine_calls):
     }
 
 
-def test_compare_builds_each_displacement_group_once(tmp_path, capsys, monkeypatch):
+def test_compare_builds_no_displacement_group(tmp_path, capsys, monkeypatch):
     calls = Counter()
     count_calls(monkeypatch, calls, quandle, "_displacement_closure")
     a = write_fixture(tmp_path, "hopf2")
     b = write_fixture(tmp_path, "sixthree")
     code, out, _ = run(capsys, "--format", "machine", "compare", a, b)
     assert code == 0 and json.loads(out)["arc_quandle_isomorphic"] is True
-    # one per coset quandle, for its semiregularity check; no isomorphism
-    # search reads a displacement group
-    assert calls == {"_displacement_closure": 2}
+    # the coset quandle's semiregularity is checked on its generators, and
+    # no isomorphism search reads a displacement group
+    assert calls == {}
+
+
+@pytest.mark.parametrize("name", ("hopf2", "t22t24", "trefoil"))
+def test_no_imq_report_and_corpus_row_build_no_coset_table(
+    name, tmp_path, capsys, engine_calls
+):
+    # the size and orbit sizes of Q_A are read off its checked cosets
+    path = write_fixture(tmp_path, name)
+    code, out, _ = run(capsys, "--format", "machine", "--no-imq", "report", path)
+    assert code == 0
+    size = json.loads(out)["arc_quandle"]["size"]
+    assert engine_calls == {"build_link_module": 1, "weight_kernel": 1}
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / f"{name}.json").write_text(fixture_text(name))
+    code, out, _ = run(
+        capsys, "--format", "machine", "--no-imq", "corpus", str(corpus),
+        "--cache", str(tmp_path / "cache"),
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["arc_quandle"]["size"] == size
+    assert engine_calls == {"build_link_module": 2, "weight_kernel": 2}
 
 
 # closures of braid words [5, 5, 5, 5, -3, 1, 1, 1, 1, 2, 2] on 6 strands

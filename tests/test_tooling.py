@@ -29,6 +29,7 @@ TRACE_ONLY = {
     "linkmodule.link_determinant",
     "quandle.automorphisms",
     "quandle.characteristic_subquandle",
+    "quandle.is_semiregular",
 }
 
 
