@@ -124,9 +124,17 @@ So `reindexing_sensitivity` reads the classes off the flag, and builds no
 Q_A.  The search over Aut(Q_A) it replaced is the test oracle
 `automorphism_classes`.
 
+The marking kernel K, where ker p meets T, is 2T iff the parities of the
+even torsion units are independent; `marking_kernel` checks that and lists
+2T off the invariant factors.  Why: p maps into a group of exponent 2, so
+2T lies in ker p, and p factors through T/2T, which is Z/2 per even
+invariant factor, with the even torsion units as a basis.  So ker p meets
+T in 2T iff p is injective on T/2T, iff those units' parities are
+independent.  The listing it replaced, of both sets, compared, is the test
+oracle `literal_marking_kernel`.
+
 Q_A itself is checked on its mu coset representatives, not on its table
-(`_cosets`).  Let K be the marking kernel, which `marking_kernel` checks is
-2T, so a subgroup; r_i the class of the first arc of component i; and Q
+(`_cosets`).  Let r_i be the class of the first arc of component i, and Q
 the union of the cosets r_i + K.  The checks the whole table once ran,
 kept as the test oracle `literal_coset_checks`, reject the same modules:
 
@@ -170,6 +178,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abelian import (
     FgAbGroup,
@@ -180,10 +189,12 @@ from .abelian import (
     mat_mul,
     smith_normal_form,
 )
+from .diagram import LinkDiagram
 from .linkmodule import InternalCheckError, LinkModule, check_listing_cap, size_bounds
 from .quandle import FiniteQuandle, UnionFind
 
 Bits = tuple[int, ...]
+Coords = tuple[int, ...]  # an element in its group's canonical coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -233,49 +244,45 @@ def _gf2_unimodular_lift(rows: list[list[int]]) -> list[list[int]]:
 
 @dataclass
 class ArcQuandle:
-    """Q_A as its checked cosets: the elements, coset by coset, their
-    components and the marking kernel K.  The table is built on its first
-    read and kept on the module."""
+    """Q_A as its checked cosets, in the canonical coordinates of `group`:
+    the elements, coset by coset, their components, the marking kernel K
+    and the element of each arc.  Built once per module, which keeps it;
+    the table is built on its first read."""
 
-    module: LinkModule
-    elements: list[GroupElt]
+    diagram: LinkDiagram
+    group: FgAbGroup
+    elements: list[Coords]
     component_of: list[int]
-    kernel: list[GroupElt]
+    kernel: list[Coords]
+    arc_element: list[int]
 
-    @property
+    @cached_property
     def quandle(self) -> FiniteQuandle:
-        mod = self.module
-        if mod.arc_quandle_table is None:
-            mod.arc_quandle_table = _coset_table(self)
-        return mod.arc_quandle_table
+        return _coset_table(self)
 
 
-def marking_kernel(mod: LinkModule) -> list[GroupElt]:
-    """Finite-order elements killed by both weight and parity; equals the
-    doubled torsion subgroup, and both routes are computed and compared.
-    Raises CapExceeded past the listing cap."""
+def marking_kernel(mod: LinkModule) -> list[Coords]:
+    """Finite-order elements killed by both weight and parity: 2T, by the
+    GF(2) check of the module docstring, listed in coordinate order off
+    the invariant factors, the even residues of an even one and every
+    residue of an odd one.  Raises CapExceeded past the listing cap."""
     check_listing_cap(mod)
-    torsion = list(mod.group.torsion_elements())
-    by_parity = {t for t in torsion if not any(mod.parity(t))}
-    doubled = {t.smul(2) for t in torsion}
-    if by_parity != doubled:
+    r, torsion = mod.group.free_rank, mod.group.torsion
+    if _gf2_echelon(_mod2_bits(mod)[1][r:])[1]:
         raise InternalCheckError("marking kernel differs from doubled torsion")
-    return sorted(by_parity, key=lambda e: e.coords)
+    residues = (range(0, t, 2 if t % 2 == 0 else 1) for t in torsion)
+    return [(0,) * r + k for k in itertools.product(*residues)]
 
 
 def build_arc_quandle(mod: LinkModule) -> ArcQuandle:
-    """The coset quandle of the module.  Its cosets are listed and checked
-    on the first call and kept on the module for every later one; its
-    table waits for the first read of `ArcQuandle.quandle`."""
-    if mod.arc_quandle_parts is None:
-        mod.arc_quandle_parts = _cosets(mod)
-    elems, comp_of, kernel = mod.arc_quandle_parts
-    return ArcQuandle(module=mod, elements=elems, component_of=comp_of, kernel=kernel)
+    """The coset quandle of the module, listed and checked on the first
+    call and kept on the module for every later one."""
+    if mod.arc_quandle is None:
+        mod.arc_quandle = _cosets(mod)
+    return mod.arc_quandle
 
 
-def _combine(
-    a: int, x: tuple[int, ...], b: int, y: tuple[int, ...], moduli: tuple[int, ...]
-) -> tuple[int, ...]:
+def _combine(a: int, x: Coords, b: int, y: Coords, moduli: Coords) -> Coords:
     """a x + b y on coordinate tuples, reduced by the group's moduli exactly
     as GroupElt arithmetic reduces it; no GroupElt is built."""
     return tuple([
@@ -283,31 +290,29 @@ def _combine(
     ])
 
 
-def _cosets(mod: LinkModule) -> tuple[list[GroupElt], list[int], list[GroupElt]]:
-    """The elements of Q_A, coset r_i + K by coset, their components and
-    the marking kernel K, with r_i the class of the first arc of component
-    i.  Checked on the mu representatives, as the module docstring proves:
-    distinct mod K, as many as the size formula says, closed
-    (2(r_j - r_i) in K), and spanning K with 2K, so that the orbits are the
-    cosets.  The checks run on coordinate tuples."""
+def _cosets(mod: LinkModule) -> ArcQuandle:
+    """Q_A, coset r_i + K by coset, with r_i the class of the first arc of
+    component i.  Checked on the mu representatives, as the module
+    docstring proves: distinct mod K, as many as the size formula says,
+    closed (2(r_j - r_i) in K), and spanning K with 2K, so that the orbits
+    are the cosets.  Each arc's class lies in its component's coset."""
     det = mod.determinant
     if det == 0:
         raise ValueError("Q_A infinite; use algebraic comparisons")
     kernel = marking_kernel(mod)
-    group = mod.group
+    group, d = mod.group, mod.diagram
     moduli = group.moduli
-    in_k = {k.coords for k in kernel}
-    reps = [mod.arc_class[comp.arcs[0]] for comp in mod.diagram.components]
-    coords = [r.coords for r in reps]
+    in_k = {k: i for i, k in enumerate(kernel)}  # each element's place in K
+    reps = [mod.arc_class[comp.arcs[0]].coords for comp in d.components]
     mu = len(reps)
     if any(
         _combine(1, x, -1, y, moduli) in in_k
-        for x, y in itertools.combinations(coords, 2)
+        for x, y in itertools.combinations(reps, 2)
     ):
         raise InternalCheckError("coset representatives collide")
     if mu * len(kernel) != size_bounds(det, mu)[0]:
         raise InternalCheckError("coset count disagrees with size formula")
-    if any(_combine(2, y, -2, x, moduli) not in in_k for x in coords for y in coords):
+    if any(_combine(2, y, -2, x, moduli) not in in_k for x in reps for y in reps):
         raise InternalCheckError("cosets not closed under the operation")
 
     # the span D of 2K and the 2(r_j - r_1), listed by a search from 0;
@@ -317,8 +322,8 @@ def _cosets(mod: LinkModule) -> tuple[list[GroupElt], list[int], list[GroupElt]]
         (0,) * (r + c) + (4 % t,) + (0,) * (len(torsion) - c - 1)
         for c, t in enumerate(torsion)
     ]
-    gens += [_combine(2, y, -2, coords[0], moduli) for y in coords[1:]]
-    span = [group.zero().coords]
+    gens += [_combine(2, y, -2, reps[0], moduli) for y in reps[1:]]
+    span = [(0,) * group.n_coords]
     seen = set(span)
     for x in span:  # the loop sees the elements appended in it
         for g in gens:
@@ -326,15 +331,18 @@ def _cosets(mod: LinkModule) -> tuple[list[GroupElt], list[int], list[GroupElt]]
             if y not in seen:
                 seen.add(y)
                 span.append(y)
-    if seen != in_k:
+    if seen != in_k.keys():
         raise InternalCheckError("orbits do not match cosets")
 
-    elems: list[GroupElt] = []
-    comp_of: list[int] = []
-    for i, rep in enumerate(reps):
-        elems += [rep + k for k in kernel]
-        comp_of += [i] * len(kernel)
-    return elems, comp_of, kernel
+    arc_element = []
+    for a, i in enumerate(d.kappa):
+        k = in_k.get(_combine(1, mod.arc_class[a].coords, -1, reps[i], moduli))
+        if k is None:
+            raise InternalCheckError("arc class outside its coset")
+        arc_element.append(i * len(kernel) + k)
+    elements = [_combine(1, x, 1, k, moduli) for x in reps for k in kernel]
+    component_of = [i for i in range(mu) for _ in kernel]
+    return ArcQuandle(d, group, elements, component_of, kernel, arc_element)
 
 
 def _coset_table(qa: ArcQuandle) -> FiniteQuandle:
@@ -344,17 +352,16 @@ def _coset_table(qa: ArcQuandle) -> FiniteQuandle:
     element, n |G| lookups.  The cosets are closed, so every product is
     found."""
     elems = qa.elements
-    index = {e.coords: i for i, e in enumerate(elems)}  # by coordinates
-    moduli = qa.module.group.moduli
+    index = {e: i for i, e in enumerate(elems)}
+    moduli = qa.group.moduli
 
     # 2y - x as `_combine` computes it, inlined: it runs n^2 times
-    doubled = [tuple([2 * c for c in y.coords]) for y in elems]
+    doubled = [tuple([2 * c for c in y]) for y in elems]
     op = [
         [
             index[
                 tuple([
-                    (d - c) % m if m else d - c
-                    for c, d, m in zip(x.coords, y2, moduli)
+                    (d - c) % m if m else d - c for c, d, m in zip(x, y2, moduli)
                 ])
             ]
             for y2 in doubled
@@ -366,9 +373,9 @@ def _coset_table(qa: ArcQuandle) -> FiniteQuandle:
 
     g0 = q.generators[0]
     for g in q.generators:
-        shift = _combine(2, elems[g].coords, -2, elems[g0].coords, moduli)
+        shift = _combine(2, elems[g], -2, elems[g0], moduli)
         for x, e in enumerate(elems):
-            if op[op[x][g0]][g] != index.get(_combine(1, e.coords, 1, shift, moduli)):
+            if op[op[x][g0]][g] != index.get(_combine(1, e, 1, shift, moduli)):
                 raise InternalCheckError("arc quandle not semiregular")
     return q
 

@@ -7,8 +7,8 @@ the arc elements, inside a quandle known to contain it, and numbers the
 elements in the order it states.  Which quandle depends on the number of
 components mu.
 
-For mu <= 2 it is the arc-coset quandle Q_A, which every report builds
-anyway; `compute_imq` gives the argument that Q_A is IMQ(L).
+For mu <= 2 it is the arc-coset quandle Q_A; `compute_imq` gives the
+argument that Q_A is IMQ(L), and why it reads Q_A there.
 
 For mu >= 3 it is an affine displacement mesh M.  Let a_i be the first arc
 of component i and kappa(a) the component of arc a.
@@ -269,7 +269,9 @@ def compute_imq(mod: LinkModule) -> ImqResult:
     - So the surjection is a bijection, and Q_A is IMQ(L).
     For mu >= 3 they are listed in the displacement mesh of the module
     docstring.  The mesh would give the same table for mu <= 2 too, but
-    there Q_A is already built and is faster to read.
+    Q_A's table, renumbered, is faster (best of 5, 2 vCPUs: T(2,201) 63
+    against 144 ms, T(2,511) 235 against 623 ms; the README has more), and
+    `surjection_to_arc_quandle` builds it anyway.
 
     The elements are numbered thus: first the arc elements, in order of
     their least arc; then, one at a time, the first product x |> y not
@@ -283,9 +285,7 @@ def compute_imq(mod: LinkModule) -> ImqResult:
     if d.mu <= 2:
         qa = build_arc_quandle(mod)
         table = qa.quandle.op
-        index = {e.coords: i for i, e in enumerate(qa.elements)}
-        arcs = [index[mod.arc_class[a].coords] for a in range(d.n_arcs)]
-        op, arc_element = _list_closure(arcs, lambda x, y: table[x][y], bound)
+        op, arc_element = _list_closure(qa.arc_element, lambda x, y: table[x][y], bound)
         if len(op) < len(table):
             raise InternalCheckError("quandle not generated by its arc elements")
     else:
@@ -328,12 +328,10 @@ def surjection_to_arc_quandle(res: ImqResult, qa: ArcQuandle) -> list[int]:
     `compute_imq` numbers the arc elements first, and they generate the
     table, so every generator is an arc element.  Every pair is then
     checked."""
-    if qa.module.diagram is not res.diagram and qa.module.diagram != res.diagram:
+    if qa.diagram is not res.diagram and qa.diagram != res.diagram:
         raise ValueError("quandles come from different diagrams")
-    index = {e: i for i, e in enumerate(qa.elements)}
     f: list[int | None] = [None] * res.quandle.n
-    for a in range(res.diagram.n_arcs):
-        target = index[qa.module.arc_class[a]]
+    for a, target in enumerate(qa.arc_element):
         cur = f[res.arc_element[a]]
         if cur is not None and cur != target:
             raise InternalCheckError("arc generators map inconsistently")

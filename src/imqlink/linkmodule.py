@@ -27,10 +27,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import prod
+from typing import TYPE_CHECKING
 
 from .abelian import FgAbGroup, GroupElt, Presentation, Row, cokernel
 from .diagram import LinkDiagram, component_walk
-from .quandle import CapExceeded, FiniteQuandle
+from .quandle import CapExceeded
+
+if TYPE_CHECKING:
+    from .arcquandle import ArcQuandle
 
 # The most elements a report lists of the torsion T, the coset quandle Q_A
 # or the presented quandle, whose tables hold n^2 entries.  Near it a
@@ -60,14 +64,10 @@ class LinkModule:
     arc_class: tuple[GroupElt, ...]
     kernel: FgAbGroup  # ker(weight)
     determinant: int
-    # the coset quandle's checked elements, components and kernel, set by
-    # the first build_arc_quandle call, and its table, set by the first
-    # read of ArcQuandle.quandle; nothing in them refers back to the
-    # module, so no reference cycle delays freeing a dropped module
-    arc_quandle_parts: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    arc_quandle_table: FiniteQuandle | None = field(
+    # the coset quandle, set by the first build_arc_quandle call; it does
+    # not refer back to the module, so no reference cycle delays freeing a
+    # dropped module
+    arc_quandle: ArcQuandle | None = field(
         default=None, init=False, repr=False, compare=False
     )
     # per canonical coordinate k: the weight of pres.lift(unit k), and its

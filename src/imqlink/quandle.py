@@ -123,7 +123,6 @@ class FiniteQuandle:
             if len(row) != self.n or any(not 0 <= v < self.n for v in row):
                 raise ValueError(f"malformed table row {x}")
         self.labels = dict(labels) if labels else {}
-        self._dis: frozenset[Perm] | None = None  # set by displacement_group
 
     def translation(self, y: int) -> Perm:
         """The permutation x -> x |> y."""
@@ -287,16 +286,10 @@ def displacement_group(q: FiniteQuandle) -> frozenset[Perm]:
     """The displacement group as a set of permutations: the closure of the
     products beta_y * beta_0.  Raises CapExceeded past DISPLACEMENT_CAP
     permutations and ValueError if two of them do not commute (they always
-    do for a valid table).  Built once per table, and kept on it.  Its
-    abstract group is computed only by the tests' oracle
-    `literal_displacement_group`."""
-    if q._dis is None:
-        q._dis = _displacement_closure(q)
-    return q._dis
+    do for a valid table).  Its abstract group is computed only by the
+    tests' oracle `literal_displacement_group`.
 
-
-def _displacement_closure(q: FiniteQuandle) -> frozenset[Perm]:
-    """Each product c not yet in the group H built so far must commute with
+    Each product c not yet in the group H built so far must commute with
     the products kept before it; then H, abelian, grows to the union of the
     cosets c^k H, up to the first power of c that lies in H."""
     n = q.n
@@ -323,8 +316,7 @@ def _displacement_closure(q: FiniteQuandle) -> frozenset[Perm]:
 
 
 def is_semiregular(q: FiniteQuandle) -> bool:
-    """True when only the identity displacement has a fixed point; reads
-    the table's displacement group, built once."""
+    """True when only the identity displacement has a fixed point."""
     ident = tuple(range(q.n))
     return all(
         p == ident or all(p[x] != x for x in range(q.n))
@@ -602,6 +594,8 @@ def parse_quandle(text: str) -> FiniteQuandle:
     if not parts:
         raise ValueError("empty quandle text")
     n = int(parts[0])
+    if n < 0:
+        raise ValueError(f"negative quandle size {n}")
     vals = [int(v) for v in parts[1:]]
     if len(vals) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(vals)}")

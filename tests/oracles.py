@@ -46,6 +46,7 @@ from imqlink.linkmodule import (
     InternalCheckError,
     LinkModule,
     build_link_module,
+    check_listing_cap,
     relation_matrix,
 )
 from imqlink.quandle import (
@@ -749,12 +750,28 @@ def build_partition_quandle(
 # the coset quandle and the presented quandle
 
 
+def literal_marking_kernel(mod: LinkModule) -> list[tuple[int, ...]]:
+    """The marking kernel the literal way: the torsion listed, its
+    elements of parity 0 and its doubles collected, compared, and the
+    first sorted by coordinates.  The oracle for
+    `arcquandle.marking_kernel`, which lists 2T off the invariant factors
+    after one GF(2) check.  Raises CapExceeded past the listing cap."""
+    check_listing_cap(mod)
+    torsion = list(mod.group.torsion_elements())
+    by_parity = {t for t in torsion if not any(mod.parity(t))}
+    doubled = {t.smul(2) for t in torsion}
+    if by_parity != doubled:
+        raise InternalCheckError("marking kernel differs from doubled torsion")
+    return sorted(t.coords for t in by_parity)
+
+
 def literal_coset_table(qa: ArcQuandle) -> list[list[int]]:
     """Q_A's table built the literal way: x |> y = 2y - x in GroupElt
     arithmetic, looked up by element.  The package computes the same
     products on reduced coordinate tuples."""
-    index = {e: i for i, e in enumerate(qa.elements)}
-    return [[index[y.smul(2) - x] for y in qa.elements] for x in qa.elements]
+    elems = [qa.group.element(e) for e in qa.elements]
+    index = {e: i for i, e in enumerate(elems)}
+    return [[index[y.smul(2) - x] for y in elems] for x in elems]
 
 
 def literal_coset_checks(mod: LinkModule) -> tuple[int, list[int]] | None:
@@ -766,7 +783,7 @@ def literal_coset_checks(mod: LinkModule) -> tuple[int, list[int]] | None:
     whole displacement group.  The size and the sorted orbit sizes, or
     None when a check fails.  K comes from `arcquandle.marking_kernel`,
     read through the module, so that a test can corrupt it for both."""
-    kernel = arcquandle.marking_kernel(mod)
+    kernel = [mod.group.element(k) for k in arcquandle.marking_kernel(mod)]
     elems: list[GroupElt] = []
     comp_of: list[int] = []
     for i, comp in enumerate(mod.diagram.components):
@@ -816,16 +833,16 @@ def displacement_matches_kernel(qa: ArcQuandle) -> DisKernelReport:
     kernel element k, and the displacement group must be isomorphic to
     the kernel."""
     perms, dis_group = literal_displacement_group(qa.quandle)
-    kernel_group = subgroup_type(qa.module.group, qa.kernel)
+    kernel = [qa.group.element(k) for k in qa.kernel]
+    kernel_group = subgroup_type(qa.group, kernel)
     group_matches = dis_group == kernel_group
-    kernel_set = set(qa.kernel)
-    index = {e: i for i, e in enumerate(qa.elements)}
+    kernel_set = set(kernel)
+    elems = [qa.group.element(e) for e in qa.elements]
+    index = {e: i for i, e in enumerate(elems)}
     all_translations = True
     for p in perms:
-        k = qa.elements[p[0]] - qa.elements[0]
-        if k not in kernel_set or any(
-            p[i] != index[e + k] for i, e in enumerate(qa.elements)
-        ):
+        k = elems[p[0]] - elems[0]
+        if k not in kernel_set or any(p[i] != index[e + k] for i, e in enumerate(elems)):
             all_translations = False
             break
     return DisKernelReport(

@@ -16,6 +16,7 @@ from imqlink import arcquandle, quandle
 from imqlink.abelian import _gf2_reduce, int_det, subgroup_type
 from imqlink.arcquandle import (
     ReindexingReport,
+    _mod2_bits,
     build_arc_quandle,
     characteristic_compatibility,
     marking_equivalent,
@@ -49,6 +50,7 @@ from oracles import (
     literal_coset_checks,
     literal_coset_table,
     literal_displacement_group,
+    literal_marking_kernel,
     literal_marking_search,
     orbit_component,
     random_marking,
@@ -85,15 +87,15 @@ def test_cardinality_formula(name, modules, arc_quandles):
 
 
 @pytest.mark.parametrize("name", FINITE)
-def test_orbits_are_components(name, arc_quandles):
+def test_orbits_are_components(name, modules, arc_quandles):
     qa = arc_quandles[name]
     mapping = orbit_component(qa)
-    mu = qa.module.mu
+    mu = qa.diagram.mu
     assert sorted(set(mapping.values())) == list(range(mu))
     for i in range(qa.quandle.n):
         comp, elt = qa.quandle.labels[i]
         assert qa.component_of[i] == comp
-        assert qa.module.parity(elt)[comp] == 1
+        assert modules[name].parity(qa.group.element(elt))[comp] == 1
 
 
 @pytest.mark.parametrize("name", ("trefoil", "fig8", "t22t24"))
@@ -104,7 +106,7 @@ def test_coset_table_closure_check_fires(name, diagrams, monkeypatch):
 
     def shifted(mod):
         kernel = real(mod)
-        return [kernel[0] + mod.group.unit(0)] + kernel[1:]
+        return [(kernel[0][0] + 1, *kernel[0][1:])] + kernel[1:]
 
     monkeypatch.setattr(arcquandle, "marking_kernel", shifted)
     with pytest.raises(
@@ -122,7 +124,7 @@ def test_infinite_case_rejected(name, modules):
 @pytest.mark.parametrize("name", FINITE)
 def test_marking_kernel_is_doubled_torsion(name, modules):
     mod = modules[name]
-    kernel = marking_kernel(mod)
+    kernel = [mod.group.element(k) for k in marking_kernel(mod)]
     doubled = {t + t for t in mod.group.torsion_elements()}
     assert set(kernel) == doubled
     for k in kernel:
@@ -137,7 +139,8 @@ def test_displacement_matches_kernel(name, arc_quandles):
     qa = arc_quandles[name]
     perms, _ = literal_displacement_group(qa.quandle)
     assert displacement_group(qa.quandle) == set(perms)
-    assert report.dis_group == subgroup_type(qa.module.group, qa.kernel)
+    kernel = [qa.group.element(k) for k in qa.kernel]
+    assert report.dis_group == subgroup_type(qa.group, kernel)
 
 
 COMPAT = {
@@ -732,8 +735,9 @@ def test_coset_checks_equal_the_literal_table_checks(perfbench_module):
         assert _coset_step(mod) == want
         # orbit i is {w = 1, p = e_i}
         qa = build_arc_quandle(mod)
+        unit = [tuple(int(j == i) for j in range(mod.mu)) for i in range(mod.mu)]
         assert all(
-            mod.parity(e) == tuple(int(j == i) for j in range(mod.mu))
+            mod.parity(mod.group.element(e)) == unit[i]
             for e, i in zip(qa.elements, qa.component_of)
         )
         mus[mod.mu] += 1
@@ -745,17 +749,18 @@ def _shift_one(mod, kernel):
     # so gives a translate of Q_A, which the table checks accept
     if len(kernel) == 1:
         return kernel
-    return [kernel[0] + mod.group.unit(0)] + kernel[1:]
+    return [(kernel[0][0] + 1, *kernel[0][1:])] + kernel[1:]
 
 
 def _whole_torsion(mod, kernel):
     # a subgroup holding every difference of representatives
-    return sorted(mod.group.torsion_elements(), key=lambda e: e.coords)
+    return [t.coords for t in mod.group.torsion_elements()]
 
 
 def _doubled(mod, kernel):
     # 2K, a proper subgroup where T has an even part
-    return sorted({k.smul(2) for k in kernel}, key=lambda e: e.coords)
+    group = mod.group
+    return sorted({group.element(k).smul(2).coords for k in kernel})
 
 
 @pytest.mark.parametrize("corrupt", (_shift_one, _whole_torsion, _doubled))
@@ -774,11 +779,38 @@ def test_coset_checks_reject_what_the_literal_table_checks_reject(
     assert len(mods) >= 40
 
 
+def test_marking_kernel_equals_the_literal_listing(perfbench_module):
+    mods = _coset_check_modules(perfbench_module("gen"))
+    for mod in mods:
+        assert marking_kernel(mod) == literal_marking_kernel(mod)
+    # the fixtures and tests/diagrams/ are 22 diagrams: 100 are seeded
+    assert len(mods) >= 122
+
+
+def test_marking_kernel_rejects_dependent_even_torsion_parities(perfbench_module):
+    # two even torsion units e_c, e_c' of one parity: e_c + e_c' lies in
+    # ker p but not in 2T
+    mods = [
+        m for m in _coset_check_modules(perfbench_module("gen"))
+        if sum(t % 2 == 0 for t in m.group.torsion) >= 2
+    ]
+    for mod in mods:
+        r = mod.group.free_rank
+        c, c2 = _mod2_bits(mod)[0][r : r + 2]
+        masks = list(mod._parity_masks)
+        masks[c2] = masks[c]
+        mod._parity_masks = tuple(masks)
+        for listing in (marking_kernel, literal_marking_kernel):
+            with pytest.raises(InternalCheckError, match="differs from doubled torsion"):
+                listing(mod)
+    assert len(mods) >= 40
+
+
 def test_t22t24_distinguished_component_has_small_doubling_fiber(arc_quandles):
     # the component no automorphism can move is the one whose orbit
     # elements have only two solutions of 2u = 2x in the module
     qa = arc_quandles["t22t24"]
-    elements = [qa.quandle.labels[i][1] for i in range(qa.quandle.n)]
+    elements = [qa.group.element(qa.quandle.labels[i][1]) for i in range(qa.quandle.n)]
     fiber = {
         i: sum(1 for u in elements if u + u == x + x)
         for i, x in enumerate(elements)

@@ -14,7 +14,7 @@ import pytest
 from conftest import time_limit
 
 from imqlink import arcquandle, cli, diagram, imq, linkmodule, quandle
-from imqlink.abelian import FgAbGroup
+from imqlink.abelian import FgAbGroup, GroupElt
 from imqlink.cli import main
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.quandle import parse_quandle
@@ -726,6 +726,10 @@ def count_calls(monkeypatch, counts, home, name):
 
 @pytest.fixture
 def engine_calls(monkeypatch):
+    """Calls of the engine steps each report should run once; listings of
+    the torsion T as "torsion_elements"; and the GroupElts constructed
+    inside build_arc_quandle, which works on coordinate tuples, as
+    "GroupElt in build_arc_quandle" when there are any."""
     counts = Counter()
     for home, name in (
         (linkmodule, "build_link_module"),
@@ -734,6 +738,31 @@ def engine_calls(monkeypatch):
         (imq, "_Mesh"),
     ):
         count_calls(monkeypatch, counts, home, name)
+    listing = FgAbGroup.torsion_elements
+    init = GroupElt.__init__
+    made = [0]
+
+    def counted_listing(self):
+        counts["torsion_elements"] += 1
+        return listing(self)
+
+    def counted_init(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FgAbGroup, "torsion_elements", counted_listing)
+    monkeypatch.setattr(GroupElt, "__init__", counted_init)
+    build = arcquandle.build_arc_quandle
+
+    def counted_build(mod):
+        before = made[0]
+        out = build(mod)
+        if made[0] > before:
+            counts["GroupElt in build_arc_quandle"] += made[0] - before
+        return out
+
+    for module in (arcquandle, cli, imq):
+        monkeypatch.setattr(module, "build_arc_quandle", counted_build)
     return counts
 
 
@@ -749,11 +778,13 @@ def test_report_computes_each_invariant_once(
     code, out, _ = run(capsys, "--format", "machine", *args)
     assert code == 0 and json.loads(out)["evenized"] is True
     # one module, read for the longitudes of the odd components too, and
-    # presenting its weight kernel once; no make_even; one coset-quandle
-    # table and one displacement mesh
+    # presenting its weight kernel once; no make_even; one listing of T,
+    # for the parity profile; one coset-quandle table and one displacement
+    # mesh
     assert engine_calls == {
         "build_link_module": 1,
         "weight_kernel": 1,
+        "torsion_elements": 1,
         "_coset_table": 1,
         "_Mesh": 1,
     }
@@ -774,7 +805,7 @@ def test_compare_computes_each_invariant_once(tmp_path, capsys, engine_calls):
 
 def test_compare_builds_no_displacement_group(tmp_path, capsys, monkeypatch):
     calls = Counter()
-    count_calls(monkeypatch, calls, quandle, "_displacement_closure")
+    count_calls(monkeypatch, calls, quandle, "displacement_group")
     a = write_fixture(tmp_path, "hopf2")
     b = write_fixture(tmp_path, "sixthree")
     code, out, _ = run(capsys, "--format", "machine", "compare", a, b)
@@ -793,7 +824,9 @@ def test_no_imq_report_and_corpus_row_build_no_coset_table(
     code, out, _ = run(capsys, "--format", "machine", "--no-imq", "report", path)
     assert code == 0
     size = json.loads(out)["arc_quandle"]["size"]
-    assert engine_calls == {"build_link_module": 1, "weight_kernel": 1}
+    assert engine_calls == {
+        "build_link_module": 1, "weight_kernel": 1, "torsion_elements": 1
+    }
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / f"{name}.json").write_text(fixture_text(name))
@@ -804,7 +837,9 @@ def test_no_imq_report_and_corpus_row_build_no_coset_table(
     assert code == 0
     (row,) = json.loads(out)["rows"]
     assert row["arc_quandle"]["size"] == size
-    assert engine_calls == {"build_link_module": 2, "weight_kernel": 2}
+    assert engine_calls == {
+        "build_link_module": 2, "weight_kernel": 2, "torsion_elements": 2
+    }
 
 
 # closures of braid words [5, 5, 5, 5, -3, 1, 1, 1, 1, 2, 2] on 6 strands

@@ -163,14 +163,6 @@ def test_empty_table_passes_the_checks():
     assert group_from_quandle(q) == FgAbGroup(0, ())
 
 
-def test_displacement_group_is_built_once_per_table():
-    q = _core_of([2, 4])
-    dis = displacement_group(q)
-    assert displacement_group(q) is dis
-    assert is_semiregular(q)
-    assert displacement_group(FiniteQuandle(q.op)) is not dis
-
-
 def test_displacement_rejects_nonmedial():
     # conjugation quandle on the six transpositions of S4: involutory and
     # self-distributive but not medial, so translations do not commute
@@ -373,6 +365,12 @@ def test_serialize_parse_round_trip():
     assert back.op == q.op
     with pytest.raises(ValueError):
         parse_quandle("2\n0 1\n")
+
+
+def test_parse_quandle_rejects_a_negative_size():
+    # n = -1 has n * n = 1 entries, which "7" supplies
+    with pytest.raises(ValueError, match="negative quandle size -1"):
+        parse_quandle("-1 7")
 
 
 def test_partition_quandle_construction_and_validation():
