@@ -463,12 +463,6 @@ class FgAbGroup:
         for combo in itertools.product(*(range(t) for t in self.torsion)):
             yield GroupElt(self, combo)
 
-    def torsion_elements(self):
-        """All elements of finite order (free coordinates zero)."""
-        r = self.free_rank
-        for combo in itertools.product(*(range(t) for t in self.torsion)):
-            yield GroupElt(self, (0,) * r + combo)
-
     def describe(self) -> str:
         parts = []
         if self.free_rank == 1:

@@ -368,8 +368,7 @@ def _coset_table(qa: ArcQuandle) -> FiniteQuandle:
         ]
         for x in elems
     ]
-    labels = {i: (qa.component_of[i], e) for i, e in enumerate(elems)}
-    q = FiniteQuandle(op, labels=labels)
+    q = FiniteQuandle(op)
 
     g0 = q.generators[0]
     for g in q.generators:

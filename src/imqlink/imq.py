@@ -295,13 +295,10 @@ def compute_imq(mod: LinkModule) -> ImqResult:
 
 
 def _finish(d: LinkDiagram, op: list[list[int]], arc_element: list[int]) -> ImqResult:
-    """Label each element by its arcs and check the table: the quandle
-    axioms, every crossing relation, and one orbit per component.  Every
-    element of the table counts as created."""
-    labels: dict[int, object] = {i: () for i in range(len(op))}
-    for a, e in enumerate(arc_element):
-        labels[e] = (*labels[e], d.arc_names[a])
-    q = FiniteQuandle(op, labels=labels)
+    """Check the table: the quandle axioms, every crossing relation, and
+    one orbit per component.  Every element of the table counts as
+    created."""
+    q = FiniteQuandle(op)
 
     bad = check_axioms(q)
     if bad:

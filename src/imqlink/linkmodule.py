@@ -29,18 +29,18 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import TYPE_CHECKING
 
-from .abelian import FgAbGroup, GroupElt, Presentation, Row, cokernel
+from .abelian import FgAbGroup, GroupElt, Presentation, Row, _gf2_echelon, cokernel
 from .diagram import LinkDiagram, component_walk
 from .quandle import CapExceeded
 
 if TYPE_CHECKING:
     from .arcquandle import ArcQuandle
 
-# The most elements a report lists of the torsion T, the coset quandle Q_A
+# The most elements a report holds of the torsion T, the coset quandle Q_A
 # or the presented quandle, whose tables hold n^2 entries.  Near it a
 # `--no-imq` report of chain (13,13,12), |T| = |Q_A| = 2028, peaks at
-# 104 MiB RSS in 6.4 s, and a full one of chain (2,2,341), |IMQ| = 2046,
-# at 101 MiB in 20 s (ru_maxrss of a fresh process, 2 vCPUs, Python 3.11).
+# 21 MiB RSS in 0.1 s, and a full one of chain (2,2,341), |IMQ| = 2046,
+# at 89 MiB in 14 s (ru_maxrss of a fresh process, 2 vCPUs, Python 3.11).
 LISTING_CAP = 2048
 
 
@@ -270,20 +270,29 @@ def torsion_parity_profile(mod: LinkModule) -> tuple[tuple[int, ...], ...]:
     """Sorted multiset of parity vectors of the nonzero finite-order
     elements, canonicalized to the least multiset over coordinate
     permutations (so it is invariant under component re-indexing).
-    Raises CapExceeded past the listing cap.
+    Raises CapExceeded past the listing cap: it has |T| - 1 entries.
 
-    With free rank 1, p(T) is the whole even-weight space: the torsion has
-    weight 0, the parities sum to the weight mod 2, and p is invertible on
-    M/2M, which T fills but for one bit.  Each vector of it is hit equally
-    often, so every coordinate permutation keeps the multiset, as it keeps
-    the empty one of a trivial T."""
+    0 = p(t x) = p(x) for a unit x of odd order t, so an odd factor's mask
+    is 0, and p maps T linearly onto V, the span of the torsion masks, each
+    vector |T| / |V| times, 0 once fewer.  Sorted, the image under a
+    permutation pi is 0, |T| / |V| - 1 times, then each later vector of
+    sorted pi(V), |T| / |V| times, as 0 is least in every order; so
+    permutations compare as their sorted pi(V) do, and the loop reads pi(V)
+    off V's bit columns in the order pi.  It runs only for V != 0 at free
+    rank 2 or more: at free rank 1 every pi fixes V, the even-weight space
+    (T has weight 0, the parities sum to the weight mod 2, and p is
+    invertible on M/2M, which T fills but for one bit).  Both are checked."""
     check_listing_cap(mod)
-    vectors = [
-        mod.parity(t) for t in mod.group.torsion_elements() if not t.is_zero()
-    ]
-    if mod.group.free_rank == 1 or not vectors:
-        return tuple(sorted(vectors))
-    return min(
-        tuple(sorted(tuple(v[i] for i in perm) for v in vectors))
-        for perm in itertools.permutations(range(mod.mu))
-    )
+    r, mu, torsion = mod.group.free_rank, mod.mu, mod.group.torsion
+    masks = mod._parity_masks[r:]
+    if any(m for m, t in zip(masks, torsion) if t % 2):
+        raise InternalCheckError("odd torsion factor with nonzero parity")
+    basis = _gf2_echelon(list(masks))[0]
+    if r == 1 and (len(basis) != mu - 1 or any(b.bit_count() % 2 for b in basis)):
+        raise InternalCheckError("torsion parities are not the even-weight space")
+    span = [0]
+    for b in basis:
+        span += [v ^ b for v in span]
+    perms = itertools.permutations(range(mu)) if r > 1 and basis else [range(mu)]
+    least = min(sorted(zip(*([v >> i & 1 for v in span] for i in pi))) for pi in perms)
+    return tuple(v for v in least for _ in range(prod(torsion) // len(span)))[1:]

@@ -4,6 +4,7 @@ uses, and helpers only the tests call."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import deque
 from dataclasses import dataclass, replace
@@ -614,6 +615,13 @@ def literal_is_semiregular(q: FiniteQuandle) -> bool:
 # abelian groups and integer matrices
 
 
+def torsion_elements(group: FgAbGroup):
+    """All elements of finite order (free coordinates zero)."""
+    r = group.free_rank
+    for combo in itertools.product(*(range(t) for t in group.torsion)):
+        yield GroupElt(group, (0,) * r + combo)
+
+
 def elements_of_order_dividing_2(group: FgAbGroup):
     r = group.free_rank
     choices = [(0, t // 2) if t % 2 == 0 else (0,) for t in group.torsion]
@@ -648,6 +656,16 @@ def minor_gcds(rows: Matrix, n_cols: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # the arc module
+
+
+def with_unknots(text: str, count: int) -> str:
+    """The diagram of `text` beside `count` unknots of one arc each: a
+    split link whose module gains one free factor per unknot."""
+    obj = json.loads(text)
+    for i in range(count):
+        obj["arcs"].append(f"u{i}")
+        obj["components"].append({"arcs": [f"u{i}"], "crossings": []})
+    return json.dumps(obj)
 
 
 def dense_relation_matrix(d: LinkDiagram) -> Matrix:
@@ -689,7 +707,7 @@ def evenized_longitudes(d: LinkDiagram) -> tuple[LinkModule, list[GroupElt]]:
 def double_kernel_subgroup_check(mod: LinkModule) -> bool:
     """{x : weight 0, parity 0} equals 2 * {x : weight 0}; needs finite
     ker(weight)."""
-    kw_elements = [t for t in mod.group.torsion_elements() if mod.weight(t) == 0]
+    kw_elements = [t for t in torsion_elements(mod.group) if mod.weight(t) == 0]
     if mod.kernel.free_rank:
         raise ValueError("ker(weight) is infinite")
     joint = [t for t in kw_elements if not any(mod.parity(t))]
@@ -757,7 +775,7 @@ def literal_marking_kernel(mod: LinkModule) -> list[tuple[int, ...]]:
     `arcquandle.marking_kernel`, which lists 2T off the invariant factors
     after one GF(2) check.  Raises CapExceeded past the listing cap."""
     check_listing_cap(mod)
-    torsion = list(mod.group.torsion_elements())
+    torsion = list(torsion_elements(mod.group))
     by_parity = {t for t in torsion if not any(mod.parity(t))}
     doubled = {t.smul(2) for t in torsion}
     if by_parity != doubled:
@@ -901,7 +919,7 @@ def _bits_solve(
 def two_primary_elements(mod: LinkModule) -> list[GroupElt]:
     return [
         t
-        for t in mod.group.torsion_elements()
+        for t in torsion_elements(mod.group)
         if t.order() and t.order() & (t.order() - 1) == 0
     ]
 
@@ -914,7 +932,7 @@ def is_pure_summand(mod: LinkModule, gens: list[GroupElt], shape: list[int]) -> 
     span = _torsion_span(gens, mod.group.zero())
     if len(span) != prod(shape):
         return False
-    torsion = set(mod.group.torsion_elements())
+    torsion = set(torsion_elements(mod.group))
     exponent = max((t.order() for t in torsion), default=1)
     j = 2
     while j <= exponent:
@@ -1070,7 +1088,7 @@ def literal_characteristic_compatibility(
             return _parity_block(mod, x, ordering)
 
         p_torsion = _gf2_echelon(
-            [_mask(block(t)) for t in mod.group.torsion_elements()]
+            [_mask(block(t)) for t in torsion_elements(mod.group)]
         )[0]
         by_unit: dict[int, list[GroupElt]] = {j: [] for j in range(mu - 1)}
         for t in two_primary:
@@ -1131,7 +1149,7 @@ def literal_torsion_parity_profile(mod: LinkModule) -> tuple[tuple[int, ...], ..
     """The least sorted multiset of torsion parity vectors over every
     permutation of the components, with no free-rank-1 shortcut."""
     vectors = [
-        mod.parity(t) for t in mod.group.torsion_elements() if not t.is_zero()
+        mod.parity(t) for t in torsion_elements(mod.group) if not t.is_zero()
     ]
     best = None
     for perm in itertools.permutations(range(mod.mu)):
@@ -1150,13 +1168,13 @@ def literal_marking_search(m1: LinkModule, m2: LinkModule) -> dict | None:
     exhaustive, so None means the markings are not equivalent."""
     mu = m1.mu
     gens = _canonical_torsion_generators(m1.group)
-    t2 = [x for x in m2.group.torsion_elements() if not x.is_zero()]
+    t2 = [x for x in torsion_elements(m2.group) if not x.is_zero()]
     pools = [[x for x in t2 if g.order() % x.order() == 0] for g in gens]
-    torsion_order = len(list(m1.group.torsion_elements()))
+    torsion_order = len(list(torsion_elements(m1.group)))
     adapted1 = _weight_adapted_basis(m1)
     adapted2 = _weight_adapted_basis(m2)
     p_torsion2 = _gf2_echelon(
-        [_mask(m2.parity(t)) for t in m2.group.torsion_elements()]
+        [_mask(m2.parity(t)) for t in torsion_elements(m2.group)]
     )[0]
     sources = [_mask(m2.parity(c)) for c in adapted2]
     red_s = [_gf2_reduce(p_torsion2, v) for v in sources[1:]]

@@ -18,6 +18,7 @@ from imqlink.abelian import FgAbGroup, GroupElt
 from imqlink.cli import main
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.quandle import parse_quandle
+from oracles import with_unknots
 
 UNKNOT = json.dumps(
     {"arcs": ["z"], "components": [{"arcs": ["z"], "crossings": []}], "crossings": []}
@@ -710,26 +711,36 @@ def test_console_script(tmp_path):
     assert rep["imq"] == {"size": 6, "orbit_sizes": [2, 2, 2]}
 
 
-def count_calls(monkeypatch, counts, home, name):
-    """Count calls of home.name, through every imqlink module binding it."""
+def wrap_everywhere(monkeypatch, home, name, wrap):
+    """Replace home.name by wrap(home.name) in every imqlink module
+    binding it."""
     original = getattr(home, name)
-
-    def counted(*args, **kwargs):
-        counts[name] += 1
-        return original(*args, **kwargs)
-
+    wrapped = wrap(original)
     for module in list(sys.modules.values()):
         if module is not None and module.__name__.startswith("imqlink"):
             if vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, counted)
+                monkeypatch.setattr(module, name, wrapped)
+
+
+def count_calls(monkeypatch, counts, home, name):
+    """Count calls of home.name, through every imqlink module binding it."""
+
+    def wrap(original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    wrap_everywhere(monkeypatch, home, name, wrap)
 
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Calls of the engine steps each report should run once; listings of
-    the torsion T as "torsion_elements"; and the GroupElts constructed
-    inside build_arc_quandle, which works on coordinate tuples, as
-    "GroupElt in build_arc_quandle" when there are any."""
+    """Calls of the engine steps each report should run once; and the
+    GroupElts constructed inside build_arc_quandle and inside
+    torsion_parity_profile, which work on coordinate tuples and parity
+    masks, as "GroupElt in <name>" when there are any."""
     counts = Counter()
     for home, name in (
         (linkmodule, "build_link_module"),
@@ -738,31 +749,30 @@ def engine_calls(monkeypatch):
         (imq, "_Mesh"),
     ):
         count_calls(monkeypatch, counts, home, name)
-    listing = FgAbGroup.torsion_elements
     init = GroupElt.__init__
     made = [0]
-
-    def counted_listing(self):
-        counts["torsion_elements"] += 1
-        return listing(self)
 
     def counted_init(self, *args, **kwargs):
         made[0] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(FgAbGroup, "torsion_elements", counted_listing)
     monkeypatch.setattr(GroupElt, "__init__", counted_init)
-    build = arcquandle.build_arc_quandle
 
-    def counted_build(mod):
-        before = made[0]
-        out = build(mod)
-        if made[0] > before:
-            counts["GroupElt in build_arc_quandle"] += made[0] - before
-        return out
+    def counting_elements(original):
+        def counted(mod):
+            before = made[0]
+            out = original(mod)
+            if made[0] > before:
+                counts[f"GroupElt in {original.__name__}"] += made[0] - before
+            return out
 
-    for module in (arcquandle, cli, imq):
-        monkeypatch.setattr(module, "build_arc_quandle", counted_build)
+        return counted
+
+    for home, name in (
+        (arcquandle, "build_arc_quandle"),
+        (linkmodule, "torsion_parity_profile"),
+    ):
+        wrap_everywhere(monkeypatch, home, name, counting_elements)
     return counts
 
 
@@ -778,13 +788,11 @@ def test_report_computes_each_invariant_once(
     code, out, _ = run(capsys, "--format", "machine", *args)
     assert code == 0 and json.loads(out)["evenized"] is True
     # one module, read for the longitudes of the odd components too, and
-    # presenting its weight kernel once; no make_even; one listing of T,
-    # for the parity profile; one coset-quandle table and one displacement
-    # mesh
+    # presenting its weight kernel once; no make_even; no listing of T;
+    # one coset-quandle table and one displacement mesh
     assert engine_calls == {
         "build_link_module": 1,
         "weight_kernel": 1,
-        "torsion_elements": 1,
         "_coset_table": 1,
         "_Mesh": 1,
     }
@@ -824,9 +832,7 @@ def test_no_imq_report_and_corpus_row_build_no_coset_table(
     code, out, _ = run(capsys, "--format", "machine", "--no-imq", "report", path)
     assert code == 0
     size = json.loads(out)["arc_quandle"]["size"]
-    assert engine_calls == {
-        "build_link_module": 1, "weight_kernel": 1, "torsion_elements": 1
-    }
+    assert engine_calls == {"build_link_module": 1, "weight_kernel": 1}
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / f"{name}.json").write_text(fixture_text(name))
@@ -837,9 +843,7 @@ def test_no_imq_report_and_corpus_row_build_no_coset_table(
     assert code == 0
     (row,) = json.loads(out)["rows"]
     assert row["arc_quandle"]["size"] == size
-    assert engine_calls == {
-        "build_link_module": 2, "weight_kernel": 2, "torsion_elements": 2
-    }
+    assert engine_calls == {"build_link_module": 2, "weight_kernel": 2}
 
 
 # closures of braid words [5, 5, 5, 5, -3, 1, 1, 1, 1, 2, 2] on 6 strands
@@ -983,6 +987,19 @@ def test_report_of_a_13_component_unlink_is_bounded(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["module"]["free_rank"] == 13 and rep["parity_profile"] == []
+
+
+def test_report_of_a_trefoil_and_nine_unknots_is_bounded(tmp_path, capsys):
+    # Z^10 + Z/3: the profile is |T| - 1 = 2 zero vectors, read off V = 0
+    # without a loop over the 10! component permutations
+    path = tmp_path / "trefoil_unlink9.json"
+    path.write_text(with_unknots(fixture_text("trefoil"), 9))
+    with time_limit(1):
+        code, out, _ = run(capsys, "--format", "machine", "report", str(path))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["module"]["free_rank"] == 10
+    assert rep["parity_profile"] == [[0] * 10] * 2
 
 
 def test_corpus_exits_4_on_an_engine_value_error(tmp_path, capsys, monkeypatch):

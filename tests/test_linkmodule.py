@@ -13,6 +13,7 @@ import pytest
 
 from imqlink.abelian import (
     FgAbGroup,
+    _gf2_echelon,
     _hermite_basis,
     _hermite_order,
     _scaled_sum,
@@ -23,6 +24,7 @@ from imqlink.abelian import (
 from imqlink.diagram import make_even, parse_diagram
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.linkmodule import (
+    InternalCheckError,
     build_link_module,
     link_determinant,
     longitude_zero_subset,
@@ -33,6 +35,7 @@ from imqlink.linkmodule import (
     weight_kernel,
 )
 from oracles import (
+    SyntheticMarking,
     dense_relation_matrix,
     determinant_by_minors,
     double_kernel_subgroup_check,
@@ -42,8 +45,11 @@ from oracles import (
     literal_parity,
     literal_torsion_parity_profile,
     literal_weight,
+    random_marking,
     subgroups_equal,
     to_canonical,
+    torsion_elements,
+    with_unknots,
 )
 
 DIAGRAMS = Path(__file__).with_name("diagrams")
@@ -97,7 +103,7 @@ def test_tables_equal_literal_lifts(name, modules):
         mod = modules[name]
     for a, x in enumerate(mod.arc_class):
         assert x == literal_generator_image(mod.pres, a)
-    elements = list(mod.arc_class) + list(mod.group.torsion_elements())
+    elements = list(mod.arc_class) + list(torsion_elements(mod.group))
     # sums of arc classes mix free and torsion coordinates
     elements += [x + y.smul(3) for x, y in zip(mod.arc_class, mod.arc_class[1:])]
     for x in elements:
@@ -482,8 +488,11 @@ def test_parity_profiles_frozen(modules):
 
 
 def test_profile_equals_the_permutation_loop(modules, perfbench_module):
-    # the free-rank-1 shortcut skips the loop over component permutations;
-    # fixtures, gate diagrams, seeded closures and chains up to mu = 6
+    # the profile is read off the span of the torsion parity masks and
+    # skips the loop over component permutations at free rank 1 and when
+    # the span is 0; fixtures, gate diagrams, seeded closures, chains up to
+    # mu = 7 (det-0 ones among them), the trefoil beside 1-4 unknots, and
+    # synthetic markings of free rank >= 2
     gen = perfbench_module("gen")
     texts = [
         (DIAGRAMS / f"{name}.json").read_text()
@@ -497,14 +506,47 @@ def test_profile_equals_the_permutation_loop(modules, perfbench_module):
             for _ in range(rng.randint(n, 2 * n + 2))
         ]
         texts.append(gen.to_text(gen.closure(word, n)))
-    for regions in ((2, 2, 2, 2, 2), (2, 3, 2, 4, 2), (4, 2, 6, 2), (2, 4, 2, 2)):
+    for regions in (
+        (2, 2, 2, 2, 2), (2, 3, 2, 4, 2), (4, 2, 6, 2), (2, 4, 2, 2),
+        (2, 2, 2, 2, 0, 2), (0, 2, 2),
+    ):
         word = gen.chain_word(list(regions), random.Random(1))
         texts.append(gen.to_text(gen.closure(word, len(regions) + 1)))
+    texts += [with_unknots(fixture_text("trefoil"), k) for k in range(1, 5)]
     mods = list(modules.values()) + [build_link_module(parse_diagram(t)) for t in texts]
-    assert max(mod.mu for mod in mods) == 6
-    for mod in mods:
+    assert max(mod.mu for mod in mods) == 7
+    rng = random.Random(29)
+    markings = []
+    while len(markings) < 120:
+        marking = random_marking(rng)
+        if marking.group.free_rank >= 2:
+            markings.append(marking)
+    for mod in mods + markings:
         assert torsion_parity_profile(mod) == literal_torsion_parity_profile(mod)
     assert sum(mod.group.free_rank == 1 and mod.mu >= 3 for mod in mods) >= 10
+    # p not injective on T/2T, so |T| / |V| is not |T| / 2^k for the k
+    # even factors
+    assert sum(
+        len(_gf2_echelon(list(m._parity_masks[m.group.free_rank :]))[0])
+        < sum(t % 2 == 0 for t in m.group.torsion)
+        for m in markings
+    ) >= 10
+
+
+def test_profile_checks_what_makes_the_parity_linear_on_torsion(modules):
+    # trefoil, Z + Z/3: the odd factor's mask must be 0
+    mod = modules["trefoil"]
+    bad = SyntheticMarking(mod.group, 1, mod._weights, (1, 1))
+    with pytest.raises(InternalCheckError, match="odd torsion factor"):
+        torsion_parity_profile(bad)
+    # hopf2, Z + Z/2 + Z/2, torsion masks 5 and 6: at free rank 1 they
+    # must span the even-weight vectors, which a repeated mask or one of
+    # odd weight does not
+    mod = modules["hopf2"]
+    for masks in ((4, 5, 5), (4, 5, 7)):
+        bad = SyntheticMarking(mod.group, 3, mod._weights, masks)
+        with pytest.raises(InternalCheckError, match="even-weight space"):
+            torsion_parity_profile(bad)
 
 
 def test_all_ones_parity_vector_distinguishes_lprime_pair(modules):
