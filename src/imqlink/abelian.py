@@ -20,13 +20,14 @@ the rows, sparse, by unimodular steps to a Hermite basis of at most one row
 per column (`_hermite_basis`), whose certificate is that every input row
 ends as a basis row or reduces to zero.  The basis does not depend on the
 order the rows come in, but the cost does; `_hermite_order` gives the
-cheapest order measured.  `_unit_split` then drops the unit pivots: modulo
-the basis each unit-pivot generator is minus the rest of its row, which
-lies on the other columns, the free ones.  The Smith form runs only on the
-remaining rows over the free columns: one row on two columns for the
-crossing rows of T(2, n).  On some drawings the Smith form of the literal
-rows grows entries of over a hundred digits.  The IMQ's displacement mesh
-keys its elements by the same basis and the same split.
+cheapest order measured.  It then drops the unit pivots: modulo the basis
+each unit-pivot generator is minus the rest of its row, which lies on the
+other columns, the free ones.  The Smith form runs only on the remaining
+rows over the free columns: one row on two columns for the crossing rows
+of T(2, n).  On some drawings the Smith form of the literal rows grows
+entries of over a hundred digits.  The IMQ's displacement mesh keys its
+elements by a `cokernel` too, on its coordinates at every position of the
+Smith form, where the lattice is diagonal.
 `_gf2_echelon` and `_gf2_reduce` are the package's one eliminator over
 GF(2); the coset quandle's marking questions, its re-indexing search and
 the parity part of the IMQ's displacement mesh all use them.  The coset
@@ -164,16 +165,6 @@ def _sparse_rows(rows: Matrix) -> list[Row]:
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-def _dense(rows: list[Row], n_cols: int) -> Matrix:
-    out = []
-    for row in rows:
-        full = [0] * n_cols
-        for j, x in row.items():
-            full[j] = x
-        out.append(full)
-    return out
-
-
 def _reduce_row(row: Row, start: int, basis: dict[int, Row]) -> None:
     """Reduce each entry of row in a pivot column k >= start to at most
     basis[k][k]/2 in absolute value, lowest column first.  Subtracting
@@ -255,31 +246,6 @@ def _hermite_basis(rows: Iterable[Row]) -> tuple[dict[int, Row], list[int]]:
             if j in r:
                 raise AssertionError("_hermite_basis: a row did not reduce to zero")
     return basis, pivots
-
-
-def _unit_split(
-    basis: dict[int, Row], pivots: list[int], n_cols: int
-) -> tuple[list[int], list[Row], dict[int, Row]]:
-    """Split a Hermite basis of a lattice L in Z^n_cols (`_hermite_basis`)
-    at its unit pivots.
-
-    A pivot of 1 is the only nonzero entry of its column, so the basis row
-    at a unit pivot c is e_c plus a tail on the other columns, the free
-    ones, and every other basis row lies on the free columns too.  Modulo
-    L, e_c is minus that tail.  So Z^n_cols / L is Z^free modulo the other
-    rows.  Returns the free columns in order; the image of each e_c over
-    positions in the free columns (e_c itself at a free column, minus the
-    tail at a unit pivot); and the other rows over those positions, by
-    pivot column in order."""
-    units = {j for j in pivots if basis[j][j] == 1}
-    free = [c for c in range(n_cols) if c not in units]
-    pos = {c: k for k, c in enumerate(free)}
-    image = [
-        {pos[f]: -y for f, y in basis[c].items() if f != c} if c in units else {pos[c]: 1}
-        for c in range(n_cols)
-    ]
-    rest = {j: {pos[c]: x for c, x in basis[j].items()} for j in pivots if j not in units}
-    return free, image, rest
 
 
 def _gf2_reduce(basis: list[int], v: int) -> int:
@@ -514,10 +480,13 @@ class Presentation:
     """Z^n_gens modulo a lattice L, as `cokernel` splits it.
 
     Modulo L each generator is one sparse row over the free columns of L's
-    Hermite basis (`_unit_split`), and snf is the Smith form U H V of the
-    basis rows H left on those columns.  An element's canonical coordinates
-    are its row times V, read at the positions of the free coordinates,
-    then of the torsion coordinates (diagonal 0, then 2 and up)."""
+    Hermite basis; the other columns are its unit pivots.  snf is the
+    Smith form U H V of the basis rows H left on the free columns.  An
+    element's row times V (`_coords`) has a position per diagonal entry,
+    and its canonical coordinates are read at the positions of the free
+    coordinates, then of the torsion coordinates (diagonal 0, then 2 and
+    up).  The displacement mesh reads every position, the unit factors'
+    too."""
 
     n_gens: int
     snf: SmithForm
@@ -526,11 +495,15 @@ class Presentation:
     _columns: list[int]  # the free columns
     _read: list[int]  # the positions of the coordinates, in order
 
-    def _image(self, row: Row) -> GroupElt:
+    def _coords(self, row: Row) -> list[int]:
+        """row times V: the element at every position of the Smith form,
+        unreduced."""
         v = self.snf.v
-        return self.group.element(
-            [sum(x * v[k][j] for k, x in row.items()) for j in self._read]
-        )
+        return [sum(x * v[k][j] for k, x in row.items()) for j in range(len(v))]
+
+    def _image(self, row: Row) -> GroupElt:
+        y = self._coords(row)
+        return self.group.element([y[j] for j in self._read])
 
     def generator_image(self, i: int) -> GroupElt:
         """The image of generator i in the quotient: its row."""
@@ -569,19 +542,30 @@ def _hermite_order(rows: list[Row]) -> list[Row]:
 def cokernel(rows: list[Row], n_gens: int) -> Presentation:
     """The abelian group Z^n_gens modulo the row space of the sparse rows.
 
-    The rows enter `_hermite_basis` in `_hermite_order`.  `_unit_split`
-    drops the basis's unit pivots, and the Smith form runs on the other
-    basis rows over the free columns only."""
+    The rows enter `_hermite_basis` in `_hermite_order`.  A pivot of 1 is
+    the only nonzero entry of its column, so the basis row at a unit pivot
+    c is e_c plus a tail on the other columns, the free ones, and every
+    other basis row lies on the free columns.  Modulo the basis e_c is
+    minus that tail, so the quotient is Z^free modulo the other rows, and
+    the Smith form runs on those alone."""
     if any(not 0 <= j < n_gens or not x for row in rows for j, x in row.items()):
         raise ValueError("sparse row with a zero entry or a column out of range")
-    free, image, rest = _unit_split(*_hermite_basis(_hermite_order(rows)), n_gens)
-    snf = smith_normal_form(_dense(list(rest.values()), len(free)), len(free))
+    basis, pivots = _hermite_basis(_hermite_order(rows))
+    units = {j for j in pivots if basis[j][j] == 1}
+    free = [c for c in range(n_gens) if c not in units]
+    pos = {c: k for k, c in enumerate(free)}
+    gen_rows = [
+        {pos[f]: -y for f, y in basis[c].items() if f != c} if c in units else {pos[c]: 1}
+        for c in range(n_gens)
+    ]
+    rest = [[basis[j].get(c, 0) for c in free] for j in pivots if j not in units]
+    snf = smith_normal_form(rest, len(free))
     diag = snf.diag + [0] * (len(free) - len(snf.diag))
     group = FgAbGroup(diag.count(0), tuple(t for t in diag if t >= 2))
     # the free coordinates, then the torsion ones (a unit factor has none)
     read = [j for j, t in enumerate(diag) if t == 0]
     read += [j for j, t in enumerate(diag) if t >= 2]
-    return Presentation(n_gens, snf, group, image, free, read)
+    return Presentation(n_gens, snf, group, gen_rows, free, read)
 
 
 def solve_in_row_space(rows: Matrix, n_cols: int, target: list[int]) -> list[int] | None:

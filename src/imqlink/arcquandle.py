@@ -163,7 +163,7 @@ kept as the test oracle `literal_coset_checks`, reject the same modules:
   mu det / 2^(mu-1).
 
 So the report reads |Q_A| = mu |K| and its orbit sizes, |K| each, off
-the cosets, and builds no table.  The table (`_coset_table`) is built on
+the cosets, and lists no element.  The table (`_coset_table`) is built on
 its first read, from the checked cosets, and checks only itself against
 them (the generator check): for g in `FiniteQuandle.generators` and g0 the
 first of them, R_g R_g0 must be the translation by 2(e_g - e_g0), e_g the
@@ -215,16 +215,17 @@ def _mod2_bits(mod: LinkModule) -> tuple[list[int], list[int], list[int]]:
     return coord, [mod._parity_masks[c] for c in coord], shape
 
 
-def _gf2_solve(cols: list[int], target: int) -> int:
-    """The bitmask c with the XOR of cols[i] over the bits i of c equal to
-    target, for independent cols that span it.  It is read off the null
-    vector of cols + [target] that uses the target; only the last input's
-    null vector can."""
+def _gf2_solve(cols: list[int], targets: list[int]) -> list[int]:
+    """Per target, the bitmask c with the XOR of cols[i] over the bits i of
+    c equal to it, for independent cols that span every target: one
+    elimination of cols + targets.  The cols leave no null vector, so
+    target t is spanned iff it leaves one, and that one uses no other
+    target, as no target before it became a row."""
     n = len(cols)
-    null = _gf2_echelon(cols + [target])[1]
-    if not (null and null[-1] >> n & 1):
+    null = _gf2_echelon(cols + targets)[1]
+    if [v >> n for v in null] != [1 << t for t in range(len(targets))]:
         raise InternalCheckError("GF(2) target outside the span")
-    return null[-1] ^ 1 << n
+    return [v ^ 1 << n + t for t, v in enumerate(null)]
 
 
 def _gf2_unimodular_lift(rows: list[list[int]]) -> list[list[int]]:
@@ -245,16 +246,25 @@ def _gf2_unimodular_lift(rows: list[list[int]]) -> list[list[int]]:
 @dataclass
 class ArcQuandle:
     """Q_A as its checked cosets, in the canonical coordinates of `group`:
-    the elements, coset by coset, their components, the marking kernel K
-    and the element of each arc.  Built once per module, which keeps it;
-    the table is built on its first read."""
+    the coset representatives r_i, the marking kernel K and the element of
+    each arc, element i |K| + k being r_i + K[k].  Built once per module,
+    which keeps it; the elements, their components and the table are built
+    on their first read."""
 
     diagram: LinkDiagram
     group: FgAbGroup
-    elements: list[Coords]
-    component_of: list[int]
+    reps: list[Coords]
     kernel: list[Coords]
     arc_element: list[int]
+
+    @cached_property
+    def elements(self) -> list[Coords]:
+        m = self.group.moduli
+        return [_combine(1, x, 1, k, m) for x in self.reps for k in self.kernel]
+
+    @cached_property
+    def component_of(self) -> list[int]:
+        return [i for i in range(len(self.reps)) for _ in self.kernel]
 
     @cached_property
     def quandle(self) -> FiniteQuandle:
@@ -340,9 +350,7 @@ def _cosets(mod: LinkModule) -> ArcQuandle:
         if k is None:
             raise InternalCheckError("arc class outside its coset")
         arc_element.append(i * len(kernel) + k)
-    elements = [_combine(1, x, 1, k, moduli) for x in reps for k in kernel]
-    component_of = [i for i in range(mu) for _ in kernel]
-    return ArcQuandle(d, group, elements, component_of, kernel, arc_element)
+    return ArcQuandle(d, group, reps, kernel, arc_element)
 
 
 def _coset_table(qa: ArcQuandle) -> FiniteQuandle:
@@ -481,7 +489,7 @@ def characteristic_compatibility(mod: LinkModule) -> CharCompatReport:
     coord, masks, shape = _mod2_bits(mod)
     if _gf2_echelon(masks)[1]:
         return CharCompatReport("no")
-    pre = [_gf2_solve(masks, 1 << j) for j in range(mu)]  # p^-1(e_j)
+    pre = _gf2_solve(masks, [1 << j for j in range(mu)])  # p^-1(e_j)
     free = (1 << r) - 1  # W is where these bits vanish
 
     def order(v: int) -> int:  # that of v's lift: the least 2^a with v in U_a
@@ -529,7 +537,7 @@ def _witness(
     cbar = [sum((x & 1) << i for i, x in enumerate(c.coords[:r])) for c in adapted]
     basis = cbar[1:] + [1 << i for i in range(r, mu)]
     targets = [pre[o0] ^ cbar[0]] + [v[j] for j in free_js]
-    sols = [_gf2_solve(basis, x) for x in targets]
+    sols = _gf2_solve(basis, targets)
     rows = [[s >> i & 1 for i in range(r - 1)] for s in sols]
     if len(rows) > 1:  # at free rank 1 the block is 0 x 0
         rows[1:] = _gf2_unimodular_lift(rows[1:])

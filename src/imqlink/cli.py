@@ -138,15 +138,13 @@ def build_report(
         report["arc_quandle"] = "infinite"
         report["imq"] = "infinite"
     else:
-        # the orbits of Q_A are its cosets, one per component, as
-        # build_arc_quandle checks; no table is built for them
+        # Q_A is mu cosets of K, its orbits, as build_arc_quandle checks;
+        # no element of it is listed
         qa = build_arc_quandle(mod)
-        report["arc_quandle"] = {
-            "size": len(qa.elements),
-            "orbit_sizes": [len(qa.kernel)] * d.mu,
-        }
+        size = d.mu * len(qa.kernel)
+        report["arc_quandle"] = {"size": size, "orbit_sizes": [len(qa.kernel)] * d.mu}
         lower, upper = size_bounds(det, d.mu)
-        checks["arc_quandle_size_formula"] = len(qa.elements) == lower
+        checks["arc_quandle_size_formula"] = size == lower
         sens = reindexing_sensitivity(mod)
         report["component_classes"] = [list(c) for c in sens.classes]
         if not run_imq:

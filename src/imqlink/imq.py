@@ -59,7 +59,7 @@ import itertools
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
-from .abelian import _dense, _gf2_echelon, _gf2_reduce, _hermite_basis, _unit_split
+from .abelian import _gf2_echelon, _gf2_reduce, cokernel
 from .arcquandle import ArcQuandle, build_arc_quandle
 from .diagram import LinkDiagram
 from .linkmodule import InternalCheckError, LinkModule, check_imq_bound, size_bounds
@@ -80,37 +80,34 @@ class _Mesh:
     """The displacement mesh of a diagram, with a canonical key for each
     element; see the module docstring for the mesh.
 
-    The keys come from one basis of T: `_hermite_basis` of all the rows of
-    the R_k and C_k, split by `_unit_split`.  A pivot of 1 is the only
-    nonzero entry of its column, so the basis splits into unit rows u_c,
-    one per unit-pivot column c, and the rows H of the other pivots, which
-    live on the other columns, the free ones.  Every v in D is the sum of
-    v[c] u_c over the unit-pivot columns c plus a vector p(v) on the free
-    columns, the sum of v's entries times their images there; reducing
-    p(v) by H gives v's canonical residue mod T and v's coordinates on H.
-    Its coordinate on u_c is v[c] itself.
+    The keys come from one `cokernel` of all the rows of the R_k and C_k.
+    Its basis row at a unit pivot c is u_c = e_c plus a tail on the free
+    columns, where the other basis rows H lie.  So v in D is the sum of
+    v[c] u_c over the unit pivots c and of p(v) on the free columns.  Let
+    U H V = diag(d_k) be the Smith form of H (d_k = 0 past its rank), f_k
+    the rows of V^-1 and y = p(v) V, so p(v) = sum y_k f_k, and split
+    y_k = q_k d_k + r_k by divmod (q_k = 0 where d_k = 0).  Then
+    v = sum v[c] u_c + sum q_k d_k f_k + sum r_k f_k, where the u_c and the
+    nonzero d_k f_k are a basis of T and the f_k are independent: the r_k
+    are v's canonical residue mod T, and v's coordinates on that basis are
+    the v[c] and the q_k.  r_k = 0 where d_k = 1; the other r_k are kept.
 
-    As 2T <= S_i <= T, v mod S_i is that residue together with v's
-    coordinates on the basis mod 2, taken modulo the image of R_i + C_i in
-    T/2T.  `_gf2_reduce` by an echelon basis of that image makes the parity
+    As 2T <= S_i <= T, v mod S_i is that residue together with those
+    coordinates mod 2, taken modulo the image of R_i + C_i in T/2T.
+    `_gf2_reduce` by an echelon basis of that image makes this parity
     canonical, and is linear.  The key of (v, i) is (i, parity, *residue),
-    with the parity as a bitmask, bit k for basis row k.  So a product
-    reduces only its residue, and adds parities that were reduced once,
-    when the mesh was built.
-
-    The columns list the arcs from the last down, then the d_ij.  The keys
-    are canonical in any column order; this one makes a crossing row of a
-    braid closure, its arcs numbered in order of first appearance, lead
-    with the arc the crossing starts, which has coefficient -1, so most
-    rows enter the basis as unit rows with no gcd step.
+    the parity a bitmask over the unit pivots, then the Smith positions.
+    The product (2h - g + d_ij, i) has y = 2y_h - y_g + y_d: a kept
+    coordinate w = 2b - a + c of the residues splits as q d_k + r, and the
+    product's parity is g's plus d_ij's plus the bits of the odd q, each
+    reduced once when the mesh is built.
     """
 
     def __init__(self, d: LinkDiagram):
         mu, kappa = d.mu, d.kappa
-        # columns: the arcs but each component's first, last arc first;
-        # then the d_ij
+        # columns: the arcs but each component's first, then the d_ij
         first = {comp.arcs[0] for comp in d.components}
-        kept = [a for a in reversed(range(d.n_arcs)) if a not in first]
+        kept = [a for a in range(d.n_arcs) if a not in first]
         arc_col = {a: k for k, a in enumerate(kept)}
         pairs = itertools.combinations(range(mu), 2)
         delta_col = {ij: len(kept) + k for k, ij in enumerate(pairs)}
@@ -134,41 +131,47 @@ class _Mesh:
                 if k not in (i, j):
                     rows.append((k, _sparse([delta(i, j), delta(k, j, -1), delta(k, i)])))
 
-        basis, pivots = _hermite_basis(row for _, row in rows)
-        free, image, rest = _unit_split(basis, pivots, len(arc_col) + len(delta_col))
-        bit = {j: 1 << k for k, j in enumerate(pivots)}
-        unit_bit = {j: bit[j] for j in pivots if j not in rest}
-        self.basis: list[list[int]] = _dense(list(rest.values()), len(free))  # H
-        self.basis_pivot = [min(h) for h in rest.values()]
-        raw_h_bits = [bit[j] for j in rest]
+        n_cols = len(arc_col) + len(delta_col)
+        pres = cokernel([row for _, row in rows], n_cols)
+        # parity bits: the unit-pivot columns, then the Smith positions
+        units = sorted(set(range(n_cols)) - set(pres._columns))
+        unit_bit = {c: 1 << k for k, c in enumerate(units)}
+        moduli = pres.snf.diag + [0] * (pres.snf.n - pres.snf.m)  # one per position
 
-        def coords(v: dict[int, int]) -> tuple[list[int], int]:
-            # v's residue mod T, and its coordinates in T's basis mod 2
-            p = [0] * len(free)
-            odd = 0
+        def split(v: dict[int, int]) -> tuple[list[int], int]:
+            # v's residue mod T on the kept coordinates, and its
+            # coordinates on T's basis mod 2
+            p: dict[int, int] = {}
             for c, x in v.items():
-                if x % 2 and c in unit_bit:
-                    odd |= unit_bit[c]
-                for f, y in image[c].items():
-                    p[f] += x * y
-            residue, mask = self._reduce(p, raw_h_bits)
-            return residue, mask | odd
+                for f, y in pres._gen_rows[c].items():
+                    p[f] = p.get(f, 0) + x * y
+            mask = sum(unit_bit.get(c, 0) for c, x in v.items() if x & 1)
+            residue = []
+            for k, (y, m) in enumerate(zip(pres._coords(p), moduli), len(units)):
+                q, r = divmod(y, m) if m else (0, y)
+                mask |= (q & 1) << k
+                if m != 1:
+                    residue.append(r)
+            return residue, mask
 
         spans: list[list[int]] = [[] for _ in range(mu)]
         for k, row in rows:
-            residue, mask = coords(row)
+            residue, mask = split(row)
             if any(residue):
                 raise InternalCheckError("a row of T does not reduce to zero")
             spans[k].append(mask)
         spans = [_gf2_echelon(masks)[0] for masks in spans]
 
         def key(v: dict[int, int], i: int) -> tuple[int, ...]:
-            residue, mask = coords(v)
+            residue, mask = split(v)
             return (i, _gf2_reduce(spans[i], mask), *residue)
 
-        # a product in component i adds h_bits[i][k] to the parity per row
-        # k of H it subtracts an odd number of times
-        self.h_bits = [[_gf2_reduce(span, b) for b in raw_h_bits] for span in spans]
+        # per component i, each kept coordinate's modulus and the parity a
+        # product in component i adds when its quotient there is odd
+        kept_positions = [(k, m) for k, m in enumerate(moduli, len(units)) if m != 1]
+        self.moduli_carry = [
+            [(m, _gf2_reduce(span, 1 << k)) for k, m in kept_positions] for span in spans
+        ]
         self.delta_key = [
             [key(_sparse([delta(i, j)]), i) for j in range(mu)] for i in range(mu)
         ]
@@ -176,27 +179,21 @@ class _Mesh:
             key(_sparse([(arc_col.get(a), 1)]), kappa[a]) for a in range(d.n_arcs)
         ]
 
-    def _reduce(self, w: list[int], bits: list[int]) -> tuple[list[int], int]:
-        """w reduced by H, each pivot entry into [0, pivot): the canonical
-        residue of w mod the span of H.  Also the XOR of bits[k] over the
-        rows k of H subtracted an odd number of times."""
-        mask = 0
-        for h, j, b in zip(self.basis, self.basis_pivot, bits):
-            q = w[j] // h[j]
-            if q:
-                w = [x - q * y for x, y in zip(w, h)]
-                if q % 2:
-                    mask ^= b
-        return w, mask
-
     def product(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
         """The key of x |> y = (2h - g + d_ij, i), for x = (g, i) and
         y = (h, j) given by their keys."""
-        i, px, *rx = x
+        i, mask, *rx = x
         _, pd, *rd = self.delta_key[i][y[0]]
-        w = [2 * b - a + c for a, b, c in zip(rx, y[2:], rd)]
-        residue, mask = self._reduce(w, self.h_bits[i])
-        return (i, px ^ pd ^ mask, *residue)
+        mask ^= pd
+        residue = []
+        for a, b, c, (m, carry) in zip(rx, y[2:], rd, self.moduli_carry[i]):
+            w = 2 * b - a + c
+            if m:
+                q, w = divmod(w, m)
+                if q & 1:
+                    mask ^= carry
+            residue.append(w)
+        return (i, mask, *residue)
 
 
 def _list_closure(
@@ -269,8 +266,8 @@ def compute_imq(mod: LinkModule) -> ImqResult:
     - So the surjection is a bijection, and Q_A is IMQ(L).
     For mu >= 3 they are listed in the displacement mesh of the module
     docstring.  The mesh would give the same table for mu <= 2 too, but
-    Q_A's table, renumbered, is faster (best of 5, 2 vCPUs: T(2,201) 63
-    against 144 ms, T(2,511) 235 against 623 ms; the README has more), and
+    Q_A's table, renumbered, is faster (best of 5, 2 vCPUs: T(2,201) 38
+    against 65 ms, T(2,511) 255 against 441 ms; the README has more), and
     `surjection_to_arc_quandle` builds it anyway.
 
     The elements are numbered thus: first the arc elements, in order of

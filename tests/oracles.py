@@ -19,7 +19,6 @@ from imqlink.abelian import (
     Row,
     SmithForm,
     _add_scaled,
-    _dense,
     _ext_gcd,
     _gf2_echelon,
     _gf2_reduce,
@@ -415,6 +414,17 @@ def literal_smith_normal_form(rows: Matrix, n_cols: int | None = None) -> SmithF
             if check[i][j] != want:
                 raise AssertionError("smith_normal_form witness check failed")
     return SmithForm(m=m, n=n, diag=diag, u=u, v=v, v_inv=v_inv)
+
+
+def _dense(rows: list[Row], n_cols: int) -> Matrix:
+    """Sparse rows as dense rows of n_cols entries."""
+    out = []
+    for row in rows:
+        full = [0] * n_cols
+        for j, x in row.items():
+            full[j] = x
+        out.append(full)
+    return out
 
 
 def literal_cokernel_group(rows, n_cols: int, smith=None) -> FgAbGroup:

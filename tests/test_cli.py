@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from conftest import time_limit
 
-from imqlink import arcquandle, cli, diagram, imq, linkmodule, quandle
+from imqlink import abelian, arcquandle, cli, diagram, imq, linkmodule, quandle
 from imqlink.abelian import FgAbGroup, GroupElt
 from imqlink.cli import main
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
@@ -737,16 +737,17 @@ def count_calls(monkeypatch, counts, home, name):
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Calls of the engine steps each report should run once; and the
-    GroupElts constructed inside build_arc_quandle and inside
-    torsion_parity_profile, which work on coordinate tuples and parity
-    masks, as "GroupElt in <name>" when there are any."""
+    """Calls of the engine steps each report should run once, and of
+    `cokernel`; and the GroupElts constructed inside build_arc_quandle and
+    inside torsion_parity_profile, which work on coordinate tuples and
+    parity masks, as "GroupElt in <name>" when there are any."""
     counts = Counter()
     for home, name in (
         (linkmodule, "build_link_module"),
         (linkmodule, "weight_kernel"),
         (arcquandle, "_coset_table"),
         (imq, "_Mesh"),
+        (abelian, "cokernel"),
     ):
         count_calls(monkeypatch, counts, home, name)
     init = GroupElt.__init__
@@ -789,12 +790,15 @@ def test_report_computes_each_invariant_once(
     assert code == 0 and json.loads(out)["evenized"] is True
     # one module, read for the longitudes of the odd components too, and
     # presenting its weight kernel once; no make_even; no listing of T;
-    # one coset-quandle table and one displacement mesh
+    # one coset-quandle table and one displacement mesh; a cokernel each
+    # for the module, its weight kernel, the table's group reconstruction
+    # and the mesh's keys
     assert engine_calls == {
         "build_link_module": 1,
         "weight_kernel": 1,
         "_coset_table": 1,
         "_Mesh": 1,
+        "cokernel": 4,
     }
 
 
@@ -808,6 +812,8 @@ def test_compare_computes_each_invariant_once(tmp_path, capsys, engine_calls):
         "weight_kernel": 2,
         "_coset_table": 2,
         "_Mesh": 2,
+        # per diagram: the module, its weight kernel and the mesh's keys
+        "cokernel": 6,
     }
 
 
@@ -832,7 +838,7 @@ def test_no_imq_report_and_corpus_row_build_no_coset_table(
     code, out, _ = run(capsys, "--format", "machine", "--no-imq", "report", path)
     assert code == 0
     size = json.loads(out)["arc_quandle"]["size"]
-    assert engine_calls == {"build_link_module": 1, "weight_kernel": 1}
+    assert engine_calls == {"build_link_module": 1, "weight_kernel": 1, "cokernel": 2}
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / f"{name}.json").write_text(fixture_text(name))
@@ -843,7 +849,26 @@ def test_no_imq_report_and_corpus_row_build_no_coset_table(
     assert code == 0
     (row,) = json.loads(out)["rows"]
     assert row["arc_quandle"]["size"] == size
-    assert engine_calls == {"build_link_module": 2, "weight_kernel": 2}
+    assert engine_calls == {"build_link_module": 2, "weight_kernel": 2, "cokernel": 4}
+
+
+@pytest.mark.parametrize("name", ("hopf2", "t22t24", "trefoil"))
+def test_no_imq_report_lists_no_coset_quandle_element(name, monkeypatch):
+    # |Q_A| is read as mu |K|: the elements are built only when read
+    built = []
+
+    def keep(original):
+        def kept(mod):
+            built.append(original(mod))
+            return built[-1]
+
+        return kept
+
+    wrap_everywhere(monkeypatch, arcquandle, "build_arc_quandle", keep)
+    d = diagram.parse_diagram(fixture_text(name))
+    report, _ = cli.build_report(d, name, run_imq=False)
+    assert built and all("elements" not in vars(qa) for qa in built)
+    assert report["arc_quandle"]["size"] == len(built[0].elements)
 
 
 # closures of braid words [5, 5, 5, 5, -3, 1, 1, 1, 1, 2, 2] on 6 strands
