@@ -354,30 +354,46 @@ def _cosets(mod: LinkModule) -> ArcQuandle:
 
 
 def _coset_table(qa: ArcQuandle) -> FiniteQuandle:
-    """The table of the checked cosets, x |> y = 2y - x, and the generator
-    check of semiregularity: R_g R_g0, for g in `FiniteQuandle.generators`
-    and g0 the first of them, is the translation by 2(e_g - e_g0) on every
-    element, n |G| lookups.  The cosets are closed, so every product is
-    found."""
-    elems = qa.elements
-    index = {e: i for i, e in enumerate(elems)}
-    moduli = qa.group.moduli
+    """The table of the checked cosets, x |> y = 2y - x, by index
+    arithmetic in K, and the generator check of the module docstring, whose
+    n |G| lookups of coordinate tuples cross-check the arithmetic.
 
-    # 2y - x as `_combine` computes it, inlined: it runs n^2 times
-    doubled = [tuple([2 * c for c in y]) for y in elems]
-    op = [
-        [
-            index[
-                tuple([
-                    (d - c) % m if m else d - c for c, d, m in zip(x, y2, moduli)
-                ])
-            ]
-            for y2 in doubled
-        ]
-        for x in elems
+    `marking_kernel` lists K in mixed radix: coordinate c of K[l] is
+    e_c s_c, with e_c = 2 for an even factor t_c and 1 for an odd one, and
+    s_c < h_c = t_c / e_c.  Element i |K| + l is r_i + K[l], and as the
+    cosets are closed, (r_i + K[k]) |> (r_j + K[l]) = r_i + K[b] + 2K[l],
+    where K[b] = 2(r_j - r_i) - K[k].  Digit by digit, b and the place of
+    K[b] + 2K[l] are sums mod h_c.  So row i |K| + k joins, over j, the
+    lists of the places of K[b] + 2K[l], offset by i |K|: built once per
+    table, and the b once per pair (i, j)."""
+    reps, moduli, size = qa.reps, qa.group.moduli, len(qa.kernel)
+    # (coordinate, e_c, h_c) of each factor with h_c > 1
+    digits = [
+        (i, 2 - t % 2, t // (2 - t % 2))
+        for i, t in enumerate(qa.group.torsion, qa.group.free_rank)
+        if t > 2
     ]
+
+    def places(v: Coords, c: int, start: int = 0) -> list[int]:
+        """start + the place of v + c K[l], for each l; v in K."""
+        out, stride = [start], size
+        for i, e, h in digits:
+            stride //= h
+            out = [y + (v[i] // e + c * s) % h * stride for y in out for s in range(h)]
+        return out
+
+    shifted = [places(k, 2, i * size) for i in range(len(reps)) for k in qa.kernel]
+    op = []
+    for i, x in enumerate(reps):
+        bs = [places(_combine(2, y, -2, x, moduli), -1) for y in reps]
+        op += [
+            list(itertools.chain(*[shifted[i * size + b[k]] for b in bs]))
+            for k in range(size)
+        ]
     q = FiniteQuandle(op)
 
+    elems = qa.elements
+    index = {e: i for i, e in enumerate(elems)}
     g0 = q.generators[0]
     for g in q.generators:
         shift = _combine(2, elems[g], -2, elems[g0], moduli)

@@ -266,8 +266,8 @@ def compute_imq(mod: LinkModule) -> ImqResult:
     - So the surjection is a bijection, and Q_A is IMQ(L).
     For mu >= 3 they are listed in the displacement mesh of the module
     docstring.  The mesh would give the same table for mu <= 2 too, but
-    Q_A's table, renumbered, is faster (best of 5, 2 vCPUs: T(2,201) 38
-    against 65 ms, T(2,511) 255 against 441 ms; the README has more), and
+    Q_A's table, renumbered, is faster (best of 5, 2 vCPUs: T(2,201) 17
+    against 65 ms, T(2,511) 134 against 436 ms; the README has more), and
     `surjection_to_arc_quandle` builds it anyway.
 
     The elements are numbered thus: first the arc elements, in order of

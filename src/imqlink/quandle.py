@@ -91,6 +91,7 @@ the first element it branches on; the argument is in its docstring.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property
 
 from .abelian import FgAbGroup, GroupElt, _sparse_rows, cokernel
@@ -120,7 +121,7 @@ class FiniteQuandle:
         self.n = len(op)
         self.op = tuple(tuple(row) for row in op)
         for x, row in enumerate(self.op):
-            if len(row) != self.n or any(not 0 <= v < self.n for v in row):
+            if len(row) != self.n or min(row) < 0 or max(row) >= self.n:
                 raise ValueError(f"malformed table row {x}")
         self.labels = dict(labels) if labels else {}
 
@@ -376,12 +377,12 @@ def subquandle(q: FiniteQuandle, members: list[int]) -> FiniteQuandle:
 
 def _signatures(q: FiniteQuandle) -> list[tuple[int, int]]:
     """Per element x, the size of its orbit and the number of fixed points
-    of R_x."""
+    of R_x, counted on column x of the table."""
     size = [0] * q.n
     for orb in orbits(q):
         for x in orb:
             size[x] = len(orb)
-    fixed = [sum(row[x] == y for y, row in enumerate(q.op)) for x in range(q.n)]
+    fixed = [sum(map(operator.eq, col, range(q.n))) for col in zip(*q.op)]
     return list(zip(size, fixed))
 
 

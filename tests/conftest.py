@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import signal
 import sys
 import tempfile
@@ -22,6 +23,10 @@ from imqlink.linkmodule import build_link_module, link_determinant
 FINITE = ("hopf2", "sixthree", "trefoil", "fig8", "t22t24")
 INFINITE = ("fig5l", "figt", "lprime", "ldprime")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# the unknot drawn with one arc and no crossing
+UNKNOT = json.dumps(
+    {"arcs": ["z"], "components": [{"arcs": ["z"], "crossings": []}], "crossings": []}
+)
 
 # every Hypothesis test draws the same examples on every run and keeps no
 # example database, so a run of the suite is reproducible; what Hypothesis

@@ -104,6 +104,14 @@ def literal_orbits(q: FiniteQuandle) -> list[list[int]]:
     return uf.classes()
 
 
+def literal_signatures(q: FiniteQuandle) -> list[tuple[int, int]]:
+    """Per element x, the size of its orbit and the fixed points of R_x,
+    counted element by element: the oracle for `quandle._signatures`,
+    which counts them column by column."""
+    size = {x: len(orb) for orb in literal_orbits(q) for x in orb}
+    return [(size[x], sum(q.op[y][x] == y for y in range(q.n))) for x in range(q.n)]
+
+
 def fingerprints(q: FiniteQuandle, orbs: list[list[int]]) -> list[int]:
     """Operation-aware colour refinement, seeded by orbit sizes and the
     fixed points of each R_x and run until a round splits no colour class;

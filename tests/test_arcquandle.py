@@ -10,7 +10,7 @@ from math import factorial, prod
 from pathlib import Path
 
 import pytest
-from conftest import time_limit
+from conftest import UNKNOT, time_limit
 
 from imqlink import arcquandle, quandle
 from imqlink.abelian import _gf2_reduce, int_det, subgroup_type
@@ -674,17 +674,64 @@ def test_classes_of_chain_2_7_are_bounded(perfbench_module):
     assert report == ReindexingReport("ok", [tuple(range(8))])
 
 
-@pytest.mark.parametrize("name", FINITE + CHAIN_NAMES + GATE_NAMES)
-def test_coset_table_matches_literal_oracle(name, modules, chain_modules):
+def _multi_factor_closures(gen) -> list:
+    """Seeded twist chains and braid closures with det != 0, |Q_A| <= 120
+    and two or more invariant factors, at most two of each torsion."""
+    mods, seen = [], Counter()
+    rng = random.Random(31)
+    for seed in range(400):
+        if seed % 2:
+            n = rng.randint(3, 5)
+            word = [
+                rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(n, 3 * n))
+            ]
+            text = json.dumps(gen.closure(word, n))
+        else:
+            regions = [rng.randint(2, 9) for _ in range(rng.randint(2, 4))]
+            word = gen.chain_word(regions, random.Random(1))
+            text = gen.to_text(gen.closure(word, len(regions) + 1))
+        mod = build_link_module(parse_diagram(text))
+        torsion = mod.group.torsion
+        size = mod.mu * mod.determinant >> (mod.mu - 1)
+        if len(torsion) >= 2 and 0 < size <= 120 and seen[torsion] < 2:
+            seen[torsion] += 1
+            mods.append(mod)
+    return mods
+
+
+@pytest.mark.parametrize(
+    "name", FINITE + CHAIN_NAMES + GATE_NAMES + ("unknot", "multi_factor")
+)
+def test_coset_table_matches_literal_oracle(
+    name, modules, chain_modules, perfbench_module
+):
+    # the unknot's K is trivial, with no invariant factor; the seeded
+    # closures have two or more, and K two or more cyclic factors on some
     if name in modules:
-        mod = modules[name]
+        mods = [modules[name]]
     elif name in chain_modules:
-        mod = chain_modules[name]
+        mods = [chain_modules[name]]
+    elif name == "unknot":
+        mods = [build_link_module(parse_diagram(UNKNOT))]
+        assert mods[0].group.torsion == ()
+    elif name == "multi_factor":
+        mods = _multi_factor_closures(perfbench_module("gen"))
+        # K's factor at t is Z/h, h = t / 2 for an even t and t for an odd one
+        multi = [
+            m for m in mods
+            if sum(t // (2 - t % 2) > 1 for t in m.group.torsion) >= 2
+        ]
+        assert len(mods) >= 40 and len(multi) >= 10
+        assert any(len({t % 2 for t in m.group.torsion}) == 2 for m in multi)
+        assert any(m.mu == 1 for m in multi) and any(m.mu >= 3 for m in multi)
+        assert any(len(m.group.torsion) >= 3 for m in mods)
     else:
         text = (GATE_DIAGRAMS / f"{name}.json").read_text()
-        mod = build_link_module(parse_diagram(text))
-    qa = build_arc_quandle(mod)
-    assert [list(row) for row in qa.quandle.op] == literal_coset_table(qa)
+        mods = [build_link_module(parse_diagram(text))]
+    for mod in mods:
+        qa = build_arc_quandle(mod)
+        assert [list(row) for row in qa.quandle.op] == literal_coset_table(qa)
 
 
 def _coset_check_modules(gen) -> list:

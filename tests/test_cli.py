@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import time_limit
+from conftest import UNKNOT, time_limit
 
 from imqlink import abelian, arcquandle, cli, diagram, imq, linkmodule, quandle
 from imqlink.abelian import FgAbGroup, GroupElt
@@ -19,10 +19,6 @@ from imqlink.cli import main
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.quandle import parse_quandle
 from oracles import with_unknots
-
-UNKNOT = json.dumps(
-    {"arcs": ["z"], "components": [{"arcs": ["z"], "crossings": []}], "crossings": []}
-)
 
 
 def write_fixture(tmp_path, name):
@@ -827,6 +823,48 @@ def test_compare_builds_no_displacement_group(tmp_path, capsys, monkeypatch):
     # the coset quandle's semiregularity is checked on its generators, and
     # no isomorphism search reads a displacement group
     assert calls == {}
+
+
+def test_compare_builds_each_coset_table_by_index_arithmetic(
+    tmp_path, capsys, monkeypatch, perfbench_module
+):
+    # chain (3, 10) and a redraw of it: mu = 2, |Q_A| = 30.  The table is
+    # index arithmetic in K: coordinate tuples are combined for the mu^2
+    # shifts 2(r_j - r_i) and the (n + 1) |G| of the generator check, and
+    # the element tuples are read |G| (n + 2) times, never once per entry
+    gen = perfbench_module("gen")
+    obj = gen.closure(gen.chain_word([3, 10], random.Random(1)), 3)
+    paths = []
+    for name, drawn in (("a", obj), ("b", gen.redraw(obj, random.Random(2)))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(gen.to_text(drawn))
+    calls = Counter()
+    count_calls(monkeypatch, calls, arcquandle, "_combine")
+
+    class Read(tuple):
+        def __iter__(self):
+            calls["element read"] += 1
+            return super().__iter__()
+
+    tables = []
+    real = arcquandle._coset_table
+
+    def counted(qa):
+        qa.elements = [Read(e) for e in qa.elements]
+        before = calls.copy()
+        q = real(qa)
+        done = calls - before
+        tables.append((qa.diagram.mu, q.n, len(q.generators), done))
+        return q
+
+    monkeypatch.setattr(arcquandle, "_coset_table", counted)
+    code, out, _ = run(capsys, "--format", "machine", "compare", *map(str, paths))
+    assert code == 0 and json.loads(out)["arc_quandle_isomorphic"] is True
+    assert len(tables) == 2
+    for mu, n, gens, done in tables:
+        assert mu == 2 and n == 30 and gens < n // 4
+        assert done["_combine"] == mu * mu + (n + 1) * gens
+        assert done["element read"] == (n + 2) * gens
 
 
 @pytest.mark.parametrize("name", ("hopf2", "t22t24", "trefoil"))

@@ -7,6 +7,7 @@ import json
 import random
 
 import pytest
+from conftest import UNKNOT
 
 from imqlink.diagram import (
     Crossing,
@@ -18,10 +19,6 @@ from imqlink.diagram import (
     serialize_diagram,
 )
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
-
-UNKNOT = json.dumps(
-    {"arcs": ["z"], "components": [{"arcs": ["z"], "crossings": []}], "crossings": []}
-)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -14,6 +14,7 @@ check below each catch a search that lost a step."""
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import random
 import sys
@@ -30,6 +31,7 @@ from oracles import (
     literal_is_semiregular,
     literal_iso_search,
     literal_orbits,
+    literal_signatures,
 )
 
 from imqlink import quandle
@@ -180,6 +182,26 @@ def test_is_isomorphic_agrees_with_the_literal_search(tables):
             yes += witness is not None
             no += witness is None
     assert yes and no
+
+
+def test_signatures_match_the_literal_count(tables, monkeypatch):
+    """`_signatures` counts the fixed points of each R_x on its column;
+    the oracle counts them element by element.  They agree on every table,
+    and with the oracle in its place every `is_isomorphic` answer on the
+    pairs of tables of equal size, the witness included, is the same."""
+    for name, (q, _) in tables.items():
+        assert quandle._signatures(q) == literal_signatures(q), name
+    pairs = [
+        (q1, q2)
+        for (q1, _), (q2, _) in itertools.combinations_with_replacement(
+            tables.values(), 2
+        )
+        if q1.n == q2.n
+    ]
+    got = [is_isomorphic(q1, q2) for q1, q2 in pairs]
+    monkeypatch.setattr(quandle, "_signatures", literal_signatures)
+    assert [is_isomorphic(q1, q2) for q1, q2 in pairs] == got
+    assert any(f is None for f in got) and any(f is not None for f in got)
 
 
 def _candidate_mismatches(module, tables) -> set[str]:

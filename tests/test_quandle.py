@@ -78,10 +78,19 @@ def test_axioms_catch_corruption():
 
 
 def test_malformed_table_rejected():
-    with pytest.raises(ValueError, match="malformed"):
-        FiniteQuandle([[0, 1], [1]])
-    with pytest.raises(ValueError, match="malformed"):
-        FiniteQuandle([[0, 5], [1, 1]])
+    # the message names the first bad row: a short or long row, a negative
+    # entry, or an entry at or past n
+    cases = [
+        ([[0, 1], [1]], 1),
+        ([[0, 5], [1, 1]], 0),
+        ([[0, 2, 1], [2, 1, 0], [1, -1, 2]], 2),
+        ([[0, 2, 1], [2, 1, 0], [1, 0, 2], [3, 3, 3]], 0),
+        ([[0, 2, 1], [2, 1, 3], [1, 0, 2]], 1),
+    ]
+    for op, bad in cases:
+        with pytest.raises(ValueError) as err:
+            FiniteQuandle(op)
+        assert str(err.value) == f"malformed table row {bad}"
 
 
 def test_orbits_of_core_are_doubling_cosets():
