@@ -11,7 +11,7 @@ The Smith normal form keeps unimodular witnesses U, V and V's inverse,
 which is what lets a :class:`Presentation` translate between generator
 coordinates and canonical coordinates of the quotient group.  It works on
 dense lists.  Its inputs are small: the rows a Hermite basis leaves once
-its unit pivots are split off (at most 4 x 4 from `cokernel` on the
+its unit pivots are split off (at most 3 x 4 from `cokernel` on the
 benchmark's workloads), and the stacked relation matrices of the subgroup
 questions (at most 7 x 4 there).
 
@@ -169,7 +169,9 @@ def _reduce_row(row: Row, start: int, basis: dict[int, Row]) -> None:
     """Reduce each entry of row in a pivot column k >= start to at most
     basis[k][k]/2 in absolute value, lowest column first.  Subtracting
     basis[k] changes columns >= k only, so each column is met once."""
-    todo = sorted(k for k in row if k >= start and k in basis)
+    todo = [k for k in row if k >= start and k in basis]
+    if len(todo) > 1:
+        todo.sort()
     while todo:
         k = todo.pop(0)
         x = row.get(k)
@@ -496,10 +498,13 @@ class Presentation:
     _read: list[int]  # the positions of the coordinates, in order
 
     def _coords(self, row: Row) -> list[int]:
-        """row times V: the element at every position of the Smith form,
-        unreduced."""
+        """row times V, the sum of x V[k] over the row's entries x at k:
+        the element at every position of the Smith form, unreduced."""
         v = self.snf.v
-        return [sum(x * v[k][j] for k, x in row.items()) for j in range(len(v))]
+        out = [0] * len(v)
+        for k, x in row.items():
+            out = [s + x * y for s, y in zip(out, v[k])]
+        return out
 
     def _image(self, row: Row) -> GroupElt:
         y = self._coords(row)
@@ -528,14 +533,14 @@ def _hermite_order(rows: list[Row]) -> list[Row]:
     by largest column, the last first, ties in the given order.
 
     The basis is the same in every order; only its cost changes, and this
-    order was the cheapest of those measured.  On the crossing rows and the
-    weight-kernel rows of 72 diagrams (the fixtures, the test diagrams,
-    padded chains, redrawn chains, 30 seeded braid closures of 40-170
-    letters, T(2, 101) and T(2, 511)) the Hermite steps took 167 ms in all
-    in this order, 233 ms by leading column with the last first, 245 ms by
-    leading column with the first first, and 1200 ms as given (2 vCPUs,
-    Python 3.11); on a 57-crossing padded chain 0.41, 0.90, 0.72 and
-    2.2 ms."""
+    order was the cheapest of those measured.  On the crossing rows of 72
+    diagrams (the fixtures, the test diagrams, padded and redrawn chains,
+    30 seeded braid closures of 40-170 letters, T(2, 101) and T(2, 511))
+    the Hermite steps took 94-100 ms in all in this order, 107-119 ms by
+    leading column with the last first, 128-132 ms by leading column with
+    the first first, and 568-591 ms as given (best of 3, two runs, 2 vCPUs,
+    Python 3.11); on a 57-crossing padded chain 0.46, 0.90, 0.79 and
+    2.1 ms."""
     return sorted(rows, key=lambda row: max(row, default=-1), reverse=True)
 
 

@@ -8,7 +8,8 @@ direct-sum decomposition (characteristic compatibility), are two markings
 equivalent under a component re-indexing, and which components some
 automorphism of the coset quandle can interchange.  All three are decided
 on M/2M, which has one bit per free and per even torsion coordinate;
-`_mod2_bits` reads it off the module.
+`linkmodule._mod2_bits` reads it off the module, with the one elimination
+of its parity masks that each question reads.
 
 Let p: M/2M -> F_2^mu be the parity map, read off the module's
 per-coordinate parity masks; W the image of the torsion; and U_a the span
@@ -190,7 +191,13 @@ from .abelian import (
     smith_normal_form,
 )
 from .diagram import LinkDiagram
-from .linkmodule import InternalCheckError, LinkModule, check_listing_cap, size_bounds
+from .linkmodule import (
+    InternalCheckError,
+    LinkModule,
+    _mod2_bits,
+    check_listing_cap,
+    size_bounds,
+)
 from .quandle import FiniteQuandle, UnionFind
 
 Bits = tuple[int, ...]
@@ -198,21 +205,8 @@ Coords = tuple[int, ...]  # an element in its group's canonical coordinates
 
 
 # ---------------------------------------------------------------------------
-# M/2M and small GF(2) helpers; the eliminator in `abelian` takes vectors
-# as bitmasks
-
-
-def _mod2_bits(mod: LinkModule) -> tuple[list[int], list[int], list[int]]:
-    """M/2M, one bit per free and then per even torsion coordinate: the
-    canonical coordinate of each bit, its parity mask, and the 2-parts of
-    the torsion bits in order."""
-    group = mod.group
-    r = group.free_rank
-    coord = [*range(r), *(r + i for i, t in enumerate(group.torsion) if t % 2 == 0)]
-    shape = [group.torsion[c - r] & -group.torsion[c - r] for c in coord[r:]]
-    if r + len(shape) != mod.mu:
-        raise InternalCheckError("module shape off")
-    return coord, [mod._parity_masks[c] for c in coord], shape
+# small GF(2) helpers; the eliminator in `abelian` takes vectors as
+# bitmasks
 
 
 def _gf2_solve(cols: list[int], targets: list[int]) -> list[int]:
@@ -278,7 +272,8 @@ def marking_kernel(mod: LinkModule) -> list[Coords]:
     residue of an odd one.  Raises CapExceeded past the listing cap."""
     check_listing_cap(mod)
     r, torsion = mod.group.free_rank, mod.group.torsion
-    if _gf2_echelon(_mod2_bits(mod)[1][r:])[1]:
+    _, _, shape, _, null = _mod2_bits(mod)
+    if any(v >> len(shape) == 0 for v in null):  # torsion bits dependent
         raise InternalCheckError("marking kernel differs from doubled torsion")
     residues = (range(0, t, 2 if t % 2 == 0 else 1) for t in torsion)
     return [(0,) * r + k for k in itertools.product(*residues)]
@@ -502,8 +497,8 @@ def characteristic_compatibility(mod: LinkModule) -> CharCompatReport:
     M/2M in the module docstring; a "yes" carries the decomposition that
     its proof builds, verified from scratch."""
     mu, r = mod.mu, mod.group.free_rank
-    coord, masks, shape = _mod2_bits(mod)
-    if _gf2_echelon(masks)[1]:
+    coord, masks, shape, _, null = _mod2_bits(mod)
+    if null:
         return CharCompatReport("no")
     pre = _gf2_solve(masks, [1 << j for j in range(mu)])  # p^-1(e_j)
     free = (1 << r) - 1  # W is where these bits vanish
@@ -596,14 +591,12 @@ def _parity_flag(mod: LinkModule) -> _Flag:
     level of one flag onto the same level of another maps e_i + e_j to
     e_tau(i) + e_tau(j), so it keeps the colours: colour(i) of the first is
     colour(tau(i)) of the second."""
-    r, mu = mod.group.free_rank, mod.mu
-    _, masks, shape = _mod2_bits(mod)
-    if _gf2_echelon(masks)[1]:
+    mu = mod.mu
+    _, _, shape, rows, null = _mod2_bits(mod)
+    if null:
         raise InternalCheckError("parity map not invertible on M/2M")
-    levels = tuple(
-        tuple(_gf2_echelon([m for m, b in zip(masks[r:], shape) if b <= a])[0])
-        for a in sorted(set(shape))
-    )
+    # the rows of the torsion bits of 2-part at most 2^a, a prefix of them
+    levels = tuple(tuple(rows[: sum(b <= a for b in shape)]) for a in sorted(set(shape)))
 
     def colour(i: int) -> tuple[int, ...]:
         out = []

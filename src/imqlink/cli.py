@@ -75,7 +75,7 @@ def _group_dict(g: FgAbGroup) -> dict:
 
 def _load(path: str) -> LinkDiagram:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise DiagramSyntaxError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
@@ -218,7 +218,9 @@ def cmd_report(args) -> int:
     if args.dump_quandle:
         if res is not None:
             try:
-                Path(args.dump_quandle).write_text(serialize_quandle(res.quandle))
+                Path(args.dump_quandle).write_text(
+                    serialize_quandle(res.quandle), encoding="utf-8"
+                )
             except OSError as e:
                 raise UsageError(f"cannot write {args.dump_quandle}: {e}") from e
         else:
@@ -357,7 +359,7 @@ def _write_cache(path: Path, cache: dict[str, dict]) -> None:
     except OSError as e:
         raise UsageError(f"cannot write cache {path}: {e}") from e
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for key in sorted(cache):
                 fh.write(json.dumps({"key": key, "report": cache[key]}, sort_keys=True))
                 fh.write("\n")

@@ -13,9 +13,25 @@ Since w is onto Z, the module splits as M = Z (+) ker(w).  So ker(w), the
 first homology of the double branched cover, is M with one free factor
 dropped, and the determinant is |ker(w)| (0 when infinite); both are read
 off M's invariant factors once, in `build_link_module`, from the
-`cokernel` of the crossing rows.  That function also presents ker(w)
-literally, as the cokernel of the crossing rows plus a unit row at arc 0
-(`weight_kernel`), and raises InternalCheckError unless the two agree.
+`cokernel` of the crossing rows.  That function also presents ker(w) as
+M/<[arc 0]> (`weight_kernel`), and raises InternalCheckError unless the
+two agree.  This is the literal presentation, the crossing rows plus a
+unit row e_0, on M's own coordinates:
+
+- Z^n / (L + Z e_0) = (Z^n / L) / <[e_0]>, L the lattice of the crossing
+  rows, by the third isomorphism theorem.
+- `cokernel` carries Z^n / L onto M = Z^c / D, c = `n_coords` and D
+  spanned by the t_i e_(r+i), through an isomorphism it certifies:
+  `_hermite_basis` spans exactly L (every row ends as a basis row or as
+  zero), and the Smith form's witnesses are checked entry by entry.  It
+  sends e_0 to `arc_class[0]`.
+- So the group is Z^c modulo D and the row `arc_class[0].coords`:
+  len(torsion) + 1 sparse rows, where the literal form sends all n
+  crossing rows through the Hermite reduction a second time.
+
+Arc 0 has weight 1, so Z [arc 0] is a complement of ker(w) and
+M/<[arc 0]> = ker(w).  The literal presentation is the test oracle
+`literal_weight_kernel`.
 
 w and p are linear in the canonical coordinates of M, so each module
 keeps their values on the unit coordinates, from the lift of each, and
@@ -70,6 +86,8 @@ class LinkModule:
     arc_quandle: ArcQuandle | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # M/2M and one elimination of its masks, set by the first _mod2_bits call
+    _mod2: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # per canonical coordinate k: the weight of pres.lift(unit k), and its
     # mod-2 coefficient sums per component as a bitmask (bit i: component i)
     _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -109,11 +127,17 @@ class LinkModule:
         off the per-coordinate table like `weight`; arc classes map to
         unit vectors."""
         self._check_group(x)
+        mask = self._mask(x.coords)
+        return tuple((mask >> i) & 1 for i in range(self.mu))
+
+    def _mask(self, coords: tuple[int, ...]) -> int:
+        """The parity of the element with these coordinates as a bitmask,
+        bit i for component i."""
         mask = 0
-        for c, m in zip(x.coords, self._parity_masks):
+        for c, m in zip(coords, self._parity_masks):
             if c & 1:
                 mask ^= m
-        return tuple((mask >> i) & 1 for i in range(self.mu))
+        return mask
 
 
 class InternalCheckError(AssertionError):
@@ -151,11 +175,10 @@ def build_link_module(d: LinkDiagram) -> LinkModule:
         kernel=kernel,
         determinant=kernel.order(),
     )
-    for a in range(d.n_arcs):
-        if mod.weight(mod.arc_class[a]) != 1:
+    for a, x in enumerate(mod.arc_class):
+        if mod.weight(x) != 1:
             raise InternalCheckError(f"arc {a} has weight != 1")
-        want = tuple(1 if i == d.kappa[a] else 0 for i in range(d.mu))
-        if mod.parity(mod.arc_class[a]) != want:
+        if mod._mask(x.coords) != 1 << kappa[a]:
             raise InternalCheckError(f"arc {a} has wrong parity vector")
     if weight_kernel(mod) != kernel:
         raise InternalCheckError("presented weight kernel differs from the split")
@@ -163,12 +186,44 @@ def build_link_module(d: LinkDiagram) -> LinkModule:
 
 
 def weight_kernel(mod: LinkModule) -> FgAbGroup:
-    """ker(weight), presented by the crossing rows plus a unit row at arc
-    0; isomorphic to the first homology of the double branched cover."""
-    # the literal crossing rows, not the module's basis of them, so that
-    # this stays a computation independent of build_link_module's
-    rows = relation_matrix(mod.diagram) + [{0: 1}]
-    return cokernel(rows, mod.diagram.n_arcs).group
+    """ker(weight) as M/<[arc 0]>: the cokernel of the torsion rows
+    t_i e_(r+i) and the coordinates of arc 0's class, the literal crossing
+    rows plus a unit row at arc 0 read in M's coordinates (see the module
+    docstring); isomorphic to the first homology of the double branched
+    cover."""
+    group = mod.group
+    r = group.free_rank
+    rows = [{r + i: t} for i, t in enumerate(group.torsion)]
+    rows.append({k: c for k, c in enumerate(mod.arc_class[0].coords) if c})
+    return cokernel(rows, group.n_coords).group
+
+
+def _mod2_bits(
+    mod: LinkModule,
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """M/2M, one bit per free and then per even torsion coordinate: the
+    canonical coordinate of each bit, its parity mask, the 2-parts of the
+    torsion bits in order, and the rows and null vectors of one
+    `_gf2_echelon` of the masks, the torsion bits' first.  Built on the
+    first call and kept on the module.
+
+    The elimination meets its inputs in order, so what it has made from the
+    first j of them is an elimination of those alone: the rows an echelon
+    basis of their span, and the null vectors, input i the highest bit of
+    the one it ends, a basis of their null space.  With the torsion bits
+    first, their span and whether they are independent are read off it,
+    and so is each level of the parity flag: the 2-parts ascend, as each
+    invariant factor divides the next."""
+    if mod._mod2 is None:
+        group = mod.group
+        r = group.free_rank
+        coord = [*range(r), *(r + i for i, t in enumerate(group.torsion) if t % 2 == 0)]
+        shape = [group.torsion[c - r] & -group.torsion[c - r] for c in coord[r:]]
+        if r + len(shape) != mod.mu:
+            raise InternalCheckError("module shape off")
+        masks = [mod._parity_masks[c] for c in coord]
+        mod._mod2 = (coord, masks, shape, *_gf2_echelon(masks[r:] + masks[:r]))
+    return mod._mod2
 
 
 def link_determinant(mod: LinkModule) -> int:
@@ -284,10 +339,11 @@ def torsion_parity_profile(mod: LinkModule) -> tuple[tuple[int, ...], ...]:
     invertible on M/2M, which T fills but for one bit).  Both are checked."""
     check_listing_cap(mod)
     r, mu, torsion = mod.group.free_rank, mod.mu, mod.group.torsion
-    masks = mod._parity_masks[r:]
-    if any(m for m, t in zip(masks, torsion) if t % 2):
+    if any(m for m, t in zip(mod._parity_masks[r:], torsion) if t % 2):
         raise InternalCheckError("odd torsion factor with nonzero parity")
-    basis = _gf2_echelon(list(masks))[0]
+    _, _, shape, rows, null = _mod2_bits(mod)
+    k = len(shape)
+    basis = rows[: k - sum(v >> k == 0 for v in null)]  # the torsion bits' rows
     if r == 1 and (len(basis) != mu - 1 or any(b.bit_count() % 2 for b in basis)):
         raise InternalCheckError("torsion parities are not the even-weight space")
     span = [0]

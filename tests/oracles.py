@@ -7,7 +7,7 @@ import itertools
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import gcd, prod
 
 from imqlink import arcquandle, quandle
@@ -25,6 +25,7 @@ from imqlink.abelian import (
     _hermite_basis,
     _nearest_quotient,
     _stacked_relations,
+    cokernel,
     int_det,
     smith_normal_form,
     subgroup_contains,
@@ -33,7 +34,6 @@ from imqlink.abelian import (
 from imqlink.arcquandle import (
     ArcQuandle,
     _canonical_torsion_generators,
-    _mod2_bits,
     _parity_block,
     _verify_unit_decomposition,
     _weight_adapted_basis,
@@ -45,6 +45,7 @@ from imqlink.imq import ImqResult, _finish
 from imqlink.linkmodule import (
     InternalCheckError,
     LinkModule,
+    _mod2_bits,
     build_link_module,
     check_listing_cap,
     relation_matrix,
@@ -445,6 +446,13 @@ def literal_cokernel_group(rows, n_cols: int, smith=None) -> FgAbGroup:
     sf = (smith or literal_smith_normal_form)(rows, n_cols)
     diag = sf.diag + [0] * (n_cols - len(sf.diag))
     return FgAbGroup(diag.count(0), tuple(t for t in diag if t >= 2))
+
+
+def literal_weight_kernel(d: LinkDiagram, arc: int) -> FgAbGroup:
+    """ker(weight) presented literally: the crossing rows plus a unit row
+    at arc, through `cokernel`.  The `linkmodule` docstring proves it
+    equal to `weight_kernel`'s M/<[arc 0]>."""
+    return cokernel(relation_matrix(d) + [{arc: 1}], d.n_arcs).group
 
 
 def row_lattice_basis(rows: Matrix, n_cols: int) -> Matrix:
@@ -1246,9 +1254,11 @@ class SyntheticMarking:
     mu: int
     _weights: tuple[int, ...]
     _parity_masks: tuple[int, ...]
+    _mod2: tuple | None = field(default=None, init=False, repr=False)
 
     weight = LinkModule.weight
     parity = LinkModule.parity
+    _mask = LinkModule._mask
     _check_group = LinkModule._check_group
 
 

@@ -13,10 +13,9 @@ import pytest
 from conftest import UNKNOT, time_limit
 
 from imqlink import arcquandle, quandle
-from imqlink.abelian import _gf2_reduce, int_det, subgroup_type
+from imqlink.abelian import _gf2_echelon, _gf2_reduce, int_det, subgroup_type
 from imqlink.arcquandle import (
     ReindexingReport,
-    _mod2_bits,
     build_arc_quandle,
     characteristic_compatibility,
     marking_equivalent,
@@ -29,6 +28,7 @@ from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.linkmodule import (
     LISTING_CAP,
     InternalCheckError,
+    _mod2_bits,
     build_link_module,
     link_determinant,
     weight_kernel,
@@ -841,7 +841,7 @@ def test_marking_kernel_rejects_dependent_even_torsion_parities(perfbench_module
     ]
     for mod in mods:
         r = mod.group.free_rank
-        c, c2 = _mod2_bits(mod)[0][r : r + 2]
+        c, c2 = [r + i for i, t in enumerate(mod.group.torsion) if t % 2 == 0][:2]
         masks = list(mod._parity_masks)
         masks[c2] = masks[c]
         mod._parity_masks = tuple(masks)
@@ -849,6 +849,33 @@ def test_marking_kernel_rejects_dependent_even_torsion_parities(perfbench_module
             with pytest.raises(InternalCheckError, match="differs from doubled torsion"):
                 listing(mod)
     assert len(mods) >= 40
+
+
+def test_one_mod2_elimination_is_each_prefix_eliminated_alone(modules):
+    # torsion bits first, 2-parts ascending: the rows and null vectors the
+    # one elimination made from a prefix of the masks are those of an
+    # elimination of that prefix, so each level of the parity flag is the
+    # echelon basis of the torsion bits of 2-part at most 2^a
+    rng = random.Random(31)
+    marks = list(modules.values()) + [random_marking(rng) for _ in range(200)]
+    for mod in marks:
+        _, masks, shape, rows, null = _mod2_bits(mod)
+        r = mod.group.free_rank
+        assert shape == sorted(shape)
+        eliminated = masks[r:] + masks[:r]
+        for j in range(len(eliminated) + 1):
+            want_rows, want_null = _gf2_echelon(eliminated[:j])
+            assert rows[: len(want_rows)] == want_rows
+            assert [v for v in null if v >> j == 0] == want_null
+        if null:
+            continue
+        levels = tuple(
+            tuple(_gf2_echelon([m for m, b in zip(masks[r:], shape) if b <= a])[0])
+            for a in sorted(set(shape))
+        )
+        assert arcquandle._parity_flag(mod)[0] == levels
+    assert sum(not _mod2_bits(m)[4] for m in marks) >= 50
+    assert sum(len(set(_mod2_bits(m)[2])) >= 2 for m in marks) >= 20
 
 
 def test_t22t24_distinguished_component_has_small_doubling_fiber(arc_quandles):

@@ -33,15 +33,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*argv):
-    """A fresh interpreter that imports this package, installed or not."""
+def run_python(*argv, **env):
+    """A fresh interpreter that imports this package, installed or not,
+    with env added to the environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **env, "PYTHONPATH": path},
     )
 
 
@@ -692,6 +693,29 @@ def test_warm_corpus_drops_a_record_that_is_json_but_not_a_record(tmp_path, caps
     assert cache.read_text().splitlines() == records
 
 
+def test_diagram_files_are_read_as_utf8_in_an_ascii_locale(tmp_path):
+    # a diagram file is UTF-8 whatever the locale: an arc named é is
+    # rejected by name, not by the locale's codec
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "e.json"
+    path.write_bytes(
+        '{"arcs": ["é"], "components": [{"arcs": ["é"], "crossings": []}],'
+        ' "crossings": []}'.encode("utf-8")
+    )
+    ascii_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    proc = run_python("-m", "imqlink.cli", "report", str(path), **ascii_locale)
+    assert proc.returncode == 1
+    assert "bad arc name" in proc.stderr and "decode" not in proc.stderr
+    proc = run_python(
+        "-m", "imqlink.cli", "--format", "machine", "--no-imq", "corpus", str(corpus),
+        "--cache", str(tmp_path / "cache"), **ascii_locale,
+    )
+    assert proc.returncode == 1, proc.stderr
+    (row,) = json.loads(proc.stdout)["rows"]
+    assert row["error"] == "bad arc name: 'é'"
+
+
 def test_corpus_rejects_missing_dir(tmp_path, capsys):
     code, _, err = run(capsys, "corpus", str(tmp_path / "nope"))
     assert code == 1
@@ -888,6 +912,20 @@ def test_no_imq_report_and_corpus_row_build_no_coset_table(
     (row,) = json.loads(out)["rows"]
     assert row["arc_quandle"]["size"] == size
     assert engine_calls == {"build_link_module": 2, "weight_kernel": 2, "cokernel": 4}
+
+
+def test_no_imq_report_eliminates_its_mod2_masks_once(tmp_path, capsys, monkeypatch):
+    # t22t24, M/2M of dimension 3: one elimination of the parity masks
+    # serves the profile, the marking kernel, characteristic compatibility
+    # and the parity flag; `_gf2_solve` runs one for p^-1(e_j) and one for
+    # the witness, and `_flag_reindexing` one per level (two) in each of
+    # its three searches
+    calls = Counter()
+    count_calls(monkeypatch, calls, abelian, "_gf2_echelon")
+    path = write_fixture(tmp_path, "t22t24")
+    code, _, _ = run(capsys, "--format", "machine", "--no-imq", "report", path)
+    assert code == 0
+    assert calls == {"_gf2_echelon": 9}
 
 
 @pytest.mark.parametrize("name", ("hopf2", "t22t24", "trefoil"))

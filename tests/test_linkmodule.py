@@ -21,6 +21,7 @@ from imqlink.abelian import (
     int_det,
     solve_in_row_space,
 )
+from imqlink import linkmodule
 from imqlink.diagram import make_even, parse_diagram
 from imqlink.fixtures import FIXTURE_NAMES, fixture_text
 from imqlink.linkmodule import (
@@ -45,6 +46,7 @@ from oracles import (
     literal_parity,
     literal_torsion_parity_profile,
     literal_weight,
+    literal_weight_kernel,
     random_marking,
     subgroups_equal,
     to_canonical,
@@ -144,10 +146,11 @@ def test_weight_kernel_of_a_redrawn_chain_finishes():
         signal.alarm(3)
         mod = build_link_module(d)
         kernel = weight_kernel(mod)
+        literal = literal_weight_kernel(d, 0)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert mod.kernel == kernel == FgAbGroup(0, (6, 6, 36))
+    assert mod.kernel == kernel == literal == FgAbGroup(0, (6, 6, 36))
     assert mod.determinant == 1296
 
 
@@ -266,7 +269,7 @@ def test_hermite_basis_is_the_same_in_every_insertion_order(perfbench_module):
     diagrams = [d for _, d in _random_closures(gen)] + list(_padded_chains(gen))
     for d in diagrams:
         rows = relation_matrix(d)
-        for matrix in (rows, rows + [{0: 1}]):  # the module's, the weight kernel's
+        for matrix in (rows, rows + [{0: 1}]):  # the module's, the literal weight kernel's
             want = _hermite_basis(_hermite_order(matrix))
             assert _hermite_basis(matrix) == want
             last_first = sorted(matrix, key=lambda row: min(row, default=d.n_arcs), reverse=True)
@@ -300,6 +303,41 @@ def test_weight_kernel_base_arc_independent(name, diagrams, modules):
         for arc in range(mod.diagram.n_arcs):
             group = literal_cokernel_group(rows + [{arc: 1}], mod.diagram.n_arcs)
             assert group == mod.kernel
+
+
+def test_weight_kernel_equals_the_literal_presentation(diagrams, perfbench_module):
+    # M/<[arc 0]> on the module's coordinates against the crossing rows
+    # plus a unit row, at arc 0 and at the last arc
+    gen = perfbench_module("gen")
+    drawn = list(diagrams.values())
+    drawn += [make_even(d) for d in diagrams.values()]
+    drawn += [parse_diagram(p.read_text()) for p in sorted(DIAGRAMS.glob("*.json"))]
+    drawn += list(_padded_chains(gen))
+    drawn += [d for _, d in _random_closures(gen)]
+    assert len(drawn) == 9 + 9 + 13 + 6 + 20
+    for d in drawn:
+        mod = build_link_module(d)
+        assert weight_kernel(mod) == mod.kernel
+        for arc in (0, d.n_arcs - 1):
+            assert literal_weight_kernel(d, arc) == mod.kernel
+
+
+def test_module_build_presents_the_weight_kernel_on_few_rows(diagrams, monkeypatch):
+    # the crossing rows for M, then the torsion rows and arc 0's row for
+    # M/<[arc 0]>: the crossing rows are reduced once
+    rows_in = []
+
+    def counted(rows, n_gens):
+        rows_in.append(len(rows))
+        return cokernel(rows, n_gens)
+
+    monkeypatch.setattr(linkmodule, "cokernel", counted)
+    texts = [p.read_text() for p in sorted(DIAGRAMS.glob("*.json"))]
+    for d in list(diagrams.values()) + [parse_diagram(t) for t in texts]:
+        rows_in.clear()
+        mod = build_link_module(d)
+        n = len(d.crossings)
+        assert rows_in == [n, len(mod.group.torsion) + 1]
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

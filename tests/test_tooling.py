@@ -110,6 +110,46 @@ def test_trace_only_functions_are_pinned(perfbench_module):
     assert _uncalled() & traced == TRACE_ONLY
 
 
+# the file calls that open text in the locale's encoding unless given one:
+# per name, the position at which an encoding may come positionally, if any
+_ENCODED_CALLS = {"read_text": 0, "write_text": 1, "open": None, "fdopen": None}
+
+
+def test_every_file_call_names_an_encoding():
+    # a diagram, cache or table file reads and writes the same bytes in
+    # every locale: each text call names its encoding, each binary one
+    # its mode
+    package = Path(imqlink.__file__).parent
+    seen, bare = 0, []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name not in _ENCODED_CALLS:
+                continue
+            seen += 1
+            at = _ENCODED_CALLS[name]
+            if at is None:  # open, fdopen: a binary mode, if not an encoding
+                modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args
+                given = any(
+                    isinstance(m, ast.Constant)
+                    and isinstance(m.value, str)
+                    and set(m.value) <= set("rwxabt+")
+                    and "b" in m.value
+                    for m in modes
+                )
+            else:
+                given = len(node.args) > at
+            if not (given or any(k.arg == "encoding" for k in node.keywords)):
+                bare.append(f"{path.name}:{node.lineno} {name}")
+    assert bare == []
+    # the diagram read, the table and cache writes, the fixtures' read
+    assert seen >= 4
+
+
 def _long_options(parser: argparse.ArgumentParser) -> set[str]:
     return {
         s
