@@ -43,20 +43,46 @@ For affine meshes of medial quandles see P. Jedlicka, A. Pilitowska,
 D. Stanovsky and A. Zamojska-Dzienio, "The structure of medial quandles",
 J. Algebra 443 (2015).
 
-Both ways list the elements with `_list_closure` and end in `_finish`,
+Both ways number the elements with `_renumber` and end in `_finish`,
 which checks the quandle axioms, every crossing relation and the orbit
 count on the table.  The axioms are checked on the rows of the table's
 greedy generating set (`FiniteQuandle.generators`), which the `quandle`
 docstring shows to be exact: n^2 |G| checks, |G| being 2 for T(2, n) and
-4 for chain (6,6,6).  `surjection_to_arc_quandle` then extends its map
-along the steps by which that generating set reaches each element, and
-checks it on every pair.
+4 for chain (6,6,6).
+
+The mesh is listed from a generating set G of arcs (`_generating_arcs`),
+breadth first under the right translations by G's elements: n |G|
+products.  Every other column follows by lookups.  Four facts make this
+exact; each holds in any involutory quandle, where R_{z |> g} =
+R_g R_z R_g, that is x |> (z |> g) = ((x |> g) |> z) |> g.
+1. Closure.  The elements that the R_g, g in G, reach from G form a
+   subquandle: by induction on z, each column z |> g is R_g R_z R_g of
+   earlier columns, so x |> (z |> g) is reached when x is.  This is also
+   how the column of z |> g is filled, three lookups a row.
+2. Generation.  Arc a joins G when the crossing relations u' = u |> o,
+   read either way (u = u' |> o, by involution), do not reach it from the
+   arcs already in G.  Every arc is then reached from G by products, so
+   the subquandle of fact 1 holds every arc, and is all of IMQ(L).  An
+   arc whose element is not listed raises InternalCheckError.
+3. Numbering.  The order `compute_imq` states is read off the listed
+   table by its lexicographic scan, which stops once all n elements are
+   numbered; the rest of the table is a permutation of what is listed.
+4. Homomorphism.  A map f between involutory quandles, the first
+   generated by G under the R_g, is a homomorphism if f(x |> g) = f(x) |> f(g)
+   for every x and every g in G.  Let Y be the y with f(x |> y) =
+   f(x) |> f(y) for every x; it holds G.  For y = z |> g with z in Y,
+   f(x |> y) = f(((x |> g) |> z) |> g) = ((f(x) |> f(g)) |> f(z)) |> f(g)
+   = f(x) |> (f(z) |> f(g)) = f(x) |> f(y), using the identity above on
+   both sides.  So Y is closed under the R_g, and is every element.
+   `surjection_to_arc_quandle` checks its map on the table's greedy
+   generating set: n |G| lookups in Q_A's table, not n^2.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Hashable
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .abelian import _gf2_echelon, _gf2_reduce, cokernel
@@ -196,44 +222,121 @@ class _Mesh:
         return (i, mask, *residue)
 
 
-def _list_closure(
-    arcs: list[Hashable],
-    product: Callable[[Hashable, Hashable], Hashable],
-    bound: int,
-) -> tuple[list[list[int]], list[int]]:
-    """The closure of the arc elements under `product`, numbered in the
-    order `compute_imq` states: its table, and each arc's element.
+def _generating_arcs(d: LinkDiagram) -> list[int]:
+    """The greedy generating set G of arcs, ascending: an arc joins G when
+    the crossing relations u' = u |> o, read either way, do not reach it
+    from the arcs already in G (fact 2 of the module docstring)."""
+    touching: list[list] = [[] for _ in range(d.n_arcs)]
+    for c in d.crossings:
+        for a in {c.over, *c.under}:
+            touching[a].append(c)
+    reached = [False] * d.n_arcs
+    gens = []
+    for start in range(d.n_arcs):
+        if reached[start]:
+            continue
+        gens.append(start)
+        reached[start] = True
+        stack = [start]
+        while stack:
+            for c in touching[stack.pop()]:
+                u, w = c.under
+                if reached[c.over] and reached[u] != reached[w]:
+                    new = w if reached[u] else u
+                    reached[new] = True
+                    stack.append(new)
+    return gens
 
-    Each product is computed once, when the listing reaches it.  Listing
-    more than `bound` elements raises InternalCheckError."""
-    order: list[Hashable] = []  # elements by number
-    number: dict[Hashable, int] = {}
-    # op[x] holds x |> y for the leading y of the order; every product
-    # computed is numbered, so the scan of a row resumes at its end
-    op: list[list[int]] = []
 
-    def listed(e: Hashable) -> int:
-        if e not in number:
-            if len(order) >= bound:
-                raise InternalCheckError(f"listing passed the size bound {bound}")
-            number[e] = len(order)
-            order.append(e)
-            op.append([])
-        return number[e]
+def _list_in_mesh(d: LinkDiagram, bound: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The subquandle of the displacement mesh that the arcs generate,
+    numbered in the order `compute_imq` states: its table, and each arc's
+    element.
 
-    arc_element = [listed(e) for e in arcs]
-    x = 0
-    while x < len(order):
-        row = op[x]
-        while len(row) < len(order):
-            n = len(order)
-            row.append(listed(product(order[x], order[len(row)])))
-            if len(order) > n:
-                # a new element: the first product not numbered is now in row 0
-                x = -1
+    Breadth first from G's elements under their right translations, the
+    n |G| mesh products that are G's columns; every other column
+    z |> g, z listed before it, by three lookups a row (facts 1-3 of the
+    module docstring).  Listing more than `bound` elements raises
+    InternalCheckError."""
+    mesh = _Mesh(d)
+    gens = list(dict.fromkeys(mesh.arcs[a] for a in _generating_arcs(d)))
+    order = list(gens)  # elements by listing number
+    number = {e: i for i, e in enumerate(order)}
+    cols: list[list[int]] = [[] for _ in gens]  # cols[k][x] = x |> gens[k]
+    via: list[tuple[int, int]] = []  # (z, k) for each element past G: z |> gens[k]
+    for x, e in enumerate(order):  # the loop sees the elements appended in it
+        for k, g in enumerate(gens):
+            z = mesh.product(e, g)
+            if z not in number:
+                if len(order) >= bound:
+                    raise InternalCheckError(f"listing passed the size bound {bound}")
+                number[z] = len(order)
+                order.append(z)
+                via.append((x, k))
+            cols[k].append(number[z])
+    for z, k in via:
+        cg, cz = cols[k], cols[z]
+        cols.append(list(map(cg.__getitem__, map(cz.__getitem__, cg))))
+    arc_element = [number.get(e) for e in mesh.arcs]
+    if None in arc_element:
+        raise InternalCheckError("quandle not generated by its arc elements")
+    rows = list(zip(*cols))
+    del cols  # so that at most two copies of the table are alive at once
+    return _renumber(rows, arc_element, bound)
+
+
+def _renumber(
+    op: Sequence[Sequence[int]], arc_element: list[int], bound: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The table op, whose arc elements are arc_element, renumbered in the
+    order `compute_imq` states, and each arc's element in it.
+
+    The scan stops once all n elements are numbered; the rest of the table
+    is then a permutation.  Raises InternalCheckError when it numbers more
+    than `bound` elements, or ends before n because the arc elements do
+    not generate op."""
+    n = len(op)
+    order: list[int] = []  # elements of op by new number
+    number = [-1] * n
+
+    def listed(e: int) -> None:
+        if len(order) >= bound:
+            raise InternalCheckError(f"listing passed the size bound {bound}")
+        number[e] = len(order)
+        order.append(e)
+
+    for e in arc_element:
+        if number[e] < 0:
+            listed(e)
+    # Every product in the rows before r is numbered, and so are the first
+    # done[r] of row r, so the first product not numbered, in lexicographic
+    # order, is the first one left in row r.
+    done = [0] * n
+    r = 0
+    while len(order) < n:
+        if r == len(order):
+            raise InternalCheckError("quandle not generated by its arc elements")
+        row = op[order[r]]
+        for y in range(done[r], len(order)):
+            if number[row[order[y]]] < 0:
                 break
-        x += 1
-    return op, arc_element
+        else:
+            done[r] = len(order)
+            r += 1
+            continue
+        new = len(order)
+        listed(row[order[y]])
+        done[r] = y + 1
+        # the rows before r now lack only the new column
+        for first in range(r):
+            if number[op[order[first]][order[new]]] < 0:
+                done[first : r] = [new] * (r - first)
+                r = first
+                break
+    pick = operator.itemgetter(*order) if n > 1 else lambda row: (row[order[0]],)
+    renamed = number.__getitem__
+    table = [tuple(map(renamed, pick(op[e]))) for e in order]
+    return table, [number[e] for e in arc_element]
 
 
 @dataclass
@@ -266,9 +369,11 @@ def compute_imq(mod: LinkModule) -> ImqResult:
     - So the surjection is a bijection, and Q_A is IMQ(L).
     For mu >= 3 they are listed in the displacement mesh of the module
     docstring.  The mesh would give the same table for mu <= 2 too, but
-    Q_A's table, renumbered, is faster (best of 5, 2 vCPUs: T(2,201) 17
-    against 65 ms, T(2,511) 134 against 436 ms; the README has more), and
-    `surjection_to_arc_quandle` builds it anyway.
+    costs more there.  At T(2,17), `_Mesh(d)` alone takes 0.32 ms against
+    0.20 ms for Q_A's cosets and table, and the whole mesh listing 0.48 ms
+    against 0.23 ms for Q_A's cosets, table and renumbering (best of 50,
+    2 vCPUs, from a built module; the README has more), so the knots and
+    two-component links would list more slowly in the mesh.
 
     The elements are numbered thus: first the arc elements, in order of
     their least arc; then, one at a time, the first product x |> y not
@@ -281,13 +386,9 @@ def compute_imq(mod: LinkModule) -> ImqResult:
     bound = check_imq_bound(mod)
     if d.mu <= 2:
         qa = build_arc_quandle(mod)
-        table = qa.quandle.op
-        op, arc_element = _list_closure(qa.arc_element, lambda x, y: table[x][y], bound)
-        if len(op) < len(table):
-            raise InternalCheckError("quandle not generated by its arc elements")
+        op, arc_element = _renumber(qa.quandle.op, qa.arc_element, bound)
     else:
-        mesh = _Mesh(d)
-        op, arc_element = _list_closure(mesh.arcs, mesh.product, bound)
+        op, arc_element = _list_in_mesh(d, bound)
     return _finish(d, op, arc_element)
 
 
@@ -320,8 +421,10 @@ def surjection_to_arc_quandle(res: ImqResult, qa: ArcQuandle) -> list[int]:
     (`FiniteQuandle._reach`), which `compute_imq`'s axiom check has already
     built: each element reached as x |> g maps to f(x) |> f(g).
     `compute_imq` numbers the arc elements first, and they generate the
-    table, so every generator is an arc element.  Every pair is then
-    checked."""
+    table, so every generator is an arc element.  Then f(x |> g) =
+    f(x) |> f(g) is checked for every x and every g in that set, n |G|
+    lookups in Q_A's table; by fact 4 of the module docstring f is then a
+    homomorphism."""
     if qa.diagram is not res.diagram and qa.diagram != res.diagram:
         raise ValueError("quandles come from different diagrams")
     f: list[int | None] = [None] * res.quandle.n
@@ -344,9 +447,10 @@ def surjection_to_arc_quandle(res: ImqResult, qa: ArcQuandle) -> list[int]:
             raise InternalCheckError("map does not respect the operation")
     if set(f) != set(range(qa.quandle.n)):
         raise InternalCheckError("map is not surjective")
-    for x in range(res.quandle.n):
-        for y in range(res.quandle.n):
-            if f[res.quandle.op[x][y]] != op[f[x]][f[y]]:
+    for g in res.quandle.generators:
+        fg = f[g]
+        for x, row in enumerate(res.quandle.op):
+            if f[row[g]] != op[f[x]][fg]:
                 raise InternalCheckError("homomorphism check failed")
     for orb in orbits(res.quandle):
         comps = {qa.component_of[f[x]] for x in orb}

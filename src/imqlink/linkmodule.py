@@ -249,19 +249,19 @@ def longitudes(mod: LinkModule) -> list[GroupElt]:
     under it.
 
     Each result is 2-torsion, so the starting point and direction of the
-    walk do not matter.
+    walk do not matter.  The sum is taken on coordinate tuples and reduced
+    once per component.
     """
     d = mod.diagram
     out = []
     for i, comp in enumerate(d.components):
-        total = mod.group.zero()
+        total = [0] * mod.group.n_coords
         if comp.crossings:
-            for j, (_, over) in enumerate(component_walk(d, i)):
-                term = mod.arc_class[over]
-                total = total + (term if j % 2 == 0 else -term)
+            walk = [mod.arc_class[over].coords for _, over in component_walk(d, i)]
+            total = [sum(c[0::2]) - sum(c[1::2]) for c in zip(*walk)]
             if len(comp.arcs) % 2:
-                total = mod.arc_class[comp.arcs[0]] - total
-        out.append(total)
+                total = [a - t for a, t in zip(mod.arc_class[comp.arcs[0]].coords, total)]
+        out.append(mod.group.element(total))
     return out
 
 

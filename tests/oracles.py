@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 from collections import deque
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field, replace
 from math import gcd, prod
 
@@ -41,7 +42,7 @@ from imqlink.arcquandle import (
     characteristic_compatibility,
 )
 from imqlink.diagram import LinkDiagram, component_walk, make_even
-from imqlink.imq import ImqResult, _finish
+from imqlink.imq import ImqResult, _finish, _Mesh
 from imqlink.linkmodule import (
     InternalCheckError,
     LinkModule,
@@ -1308,6 +1309,141 @@ def longitude_fixes_orbit(res: ImqResult) -> bool:
         if any(perm[x] != x for x in home):
             return False
     return True
+
+
+def list_closure(
+    arcs: list[Hashable],
+    product: Callable[[Hashable, Hashable], Hashable],
+    bound: int,
+) -> tuple[list[list[int]], list[int]]:
+    """The closure of the arc elements under `product`, numbered in the
+    order `compute_imq` states, by computing every product: its table, and
+    each arc's element.  Each product is computed once, when the listing
+    reaches it, n^2 in all.  Listing more than `bound` elements raises
+    InternalCheckError."""
+    order: list[Hashable] = []  # elements by number
+    number: dict[Hashable, int] = {}
+    # op[x] holds x |> y for the leading y of the order; every product
+    # computed is numbered, so the scan of a row resumes at its end
+    op: list[list[int]] = []
+
+    def listed(e: Hashable) -> int:
+        if e not in number:
+            if len(order) >= bound:
+                raise InternalCheckError(f"listing passed the size bound {bound}")
+            number[e] = len(order)
+            order.append(e)
+            op.append([])
+        return number[e]
+
+    arc_element = [listed(e) for e in arcs]
+    x = 0
+    while x < len(order):
+        row = op[x]
+        while len(row) < len(order):
+            n = len(order)
+            row.append(listed(product(order[x], order[len(row)])))
+            if len(order) > n:
+                # a new element: the first product not numbered is now in row 0
+                x = -1
+                break
+        x += 1
+    return op, arc_element
+
+
+def literal_generating_arcs(d: LinkDiagram) -> list[int]:
+    """The greedy generating set of arcs: an arc joins when the arcs
+    reached so far do not hold it, and after each one joins, every
+    crossing is swept, reaching the other under arc of a crossing whose
+    over arc and one under arc are reached, until a sweep reaches none."""
+    gens: list[int] = []
+    reached: set[int] = set()
+    for a in range(d.n_arcs):
+        if a in reached:
+            continue
+        gens.append(a)
+        reached.add(a)
+        grown = True
+        while grown:
+            grown = False
+            for c in d.crossings:
+                u, w = c.under
+                if c.over in reached and (u in reached) != (w in reached):
+                    reached |= {u, w}
+                    grown = True
+    return gens
+
+
+def literal_imq(mod: LinkModule, bound: int = 10_000) -> ImqResult:
+    """The presented quandle by `list_closure`: Q_A's table renumbered for
+    mu <= 2, every mesh product for mu >= 3, as `compute_imq` listed it
+    before it listed from a generating set."""
+    d = mod.diagram
+    if d.mu <= 2:
+        qa = build_arc_quandle(mod)
+        table = qa.quandle.op
+        op, arc_element = list_closure(qa.arc_element, lambda x, y: table[x][y], bound)
+        if len(op) < len(table):
+            raise InternalCheckError("quandle not generated by its arc elements")
+    else:
+        mesh = _Mesh(d)
+        op, arc_element = list_closure(mesh.arcs, mesh.product, bound)
+    return _finish(d, op, arc_element)
+
+
+def literal_surjection(res: ImqResult, qa: ArcQuandle) -> list[int]:
+    """`imq.surjection_to_arc_quandle` with its homomorphism check on
+    every pair: the map sending each arc element to its arc class,
+    extended along the table's greedy generating set; raises
+    InternalCheckError unless it is a surjective homomorphism matching
+    components orbit by orbit."""
+    f: list[int | None] = [None] * res.quandle.n
+    for a, target in enumerate(qa.arc_element):
+        cur = f[res.arc_element[a]]
+        if cur is not None and cur != target:
+            raise InternalCheckError("arc generators map inconsistently")
+        f[res.arc_element[a]] = target
+    op = qa.quandle.op
+    for z, via in res.quandle._reach.items():
+        if via is None:
+            if f[z] is None:
+                raise InternalCheckError("quandle not generated by its arc elements")
+            continue
+        x, g = via
+        img = op[f[x]][f[g]]
+        if f[z] is None:
+            f[z] = img
+        elif f[z] != img:
+            raise InternalCheckError("map does not respect the operation")
+    if set(f) != set(range(qa.quandle.n)):
+        raise InternalCheckError("map is not surjective")
+    for x in range(res.quandle.n):
+        for y in range(res.quandle.n):
+            if f[res.quandle.op[x][y]] != op[f[x]][f[y]]:
+                raise InternalCheckError("homomorphism check failed")
+    for orb in orbits(res.quandle):
+        comps = {qa.component_of[f[x]] for x in orb}
+        gens = [a for a in range(res.diagram.n_arcs) if res.arc_element[a] in orb]
+        if len(comps) != 1 or {res.diagram.kappa[a] for a in gens} != comps:
+            raise InternalCheckError("orbits do not map component to component")
+    return f
+
+
+def literal_longitudes(mod: LinkModule) -> list[GroupElt]:
+    """`linkmodule.longitudes` by `GroupElt` arithmetic, one element per
+    crossing of each walk."""
+    d = mod.diagram
+    out = []
+    for i, comp in enumerate(d.components):
+        total = mod.group.zero()
+        if comp.crossings:
+            for j, (_, over) in enumerate(component_walk(d, i)):
+                term = mod.arc_class[over]
+                total = total + (term if j % 2 == 0 else -term)
+            if len(comp.arcs) % 2:
+                total = mod.arc_class[comp.arcs[0]] - total
+        out.append(total)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ components and listed in the displacement mesh otherwise, against the
 saturation oracle; its size bounds, and the surjection onto the arc-class
 quandle."""
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -15,7 +16,10 @@ from oracles import (
     build_partition_quandle,
     literal_axiom_violations,
     literal_displacement_group,
+    literal_generating_arcs,
     literal_group_from_quandle,
+    literal_imq,
+    literal_surjection,
     longitude_fixes_orbit,
     open_deduction,
     saturate,
@@ -351,9 +355,9 @@ def test_every_closure_is_quiet(name, modules, monkeypatch):
 
 
 def _mesh(mod):
-    # the displacement mesh's table, which compute_imq lists only for mu >= 3
-    mesh = imq._Mesh(mod.diagram)
-    op, arc_element = imq._list_closure(mesh.arcs, mesh.product, 10_000)
+    # the displacement mesh's table, listed from a generating set as
+    # compute_imq lists it, but for any mu
+    op, arc_element = imq._list_in_mesh(mod.diagram, 10_000)
     return imq._finish(mod.diagram, op, arc_element)
 
 
@@ -515,10 +519,17 @@ def test_generator_checks_equal_literal_oracles_on_seeded_chains(
         assert group_from_quandle(q) == literal_group_from_quandle(q) == mod.group
 
 
+def _chain_diagram(gen, regions, seed=1):
+    word = gen.chain_word(list(regions), random.Random(seed))
+    return parse_diagram(gen.to_text(gen.closure(word, len(regions) + 1)))
+
+
+def _chain_module(gen, regions, seed=1):
+    return build_link_module(_chain_diagram(gen, regions, seed))
+
+
 def _chain_imq(gen, regions):
-    word = gen.chain_word(list(regions), random.Random(1))
-    d = parse_diagram(gen.to_text(gen.closure(word, len(regions) + 1)))
-    return compute_imq(build_link_module(d)).quandle
+    return compute_imq(_chain_module(gen, regions)).quandle
 
 
 def _reached(q, gens):
@@ -603,3 +614,112 @@ def test_surjection_rejects_a_generator_outside_the_arc_elements(
         linkmodule.InternalCheckError, match="not generated by its arc elements"
     ):
         surjection_to_arc_quandle(bad, arc_quandles["trefoil"])
+
+
+# the gate diagrams whose presented quandle is listed: the others have
+# determinant 0 or a bound past the listing cap
+LISTED = (
+    "chain_2_2_2", "chain_2_2_2_2", "chain_2_3_pad30", "chain_2_6",
+    "chain_3_3_3_2", "chain_4_4_4", "chain_4_4_4_4", "t2_13",
+)
+
+
+def _assert_equals_all_pairs_oracles(mod, why=None):
+    res = compute_imq(mod)
+    want = literal_imq(mod)
+    _assert_same(res, want, why)
+    assert res.elements_created == want.elements_created, why
+    qa = build_arc_quandle(mod)
+    assert surjection_to_arc_quandle(res, qa) == literal_surjection(res, qa), why
+
+
+@pytest.mark.parametrize("name", FINITE + LISTED)
+def test_listing_equals_the_all_pairs_oracles(name, modules):
+    mod = modules[name] if name in modules else _large_module(name)
+    _assert_equals_all_pairs_oracles(mod)
+
+
+# (regions, chain_word seed) of twist chains, two for each mu = 1..7 with
+# at most 224 elements in the presented quandle by its upper bound, then
+# the larger chains (10,10), (6,6,6) and (2^7), mu = 8; (4,4,4,4) is the
+# gate diagram chain_4_4_4_4 of LISTED
+SEEDED_CHAINS = (
+    ((1,), 76), ((3, 1), 8), ((2,), 30), ((3, 4), 0), ((2, 1, 4, 3), 18),
+    ((4, 2, 1, 1), 7), ((1, 4, 3, 4, 2), 66), ((1, 1, 1, 4, 4, 2), 87),
+    ((4, 4, 2, 2), 65), ((2, 4, 2, 2), 39), ((4, 2, 2, 2, 2, 1), 53),
+    ((2, 4, 2, 2, 2), 11), ((2,) * 6, 1), ((2,) * 6, 2),
+    ((10, 10), 1), ((6, 6, 6), 1), ((2,) * 7, 1),
+)
+
+
+@pytest.fixture(scope="module")
+def seeded_chains(perfbench_module):
+    gen = perfbench_module("gen")
+    return {spec: _chain_module(gen, *spec) for spec in SEEDED_CHAINS}
+
+
+def test_listing_equals_the_all_pairs_oracles_on_seeded_chains(seeded_chains):
+    assert {mod.mu for mod in seeded_chains.values()} == set(range(1, 9))
+    for regions, mod in seeded_chains.items():
+        _assert_equals_all_pairs_oracles(mod, regions)
+
+
+@pytest.mark.parametrize("regions", [(2, 6), (6, 6, 6)], ids=["chain_2_6", "chain_6_6_6"])
+def test_mesh_listing_makes_n_products_per_generator(regions, perfbench_module, monkeypatch):
+    # the mesh computes G's columns only; every other column is looked up
+    mod = _chain_module(perfbench_module("gen"), regions)
+    product = imq._Mesh.product
+    calls = 0
+
+    def counted(mesh, x, y):
+        nonlocal calls
+        calls += 1
+        return product(mesh, x, y)
+
+    monkeypatch.setattr(imq._Mesh, "product", counted)
+    res = compute_imq(mod)
+    gens = imq._generating_arcs(mod.diagram)
+    assert len({res.arc_element[a] for a in gens}) == len(gens)
+    assert calls == res.quandle.n * len(gens) < res.quandle.n ** 2
+
+
+@pytest.mark.parametrize("name", FINITE + LISTED + ("fig5l", "lprime", "chain_2x10"))
+def test_generating_arcs_equal_the_sweeping_oracle(name, diagrams):
+    d = diagrams[name] if name in diagrams else _large_module(name).diagram
+    assert imq._generating_arcs(d) == literal_generating_arcs(d)
+
+
+def test_generating_arcs_on_seeded_chains(seeded_chains):
+    for regions, mod in seeded_chains.items():
+        assert imq._generating_arcs(mod.diagram) == literal_generating_arcs(mod.diagram), regions
+
+
+@pytest.mark.parametrize(
+    "regions, count",
+    [((201,), 2), ((10, 10), 3), ((2, 2, 341), 4), ((6, 6, 6), 4), ((4, 4, 4, 4), 5), ((2,) * 7, 8)],
+    ids=["T(2,201)", "chain_10_10", "chain_2_2_341", "chain_6_6_6", "chain_4_4_4_4", "chain_2x7"],
+)
+def test_generating_arc_counts(regions, count, perfbench_module):
+    d = _chain_diagram(perfbench_module("gen"), regions)
+    assert len(imq._generating_arcs(d)) == count
+
+
+@pytest.mark.parametrize("name", ("trefoil", "fig8", "t2_13", "chain_3_3_3_2"))
+def test_surjection_checks_every_generator(name, modules):
+    # Q_A with one entry f(x) |> f(g) changed, for each g of the greedy
+    # generating set and an x that does not first reach x |> g: only the
+    # check on g's column reads that entry, as f is a bijection here
+    mod = modules[name] if name in modules else _large_module(name)
+    res, qa = compute_imq(mod), build_arc_quandle(mod)
+    f = surjection_to_arc_quandle(res, qa)
+    q = res.quandle
+    assert sorted(f) == list(range(q.n)) and len(q.generators) >= 2
+    steps = set(q._reach.values())
+    for g in q.generators:
+        x = next(x for x in range(q.n) if (x, g) not in steps)
+        table = [list(row) for row in qa.quandle.op]
+        table[f[x]][f[g]] = (table[f[x]][f[g]] + 1) % q.n
+        bad = dataclasses.replace(qa)
+        bad.quandle = FiniteQuandle(table)
+        with pytest.raises(linkmodule.InternalCheckError, match="homomorphism check failed"):
+            surjection_to_arc_quandle(res, bad)

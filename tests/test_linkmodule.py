@@ -43,6 +43,7 @@ from oracles import (
     evenized_longitudes,
     literal_cokernel_group,
     literal_generator_image,
+    literal_longitudes,
     literal_parity,
     literal_torsion_parity_profile,
     literal_weight,
@@ -473,6 +474,26 @@ def test_longitudes_match_the_evenized_module(name, diagrams, perfbench_module):
         assert longitude_zero_subset(mod, longs) == longitude_zero_subset(
             even_mod, even_longs
         )
+
+
+@pytest.mark.parametrize(
+    "name",
+    FIXTURE_NAMES + GATE_NAMES + tuple(CHAIN_SPECS) + RANDOM_CHAINS + ("padded",),
+)
+def test_longitudes_equal_the_group_element_sums(name, diagrams, perfbench_module):
+    # the coordinate sums, reduced once, against one GroupElt per crossing
+    gen = perfbench_module("gen")
+    if name == "padded":
+        drawn = list(_padded_chains(gen))
+    else:
+        drawn = [_oracle_diagram(name, diagrams, gen)]
+    for d in drawn:
+        for mod in (build_link_module(d), build_link_module(make_even(d))):
+            longs, want = longitudes(mod), literal_longitudes(mod)
+            assert longs == want
+            assert [l.order() for l in longs] == [l.order() for l in want]
+            if mod.mu >= 2:
+                assert longitude_zero_subset(mod, longs) == longitude_zero_subset(mod, want)
 
 
 def test_longitude_zero_subsets_frozen(diagrams, modules):

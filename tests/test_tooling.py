@@ -10,10 +10,11 @@ import argparse
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import imqlink
-from imqlink import cli
+from imqlink import cli, imq
 
 # public functions the README documents for library use that no package
 # code calls
@@ -41,6 +42,22 @@ def test_every_traced_name_resolves(perfbench_module):
         assert missing == [], f"imqlink.{layer} lacks {missing}"
     traced = {n for names in trace.LAYERS.values() for n in names}
     assert set(trace.COUNT_HOOKS) <= traced
+
+
+def test_the_imq_hooks_resolve(perfbench_module, imq_results):
+    # the tracer wraps these by name in imqlink.imq, and its imq count
+    # hook reads ImqResult.elements_created
+    trace = perfbench_module("trace")
+    assert set(trace.LAYERS["imq"]) == {
+        "compute_imq", "surjection_to_arc_quandle", "check_size_bounds"
+    }
+    for name in trace.LAYERS["imq"]:
+        assert callable(getattr(imq, name, None)), name
+    res = imq_results["t22t24"]
+    assert res.elements_created == res.quandle.n
+    counts = Counter()
+    trace._count_imq(counts, (), {}, res)
+    assert counts["imq.elements_created"] == res.quandle.n
 
 
 def _overrides(module: str, cls: str, name: str) -> bool:
